@@ -241,7 +241,6 @@ mod tests {
             locals: &locals,
             external: &resolver,
             ranges: &ranges,
-            columnar: true,
             delta_batch: None,
             hashjoin: None,
         };

@@ -154,9 +154,6 @@ struct EngineInner {
     /// Worker-pool size for partitioned delta evaluation (1 = serial;
     /// seeded from `CORAL_THREADS`, overridable per engine).
     threads: Cell<usize>,
-    /// Columnar join fast path (seeded from `CORAL_COLUMNAR`,
-    /// overridable per engine; off = legacy tuple-at-a-time joins).
-    columnar: Cell<bool>,
     /// Statistics-driven cost-based planning (seeded from `CORAL_STATS`,
     /// overridable per engine; off = the static left-to-right heuristic).
     stats: Cell<bool>,
@@ -208,7 +205,6 @@ impl Engine {
                 base_multiset: RefCell::new(Vec::new()),
                 profiling: Cell::new(false),
                 threads: Cell::new(crate::parallel::resolve_threads(None)),
-                columnar: Cell::new(crate::seminaive::resolve_columnar(None)),
                 stats: Cell::new(crate::seminaive::resolve_stats(None)),
                 hashjoin: Cell::new(crate::seminaive::resolve_hashjoin(None)),
                 last_profile: RefCell::new(None),
@@ -318,18 +314,6 @@ impl Engine {
     /// The configured worker-pool size.
     pub fn threads(&self) -> usize {
         self.inner.threads.get()
-    }
-
-    /// Enable or disable the columnar join fast path (seeded from
-    /// `CORAL_COLUMNAR`; off = legacy tuple-at-a-time joins, kept as a
-    /// differential baseline).
-    pub fn set_columnar(&self, on: bool) {
-        self.inner.columnar.set(on);
-    }
-
-    /// Whether the columnar join fast path is on.
-    pub fn columnar(&self) -> bool {
-        self.inner.columnar.get()
     }
 
     /// Enable or disable statistics-driven cost-based planning (seeded
@@ -588,6 +572,8 @@ impl Engine {
                 Some("@save_module")
             } else if controls.lazy {
                 Some("@lazy")
+            } else if controls.fixpoint == FixpointKind::Naive {
+                Some("@naive")
             } else {
                 None
             };
@@ -773,7 +759,12 @@ impl Engine {
             }
             Err(e) => return Err(e),
         };
-        if self.stats_enabled() && !mdef.controls.ordered {
+        // `@naive` modules are the reference evaluator and keep their
+        // source-order joins; Ordered Search fixes its own order.
+        if self.stats_enabled()
+            && !mdef.controls.ordered
+            && mdef.controls.fixpoint != FixpointKind::Naive
+        {
             let src = DbStats { db: &self.inner.db };
             // Strategy selection: the default rewriting is a guess, so
             // cost the factoring alternative and keep whichever module
@@ -983,7 +974,6 @@ impl Engine {
         let mut state = FixpointState::new(Rc::clone(&cm), &mdef.setup)?
             .with_strategy(Strategy::from(mdef.controls.fixpoint))
             .with_threads(self.threads())
-            .with_columnar(self.columnar())
             .with_stats(self.stats_enabled())
             .with_hashjoin(self.hashjoin_enabled());
         state.seed(pattern)?;
@@ -1349,22 +1339,31 @@ pub mod builtins {
         }
     }
 
+    /// The binding modes of builtin `pred`: each entry lists argument
+    /// positions that, once all bound, make a call safe (any one entry
+    /// suffices). `None` when `pred` is not a builtin. This mirrors the
+    /// `Unsafe` conditions of the evaluators below; the planner uses it
+    /// to keep a builtin behind the literals that bind its inputs.
+    pub fn modes(pred: PredRef) -> Option<&'static [&'static [usize]]> {
+        let name = pred.name.as_str();
+        Some(match (name.as_str(), pred.arity) {
+            ("append", 3) => &[&[0, 1], &[2]],
+            ("member", 2) => &[&[1]],
+            ("length", 2) => &[&[0], &[1]],
+            ("reverse", 2) => &[&[0], &[1]],
+            ("nth1", 3) => &[&[1]],
+            ("between", 3) => &[&[0, 1]],
+            ("sum_list", 2) => &[&[0]],
+            ("sort", 2) => &[&[0]],
+            _ => return None,
+        })
+    }
+
     /// Whether `pred` names a builtin, without evaluating it. Builtins
     /// are pure functions of their pattern, so parallel workers may call
     /// [`eval`] directly on any thread.
     pub fn is_builtin(pred: PredRef) -> bool {
-        let name = pred.name.as_str();
-        matches!(
-            (name.as_str(), pred.arity),
-            ("append", 3)
-                | ("member", 2)
-                | ("length", 2)
-                | ("reverse", 2)
-                | ("nth1", 3)
-                | ("between", 3)
-                | ("sum_list", 2)
-                | ("sort", 2)
-        )
+        modes(pred).is_some()
     }
 
     fn list_of(t: &Term) -> Option<Vec<Term>> {

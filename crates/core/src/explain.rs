@@ -178,13 +178,10 @@ impl Explainer<'_> {
                 backtrack,
             };
             let ranges = Ranges::new();
-            // Explanation probes are non-delta re-joins; the columnar
-            // ground fast path is semantics-preserving, so leave it on.
             let ctx = JoinCtx {
                 locals: self.state.locals(),
                 external: self.engine,
                 ranges: &ranges,
-                columnar: true,
                 delta_batch: None,
                 hashjoin: None,
             };
@@ -256,7 +253,6 @@ impl Explainer<'_> {
             locals: self.state.locals(),
             external: self.engine,
             ranges: &ranges,
-            columnar: true,
             delta_batch: None,
             hashjoin: None,
         };

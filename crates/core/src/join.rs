@@ -149,14 +149,9 @@ pub trait RuleEnv {
     /// the whole relation; stratification keeps it stable).
     fn negated_local(&self, pred: PredRef, pattern: &[Term]) -> EvalResult<TupleIter>;
 
-    /// Whether the columnar fast paths are enabled for this evaluation.
-    fn columnar(&self) -> bool {
-        false
-    }
-
     /// The columnar batch driving body position `pos`, if this
-    /// evaluation has one (the semi-naive delta slot under columnar
-    /// evaluation). Only consulted when the slot's lookup pattern is
+    /// evaluation has one (the semi-naive delta slot). Only consulted
+    /// when the slot's lookup pattern is
     /// open (all distinct free variables), where a batch scan is
     /// candidate-for-candidate identical to the relation lookup.
     fn delta_batch(&self, pos: usize) -> Option<Arc<ColumnarBatch>> {
@@ -268,7 +263,7 @@ impl HashJoinState {
 /// mutation that *can* reach a frozen range — aggregate-selection
 /// eviction on the head relation — is excluded by constructing the
 /// source with `cacheable = false`, which rebuilds per slot open exactly
-/// like the legacy eager lookup does.
+/// like an eager relation lookup would.
 pub struct DeltaBatchSource {
     rel: Rc<HashRelation>,
     prev: Mark,
@@ -310,13 +305,11 @@ pub struct JoinCtx<'a> {
     pub external: &'a dyn ExternalResolver,
     /// Delta boundaries for recursive predicates this iteration.
     pub ranges: &'a Ranges,
-    /// Whether the columnar fast paths are on.
-    pub columnar: bool,
     /// `(body position, batch source)` for the driving delta slot, when
-    /// columnar evaluation supplies one.
+    /// the fixpoint supplies one.
     pub delta_batch: Option<(usize, DeltaBatchSource)>,
-    /// Transient hash-join table cache, when hash-join evaluation is
-    /// enabled for this fixpoint (`None` = index probes only).
+    /// Transient hash-join table cache (`None` = index probes only: the
+    /// `@naive` reference evaluator and the aggregate pass).
     pub hashjoin: Option<&'a HashJoinState>,
 }
 
@@ -351,10 +344,6 @@ impl RuleEnv for JoinCtx<'_> {
 
     fn negated_local(&self, pred: PredRef, pattern: &[Term]) -> EvalResult<TupleIter> {
         Ok(self.locals.require(pred).lookup(pattern))
-    }
-
-    fn columnar(&self) -> bool {
-        self.columnar
     }
 
     fn delta_batch(&self, pos: usize) -> Option<Arc<ColumnarBatch>> {
@@ -547,7 +536,7 @@ fn hash_probe_slot(
 /// unbound variables in first-occurrence order, so openness is exactly
 /// `pattern[i] == Var(i)`. An open pattern selects no index (argument
 /// and pattern indices both need ground keys) and matches every tuple,
-/// so the legacy lookup is a full scan in insertion order — which is
+/// so the relation lookup is a full scan in insertion order — which is
 /// what a columnar batch scan replays, making the swap order-exact.
 fn pattern_is_open(pattern: &[Term]) -> bool {
     pattern
@@ -556,8 +545,8 @@ fn pattern_is_open(pattern: &[Term]) -> bool {
         .all(|(i, t)| matches!(t, Term::Var(v) if v.0 == i as u32))
 }
 
-/// Legacy row match: a fresh frame for the candidate's variables, then
-/// general unification argument by argument.
+/// General row match: a fresh frame for the candidate's variables, then
+/// unification argument by argument.
 fn unify_row(envs: &mut EnvSet, lit_args: &[Term], env: EnvId, t: &Tuple) -> bool {
     let tenv = envs.push_frame(t.nvars() as usize);
     lit_args
@@ -566,7 +555,7 @@ fn unify_row(envs: &mut EnvSet, lit_args: &[Term], env: EnvId, t: &Tuple) -> boo
         .all(|(a, b)| unify(envs, a, env, b, tenv))
 }
 
-/// Columnar fast path for a fully ground candidate: bind pattern
+/// Fast path for a fully ground candidate: bind pattern
 /// variables directly and compare ground pattern arguments by term
 /// equality — exactly the decision unifying two ground terms makes —
 /// skipping the candidate frame and the unifier. Returns `None` when a
@@ -607,7 +596,7 @@ fn fast_match_ground(
     r
 }
 
-/// Columnar fast path for a flat batch row: bind-or-compare per column
+/// Fast path for a flat batch row: bind-or-compare per column
 /// straight out of the column vectors, never reconstructing the tuple.
 /// Same contract as [`fast_match_ground`].
 fn fast_match_batch(
@@ -647,6 +636,42 @@ fn fast_match_batch(
     r
 }
 
+/// Match one materialized candidate against a literal: fully ground
+/// candidates need no frame and (usually) no unifier; everything else
+/// takes the general path.
+fn match_row(envs: &mut EnvSet, lit_args: &[Term], env: EnvId, t: &Tuple) -> bool {
+    if t.is_ground() {
+        if let Some(ok) = fast_match_ground(envs, lit_args, env, t.args()) {
+            return ok;
+        }
+    } else {
+        crate::profile::bump(|c| c.fallback_rows += 1);
+    }
+    unify_row(envs, lit_args, env, t)
+}
+
+/// [`match_row`] for row `row` of a columnar batch: flat rows match
+/// straight out of the columns, side-table rows (non-ground or functor
+/// arguments) take the general path.
+fn match_batch_row(
+    envs: &mut EnvSet,
+    lit_args: &[Term],
+    env: EnvId,
+    batch: &ColumnarBatch,
+    row: usize,
+) -> bool {
+    match batch.row_ref(row) {
+        RowRef::Fast(fi) => match fast_match_batch(envs, lit_args, env, batch, fi) {
+            Some(ok) => ok,
+            None => unify_row(envs, lit_args, env, &batch.row_tuple(row)),
+        },
+        RowRef::Side(t) => {
+            crate::profile::bump(|c| c.fallback_rows += 1);
+            unify_row(envs, lit_args, env, t)
+        }
+    }
+}
+
 struct Slot {
     state: SlotState,
     trail: TrailMark,
@@ -667,7 +692,6 @@ pub fn eval_rule(
     let base_trail = envs.mark();
     let env = envs.push_frame(rule.nvars as usize);
     let n = rule.body.len();
-    let columnar = ctx.columnar();
     let mut solutions = 0usize;
 
     if n == 0 {
@@ -799,20 +823,7 @@ pub fn eval_rule(
                     Some(cand) => {
                         crate::profile::bump(|c| c.join_probes += 1);
                         let t: Tuple = cand?;
-                        // Columnar fast path: a fully ground candidate
-                        // needs no frame and (usually) no unifier.
-                        let ok = if columnar && t.is_ground() {
-                            match fast_match_ground(envs, lit_args, env, t.args()) {
-                                Some(ok) => ok,
-                                None => unify_row(envs, lit_args, env, &t),
-                            }
-                        } else {
-                            if columnar {
-                                crate::profile::bump(|c| c.fallback_rows += 1);
-                            }
-                            unify_row(envs, lit_args, env, &t)
-                        };
-                        if ok {
+                        if match_row(envs, lit_args, env, &t) {
                             *matched = true;
                             advanced = true;
                             break;
@@ -833,21 +844,7 @@ pub fn eval_rule(
                 let r = *row;
                 *row += 1;
                 crate::profile::bump(|c| c.join_probes += 1);
-                let ok = match batch.row_ref(r) {
-                    RowRef::Fast(fi) => match fast_match_batch(envs, lit_args, env, batch, fi) {
-                        Some(ok) => ok,
-                        None => {
-                            let t = batch.row_tuple(r);
-                            unify_row(envs, lit_args, env, &t)
-                        }
-                    },
-                    RowRef::Side(t) => {
-                        let t = t.clone();
-                        crate::profile::bump(|c| c.fallback_rows += 1);
-                        unify_row(envs, lit_args, env, &t)
-                    }
-                };
-                if ok {
+                if match_batch_row(envs, lit_args, env, batch, r) {
                     *matched = true;
                     advanced = true;
                     break;
@@ -875,18 +872,7 @@ pub fn eval_rule(
                     break;
                 };
                 crate::profile::bump(|c| c.join_probes += 1);
-                let ok = if columnar && t.is_ground() {
-                    match fast_match_ground(envs, lit_args, env, t.args()) {
-                        Some(ok) => ok,
-                        None => unify_row(envs, lit_args, env, &t),
-                    }
-                } else {
-                    if columnar {
-                        crate::profile::bump(|c| c.fallback_rows += 1);
-                    }
-                    unify_row(envs, lit_args, env, &t)
-                };
-                if ok {
+                if match_row(envs, lit_args, env, &t) {
                     *matched = true;
                     advanced = true;
                     break;
@@ -1062,7 +1048,8 @@ mod tests {
     use crate::compile::{BodyElem, CompiledRule, SnVersion};
     use coral_lang::parse_program;
     use coral_rel::Relation;
-    use coral_term::Symbol;
+    use coral_term::testutil::TestRng;
+    use coral_term::{Symbol, VarId};
 
     /// External resolver over a plain map of relations.
     pub struct MapResolver {
@@ -1120,14 +1107,13 @@ mod tests {
         (PredRef::new(name, arity), r)
     }
 
-    fn run_with(rule: &CompiledRule, resolver: &MapResolver, columnar: bool) -> Vec<String> {
+    fn run(rule: &CompiledRule, resolver: &MapResolver) -> Vec<String> {
         let locals = LocalRels::new();
         let ranges = Ranges::new();
         let ctx = JoinCtx {
             locals: &locals,
             external: resolver,
             ranges: &ranges,
-            columnar,
             delta_batch: None,
             hashjoin: None,
         };
@@ -1146,13 +1132,6 @@ mod tests {
         .unwrap();
         out.sort();
         out
-    }
-
-    /// Default run exercises the columnar ground fast path (most test
-    /// fixtures are ground facts); [`legacy_and_columnar_agree`] pins
-    /// the two modes against each other explicitly.
-    fn run(rule: &CompiledRule, resolver: &MapResolver) -> Vec<String> {
-        run_with(rule, resolver, true)
     }
 
     #[test]
@@ -1219,7 +1198,6 @@ mod tests {
             locals: &locals,
             external: &resolver,
             ranges: &ranges,
-            columnar: false,
             delta_batch: None,
             hashjoin: None,
         };
@@ -1285,7 +1263,6 @@ mod tests {
             locals: &locals,
             external: &resolver,
             ranges: &ranges,
-            columnar: false,
             delta_batch: None,
             hashjoin: None,
         };
@@ -1324,56 +1301,135 @@ mod tests {
         assert_eq!(got, vec!["(2)"]);
     }
 
-    #[test]
-    fn legacy_and_columnar_agree() {
-        // Ground candidates, arithmetic, negation, repeated variables —
-        // the two modes must produce identical solution lists.
-        for src in [
-            "t(X, Z) :- e(X, Y), e(Y, Z).",
-            "t(X, C) :- e(X, Y), C = X + Y, C >= 5.",
-            "t(X, Y) :- e(X, X), e(X, Y).",
-            "t(X, Y) :- e(X, Y), X \\= Y.",
-        ] {
-            let rule = compile_rule(src);
-            let (p, r) = rel_of("e", &[vec![1, 2], vec![2, 3], vec![2, 2], vec![4, 4]]);
-            let resolver = MapResolver {
-                rels: [(p, r)].into(),
-            };
-            assert_eq!(
-                run_with(&rule, &resolver, false),
-                run_with(&rule, &resolver, true),
-                "{src}"
-            );
+    /// A random term for the matcher property test: small ints, ground
+    /// functors, and (when `vars > 0`) variables / non-ground functors.
+    fn gen_term(rng: &mut TestRng, vars: u32) -> Term {
+        match rng.gen_range(0, if vars > 0 { 6 } else { 3 }) {
+            0 | 1 => Term::int(rng.gen_range(0, 3) as i64),
+            2 => Term::apps("f", vec![Term::int(rng.gen_range(0, 2) as i64)]),
+            3 | 4 => Term::var(rng.gen_range(0, vars as usize) as u32),
+            _ => Term::apps("f", vec![Term::var(rng.gen_range(0, vars as usize) as u32)]),
         }
-        // Non-ground and functor candidates force the general path mid
-        // stream without disturbing the fast rows around them.
-        let rule = compile_rule("t(X, Y) :- e(X, Y).");
-        let r = Rc::new(HashRelation::new(2));
-        r.insert(Tuple::ground(vec![Term::int(1), Term::int(2)]))
-            .unwrap();
-        r.insert(Tuple::new(vec![Term::var(0), Term::int(9)]))
-            .unwrap();
-        r.insert(Tuple::ground(vec![
-            Term::apps("f", vec![Term::int(3)]),
-            Term::int(4),
-        ]))
-        .unwrap();
-        r.insert(Tuple::ground(vec![Term::int(5), Term::int(6)]))
-            .unwrap();
-        let resolver = MapResolver {
-            rels: [(PredRef::new("e", 2), r)].into(),
-        };
-        let legacy = run_with(&rule, &resolver, false);
-        let columnar = run_with(&rule, &resolver, true);
-        assert_eq!(legacy, columnar);
-        assert_eq!(legacy.len(), 4);
+    }
+
+    #[test]
+    fn fast_matchers_agree_with_the_unifier() {
+        // The ground matchers are the one kernel the `@naive` reference
+        // shares with the optimised engine, so they are pinned here
+        // against general unification: `Some(b)` must be the unifier's
+        // verdict with identical resulting bindings, and `None` is only
+        // allowed (and, when the row does unify, required) if a pattern
+        // argument dereferences to a non-ground functor term.
+        const NVARS: u32 = 4;
+        let (mut hits, mut misses, mut bails, mut side_rows) = (0, 0, 0, 0);
+        for seed in 0..200u64 {
+            let mut rng = TestRng::new(seed);
+            let arity = rng.gen_range(1, 4);
+            let lit_args: Vec<Term> = (0..arity).map(|_| gen_term(&mut rng, NVARS)).collect();
+            let rows: Vec<Tuple> = (0..8)
+                .map(|_| {
+                    let nonground = rng.gen_bool(0.2);
+                    Tuple::new(
+                        (0..arity)
+                            .map(|_| gen_term(&mut rng, if nonground { 2 } else { 0 }))
+                            .collect(),
+                    )
+                })
+                .collect();
+            let batch = ColumnarBatch::from_tuples(arity, rows.clone());
+            let mut envs = EnvSet::new();
+            let env = envs.push_frame(NVARS as usize);
+            // Pre-bind some pattern variables: to ground terms, and to a
+            // non-ground functor over a later variable.
+            for v in 0..NVARS - 1 {
+                match rng.gen_range(0, 6) {
+                    0 => envs.bind(env, VarId(v), gen_term(&mut rng, 0), env),
+                    1 => envs.bind(env, VarId(v), Term::apps("f", vec![Term::var(v + 1)]), env),
+                    _ => {}
+                }
+            }
+            let bails_expected = lit_args.iter().any(|a| {
+                let (t, _) = envs.deref(a, env);
+                !matches!(t, Term::Var(_)) && !t.is_ground()
+            });
+            let trail = envs.mark();
+            let frames = envs.frame_mark();
+            let bindings = |envs: &EnvSet| -> Vec<Term> {
+                (0..NVARS)
+                    .map(|v| envs.resolve(&Term::var(v), env))
+                    .collect()
+            };
+            for (r, t) in rows.iter().enumerate() {
+                let reset = |envs: &mut EnvSet| {
+                    envs.undo(trail);
+                    envs.pop_frames(frames);
+                };
+                let expect = unify_row(&mut envs, &lit_args, env, t);
+                let expect_binds = expect.then(|| bindings(&envs));
+                reset(&mut envs);
+                // The two dispatchers `eval_rule` calls.
+                let got = match_row(&mut envs, &lit_args, env, t);
+                assert_eq!(got, expect, "seed {seed} row {t}");
+                assert_eq!(
+                    got.then(|| bindings(&envs)),
+                    expect_binds,
+                    "seed {seed} row {t}"
+                );
+                reset(&mut envs);
+                let got = match_batch_row(&mut envs, &lit_args, env, &batch, r);
+                assert_eq!(got, expect, "seed {seed} batch row {t}");
+                assert_eq!(
+                    got.then(|| bindings(&envs)),
+                    expect_binds,
+                    "seed {seed} batch row {t}"
+                );
+                reset(&mut envs);
+                // The kernels' own contract, on the rows they accept.
+                let mut verdicts = Vec::new();
+                if t.is_ground() {
+                    verdicts.push(fast_match_ground(&mut envs, &lit_args, env, t.args()));
+                    reset(&mut envs);
+                }
+                match batch.row_ref(r) {
+                    RowRef::Fast(fi) => {
+                        verdicts.push(fast_match_batch(&mut envs, &lit_args, env, &batch, fi));
+                        reset(&mut envs);
+                    }
+                    RowRef::Side(_) => side_rows += 1,
+                }
+                for v in verdicts {
+                    match v {
+                        Some(b) => {
+                            assert_eq!(b, expect, "seed {seed} row {t}");
+                            assert!(!(b && bails_expected), "seed {seed} row {t}");
+                            if b {
+                                hits += 1;
+                            } else {
+                                misses += 1;
+                            }
+                        }
+                        None => {
+                            assert!(bails_expected, "seed {seed} row {t}");
+                            bails += 1;
+                        }
+                    }
+                    if expect && bails_expected {
+                        assert_eq!(v, None, "seed {seed} row {t}");
+                    }
+                }
+            }
+        }
+        assert!(
+            hits > 0 && misses > 0 && bails > 0 && side_rows > 0,
+            "vacuous: {hits} hits, {misses} misses, {bails} bails, {side_rows} side rows"
+        );
     }
 
     #[test]
     fn open_delta_slot_drives_from_the_batch() {
         // Mixed delta: flat rows, a non-ground row and a functor row.
         // The batch drive must replay them in insertion order, matching
-        // what the legacy range lookup emits. Multiset semantics keep
+        // what the relation's range lookup emits. Multiset semantics keep
         // every row (under subsumption the Var row would swallow the
         // later ground ones).
         let pred = PredRef::new("p", 1);
@@ -1420,7 +1476,6 @@ mod tests {
                 locals: &locals,
                 external: &resolver,
                 ranges: &ranges,
-                columnar: batched,
                 delta_batch,
                 hashjoin: None,
             };

@@ -35,7 +35,7 @@ use crate::error::EvalResult;
 use crate::join::{eval_rule, resolve_head, ExternalResolver, JoinCtx, Ranges};
 use crate::rewrite::rewrite_module;
 use crate::seminaive::{FixpointState, Strategy};
-use coral_lang::{Adornment, Literal, MaintainKind, PredRef, RewriteKind};
+use coral_lang::{Adornment, FixpointKind, Literal, MaintainKind, PredRef, RewriteKind};
 use coral_rel::{CountChange, CountStore, HashRelation, IndexSpec, Relation, TupleIter};
 use coral_term::bindenv::EnvSet;
 use coral_term::{Term, Tuple, VarId};
@@ -580,7 +580,6 @@ fn eval_variant(
         locals: state.locals(),
         external: &resolver,
         ranges: &ranges,
-        columnar: false,
         delta_batch: None,
         hashjoin: None,
     };
@@ -796,7 +795,6 @@ impl MaintainedState {
         let mut state = FixpointState::new(Rc::clone(&cm), &mdef.setup)?
             .with_strategy(Strategy::from(mdef.controls.fixpoint))
             .with_threads(engine.threads())
-            .with_columnar(engine.columnar())
             .with_stats(engine.stats_enabled())
             .with_hashjoin(engine.hashjoin_enabled());
         state.seed(&vec![Term::var(0); pred.arity])?;
@@ -1605,7 +1603,8 @@ pub(crate) fn try_maintained_call(
         return Ok(None);
     }
     let c = &mdef.controls;
-    if c.pipelined || c.ordered || c.save || c.lazy {
+    // `@naive` is the reference evaluator: it always recomputes.
+    if c.pipelined || c.ordered || c.save || c.lazy || c.fixpoint == FixpointKind::Naive {
         return Ok(None);
     }
     let kind = c.maintain.unwrap_or(MaintainKind::Auto);

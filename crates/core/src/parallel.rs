@@ -114,9 +114,6 @@ pub(crate) struct JobCtx {
     pub head_pred: PredRef,
     /// Whether workers should collect profiling counter deltas.
     pub profiling: bool,
-    /// Whether workers run the columnar join fast path (mirrors the
-    /// coordinator's flag so k=1 and k=4 evaluate identically).
-    pub columnar: bool,
     /// Hash-join tables prebuilt by the coordinator (one per eligible
     /// body position), shared read-only by every chunk of the dispatch.
     /// Workers only take a table whose key columns match the runtime
@@ -177,21 +174,13 @@ struct WorkerEnv<'a> {
     /// driving relation's indexes.
     chunk: HashRelation,
     /// The chunk in columnar form, handed to the join's batch drive for
-    /// open patterns at the delta slot (None on the legacy path).
-    chunk_batch: Option<Arc<ColumnarBatch>>,
+    /// open patterns at the delta slot.
+    chunk_batch: Arc<ColumnarBatch>,
 }
 
 impl RuleEnv for WorkerEnv<'_> {
-    fn columnar(&self) -> bool {
-        self.ctx.columnar
-    }
-
     fn delta_batch(&self, pos: usize) -> Option<Arc<ColumnarBatch>> {
-        if pos == self.ctx.delta_pos {
-            self.chunk_batch.clone()
-        } else {
-            None
-        }
+        (pos == self.ctx.delta_pos).then(|| Arc::clone(&self.chunk_batch))
     }
 
     fn local_candidates(
@@ -293,7 +282,7 @@ pub(crate) fn eval_chunk(ctx: &JobCtx, chunk: ColumnarBatch) -> EvalResult<Chunk
     let env = WorkerEnv {
         ctx,
         chunk: chunk_rel,
-        chunk_batch: ctx.columnar.then(|| Arc::new(chunk)),
+        chunk_batch: Arc::new(chunk),
     };
     let head_view = &ctx.locals[&ctx.head_pred];
     let head = ctx.rule.head.clone();

@@ -148,6 +148,24 @@ pub fn bound_cols(lit: &coral_lang::Literal, bound: &HashSet<VarId>) -> Vec<usiz
         .collect()
 }
 
+/// Whether a positive literal may be evaluated with only `bound`
+/// variables bound. Relations accept any binding pattern; a builtin
+/// needs one of its [`crate::engine::builtins::modes`] satisfied. (A
+/// base relation or module export shadowing a builtin's name is held to
+/// the builtin's modes too — conservative, never unsafe.)
+fn schedulable(e: &BodyElem, bound: &HashSet<VarId>) -> bool {
+    let BodyElem::External { lit } = e else {
+        return true;
+    };
+    match crate::engine::builtins::modes(lit.pred_ref()) {
+        None => true,
+        Some(modes) => {
+            let cols = bound_cols(lit, bound);
+            modes.iter().any(|m| m.iter().all(|c| cols.contains(c)))
+        }
+    }
+}
+
 fn bind_elem(e: &BodyElem, bound: &mut HashSet<VarId>) {
     bound.extend(e.vars());
 }
@@ -231,9 +249,12 @@ pub fn cost_of_order(
 
 /// Choose an order for `body`: within each run of consecutive positive
 /// literals (negations and comparisons are barriers, exactly as in the
-/// legacy heuristic), greedily take the literal with the fewest
-/// estimated matches under the bindings accumulated so far; ties break
-/// by original position.
+/// `@reorder_joins` heuristic), greedily take the [`schedulable`]
+/// literal with the fewest estimated matches under the bindings
+/// accumulated so far; ties break by original position. Builtins whose
+/// binding requirements the run never satisfies keep their source order
+/// at the end of the run, where at least as much is bound as the source
+/// order bound for them.
 pub fn order_body(
     body: &[BodyElem],
     initial_bound: &HashSet<VarId>,
@@ -255,6 +276,9 @@ pub fn order_body(
             let mut best = 0usize;
             let mut best_score = f64::INFINITY;
             for (k, &pos) in seg.iter().enumerate() {
+                if !schedulable(&body[pos], &bound) {
+                    continue;
+                }
                 let score = elem_matches(&body[pos], pos, &bound, stats, card_override);
                 if score < best_score {
                     best_score = score;
@@ -552,6 +576,57 @@ mod tests {
         let not_pos = order.iter().position(|s| s == "not excl").unwrap();
         let small_pos = order.iter().position(|s| s == "small").unwrap();
         assert!(small_pos > not_pos, "{order:?}");
+    }
+
+    fn body_order(cm: &CompiledModule, head: &str) -> Vec<String> {
+        let rule = cm
+            .sccs
+            .iter()
+            .flat_map(|s| &s.rules)
+            .find(|r| r.head.pred.as_str() == head)
+            .unwrap();
+        rule.body
+            .iter()
+            .filter_map(lit_of)
+            .map(|l| l.pred.as_str().to_string())
+            .collect()
+    }
+
+    #[test]
+    fn builtins_wait_for_their_inputs() {
+        // Fig. 3's path-extension rule. With no statistics `append`
+        // looks cheaper than either relation, but it needs its first
+        // two arguments (or its last) bound, so it may only run once
+        // `p0` and `edge` have bound them.
+        let mut cm = compile_src(
+            "module m. export p(ffff).\n\
+             p(X, Y, P1, C1) :- p0(X, Z, P, C), edge(Z, Y, EC), \
+                 append([edge(Z, Y)], P, P1), C1 = C + EC.\n\
+             end_module.",
+            "p",
+            4,
+            "ffff",
+        );
+        let stats = stats_table(&[
+            ("p0", 4, 20_000.0, &[100.0, 100.0, 20_000.0, 50.0]),
+            ("edge", 3, 5_000.0, &[100.0, 100.0, 10.0]),
+        ]);
+        plan_module(&mut cm, &stats, true, true);
+        assert_eq!(body_order(&cm, "p__ffff"), ["edge", "p0", "append"]);
+
+        // A builtin nothing in its run can make safe keeps its source
+        // position relative to the run's end instead of being hoisted.
+        let mut cm = compile_src(
+            "module m. export q(f).\n\
+             q(X) :- member(X, L), big(Y), small(Y).\n\
+             end_module.",
+            "q",
+            1,
+            "f",
+        );
+        let stats = stats_table(&[("big", 1, 10_000.0, &[10_000.0]), ("small", 1, 3.0, &[3.0])]);
+        plan_module(&mut cm, &stats, true, true);
+        assert_eq!(body_order(&cm, "q__f"), ["small", "big", "member"]);
     }
 
     #[test]

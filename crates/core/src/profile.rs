@@ -209,7 +209,7 @@ pub struct SccSection {
 }
 
 /// Columnar-evaluation statistics for the profiled call (all zero when
-/// the legacy tuple-at-a-time path ran, e.g. `CORAL_COLUMNAR=0`).
+/// the call matched no candidate rows).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ColumnarStats {
     /// Candidate rows fully decided by column operations.
@@ -1856,7 +1856,7 @@ mod tests {
             r.contains("columnar: 150 batched rows, 7 fallback rows, 310 vectorized probes"),
             "{r}"
         );
-        // A legacy-path profile renders no columnar line at all.
+        // A profile that matched no rows renders no columnar line.
         let mut p = sample();
         p.columnar = ColumnarStats::default();
         assert!(!p.render().contains("columnar:"), "{}", p.render());

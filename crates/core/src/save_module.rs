@@ -54,7 +54,6 @@ pub fn call(
                 let s = FixpointState::new(Rc::clone(&cm), &mdef.setup)?
                     .with_strategy(Strategy::from(mdef.controls.fixpoint))
                     .with_threads(engine.threads())
-                    .with_columnar(engine.columnar())
                     .with_hashjoin(engine.hashjoin_enabled());
                 s.assert_no_aggregates()?;
                 s

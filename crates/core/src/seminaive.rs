@@ -110,9 +110,6 @@ pub struct FixpointState {
     profile_id: u64,
     /// Worker-pool size for partitioned delta evaluation (1 = serial).
     threads: usize,
-    /// Whether joins run the columnar batch fast path (the legacy
-    /// tuple-at-a-time escape hatch is `CORAL_COLUMNAR=0`).
-    columnar: bool,
     /// Whether the adaptive planner re-costs delta rule orders between
     /// fixpoint iterations (`CORAL_STATS=0` disables).
     stats_on: bool,
@@ -139,20 +136,6 @@ struct PlannedVersion {
     /// The permutation that produced `rule` (`perm[new] = old`), kept to
     /// detect when a re-cost converges on the same order.
     perm: Vec<usize>,
-}
-
-/// Resolve a columnar-evaluation request: explicit value, else the
-/// `CORAL_COLUMNAR` environment variable (`0`/`false`/`off` disable),
-/// else on. The legacy tuple-at-a-time path is kept as a differential
-/// baseline and an escape hatch, not as a supported configuration.
-pub fn resolve_columnar(explicit: Option<bool>) -> bool {
-    explicit.unwrap_or_else(|| match std::env::var("CORAL_COLUMNAR") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off"
-        ),
-        Err(_) => true,
-    })
 }
 
 /// Resolve a statistics/cost-based-planning request: explicit value,
@@ -236,7 +219,6 @@ impl FixpointState {
             stats: FixpointStats::default(),
             profile_id: crate::profile::new_state_id(),
             threads: 1,
-            columnar: resolve_columnar(None),
             stats_on: resolve_stats(None),
             hashjoin: resolve_hashjoin(None),
             hj: HashJoinState::new(),
@@ -256,13 +238,6 @@ impl FixpointState {
     /// set this: their derivation order is semantically significant.
     pub fn with_threads(mut self, threads: usize) -> FixpointState {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Enable or disable the columnar join fast path (defaults to
-    /// [`resolve_columnar`]`(None)`).
-    pub fn with_columnar(mut self, columnar: bool) -> FixpointState {
-        self.columnar = columnar;
         self
     }
 
@@ -409,8 +384,8 @@ impl FixpointState {
         self.refresh_marks(scc_idx, scc);
         while self.has_work(scc_idx, scc) {
             self.iterate_once(scc_idx, scc, external)?;
-            // Adaptive re-costing (iteration boundary only, so serial,
-            // parallel and columnar runs see identical plans): compare
+            // Adaptive re-costing (iteration boundary only, so serial
+            // and parallel runs see identical plans): compare
             // the observed delta cardinalities against the live relation
             // statistics and reorder next iteration's delta joins when a
             // cheaper order emerges.
@@ -464,7 +439,11 @@ impl FixpointState {
         external: &dyn ExternalResolver,
         naive: bool,
     ) -> EvalResult<()> {
-        if self.hashjoin {
+        // `@naive` is the reference evaluator: source-order joins over
+        // index/scan candidates only — no hash tables, no delta batches,
+        // no plan overrides, no parallel dispatch.
+        let hashjoin = self.hashjoin && !naive;
+        if hashjoin {
             // Recursive predicates' delta boundaries moved since the
             // last sweep: evict their tables so the cost gate re-decides
             // hash-build vs index-probe with fresh cardinalities.
@@ -516,7 +495,7 @@ impl FixpointState {
                         }
                     }
                 }
-                if self.hashjoin {
+                if hashjoin {
                     self.hj.set_outer_rows(
                         delta_rows.map_or(crate::planner::DEFAULT_CARD, |r| r as f64),
                     );
@@ -548,7 +527,7 @@ impl FixpointState {
                     // once — unless aggregate selections on the head's
                     // own relation can evict inside the frozen range,
                     // in which case it is rebuilt per slot open.
-                    let delta_batch = if self.columnar && !naive {
+                    let delta_batch = if !naive {
                         version.delta_idx.and_then(|d| match &rule.body[d] {
                             BodyElem::Local {
                                 lit,
@@ -573,9 +552,8 @@ impl FixpointState {
                         locals: &self.locals,
                         external,
                         ranges,
-                        columnar: self.columnar,
                         delta_batch,
-                        hashjoin: self.hashjoin.then_some(&self.hj),
+                        hashjoin: hashjoin.then_some(&self.hj),
                     };
                     let head = rule.head.clone();
                     eval_rule(&ctx, rule, version, &mut self.envs, &mut |envs, env| {
@@ -746,7 +724,6 @@ impl FixpointState {
                 locals: &self.locals,
                 external,
                 ranges,
-                columnar: self.columnar,
                 delta_batch: None,
                 hashjoin: Some(&self.hj),
             };
@@ -791,7 +768,6 @@ impl FixpointState {
             externals,
             head_pred,
             profiling: crate::profile::enabled(),
-            columnar: self.columnar,
             hash_tables,
             brake: external.parallel_brake(),
         });
@@ -1097,7 +1073,6 @@ impl FixpointState {
                 locals: &self.locals,
                 external,
                 ranges: &ranges,
-                columnar: self.columnar,
                 delta_batch: None,
                 hashjoin: None,
             };

@@ -210,17 +210,6 @@ impl Session {
         self.engine.threads()
     }
 
-    /// Enable or disable the columnar join fast path (seeded from
-    /// `CORAL_COLUMNAR`; off = legacy tuple-at-a-time joins).
-    pub fn set_columnar(&self, on: bool) {
-        self.engine.set_columnar(on);
-    }
-
-    /// Whether the columnar join fast path is on.
-    pub fn columnar(&self) -> bool {
-        self.engine.columnar()
-    }
-
     /// Enable or disable statistics-driven cost-based join planning
     /// (seeded from `CORAL_STATS`; off = the static left-to-right
     /// heuristic). Flipping the flag invalidates cached plans.

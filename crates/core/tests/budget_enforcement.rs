@@ -246,15 +246,8 @@ fn profile_reports_budget_usage() {
 /// `max_tuples`, returning the budget error (stringified, so `limit`
 /// and `used` both participate in the comparison).
 fn run_budgeted(threads: usize, program: &str, max_tuples: u64) -> String {
-    run_budgeted_with(threads, true, program, max_tuples)
-}
-
-/// [`run_budgeted`] with an explicit columnar-mode switch, for the
-/// columnar-vs-legacy determinism differential.
-fn run_budgeted_with(threads: usize, columnar: bool, program: &str, max_tuples: u64) -> String {
     let s = Session::new();
     s.set_threads(threads);
-    s.set_columnar(columnar);
     s.set_profiling(true);
     s.set_budget(Budget {
         max_tuples: Some(max_tuples),
@@ -280,56 +273,31 @@ fn random_edges(rng: &mut TestRng, nodes: usize, edges: usize) -> String {
 
 #[test]
 fn budget_kill_is_deterministic_across_worker_counts() {
-    for seed in 1..=4u64 {
-        let mut rng = TestRng::new(seed);
-        let nodes = rng.gen_range(30, 50);
-        let edges = rng.gen_range(3 * nodes, 5 * nodes);
-        let program = format!(
-            "{}\
-             module tc.\n\
-             export path(ff).\n\
-             path(X, Y) :- edge(X, Y).\n\
-             path(X, Y) :- edge(X, Z), path(Z, Y).\n\
-             end_module.\n",
-            random_edges(&mut rng, nodes, edges)
-        );
-        // A limit low enough to fire mid-fixpoint but high enough that
-        // k=4 has dispatched real worker chunks by then.
-        let serial = run_budgeted(1, &program, 200);
-        let parallel = run_budgeted(4, &program, 200);
-        assert_eq!(
-            parallel, serial,
-            "budget kill not deterministic across worker counts (seed {seed})"
-        );
-    }
-}
-
-#[test]
-fn budget_kill_is_deterministic_columnar_vs_legacy() {
-    // The columnar fast path replays the legacy candidate order
-    // decision-for-decision (ground unify ⟺ term equality, batch rows
-    // in insertion order), so derived facts reach the thread-local
-    // tuple meter in the identical sequence and a tuple limit must
-    // fire at the same count on either path — at k=1 and k=4 alike.
-    for seed in 1..=4u64 {
-        let mut rng = TestRng::new(seed);
-        let nodes = rng.gen_range(30, 50);
-        let edges = rng.gen_range(3 * nodes, 5 * nodes);
-        let program = format!(
-            "{}\
-             module tc.\n\
-             export path(ff).\n\
-             path(X, Y) :- edge(X, Y).\n\
-             path(X, Y) :- path(X, Z), edge(Z, Y).\n\
-             end_module.\n",
-            random_edges(&mut rng, nodes, edges)
-        );
-        let legacy = run_budgeted_with(1, false, &program, 200);
-        for (threads, label) in [(1, "columnar k=1"), (4, "columnar k=4")] {
-            let columnar = run_budgeted_with(threads, true, &program, 200);
+    // Right-linear (an `edge` scan drives, `path`'s delta is hash
+    // probed) and left-linear (the delta batch drives): in both, facts
+    // must reach the coordinator's tuple meter in the serial order, so
+    // a tuple limit fires at the same count at k=1 and k=4.
+    for body in ["edge(X, Z), path(Z, Y)", "path(X, Z), edge(Z, Y)"] {
+        for seed in 1..=4u64 {
+            let mut rng = TestRng::new(seed);
+            let nodes = rng.gen_range(30, 50);
+            let edges = rng.gen_range(3 * nodes, 5 * nodes);
+            let program = format!(
+                "{}\
+                 module tc.\n\
+                 export path(ff).\n\
+                 path(X, Y) :- edge(X, Y).\n\
+                 path(X, Y) :- {body}.\n\
+                 end_module.\n",
+                random_edges(&mut rng, nodes, edges)
+            );
+            // A limit low enough to fire mid-fixpoint but high enough
+            // that k=4 has dispatched real worker chunks by then.
+            let serial = run_budgeted(1, &program, 200);
+            let parallel = run_budgeted(4, &program, 200);
             assert_eq!(
-                columnar, legacy,
-                "budget kill not deterministic for {label} vs legacy (seed {seed})"
+                parallel, serial,
+                "budget kill not deterministic across worker counts ({body}, seed {seed})"
             );
         }
     }

@@ -2,10 +2,14 @@
 //!
 //! Five families of randomly generated programs (transitive closure,
 //! same generation, mutual recursion, negation+builtins, non-ground
-//! facts under subsumption), each parameterized by a seed. Both the
-//! columnar differential suite (`columnar_fuzz.rs`) and the planner
-//! differential suite (`plan_differential.rs`) include this module via
-//! `#[path]`, so a family added here locks down both subsystems.
+//! facts under subsumption), each parameterized by a seed. The engine
+//! differential suite (`engine_differential.rs`) and the maintenance
+//! differential suite (`maintain_differential.rs`) include this module
+//! via `#[path]`, so a family added here locks down both.
+//!
+//! Every module carries a `@CONTROLS.` placeholder line after its
+//! export, which [`Case::program`] replaces with the annotations a suite
+//! wants to evaluate under (none for the default engine).
 
 #![allow(dead_code)]
 
@@ -15,10 +19,21 @@ use std::fmt::Write as _;
 /// Seeds per program family (the suites' lock-down breadth).
 pub const SEEDS: u64 = 20;
 
-/// A generated test case: the program text and the query to pose.
+/// The `@naive` reference evaluator over the unrewritten program.
+pub const REFERENCE: &str = "@naive.\n@rewrite none.\n";
+
+/// A generated test case: the program template and the query to pose.
 pub struct Case {
-    pub program: String,
+    template: String,
     pub query: &'static str,
+}
+
+impl Case {
+    /// The program text with `annotations` (complete `@….` lines, or
+    /// empty for the default engine) as the module's control block.
+    pub fn program(&self, annotations: &str) -> String {
+        self.template.replace("@CONTROLS.\n", annotations)
+    }
 }
 
 pub fn random_edges(rng: &mut TestRng, name: &str, nodes: usize, edges: usize) -> String {
@@ -38,10 +53,11 @@ pub fn tc(seed: u64) -> Case {
     let nodes = rng.gen_range(10, 16);
     let edges = rng.gen_range(2 * nodes, 3 * nodes);
     Case {
-        program: format!(
+        template: format!(
             "{}\
              module tc.\n\
              export path(ff).\n\
+             @CONTROLS.\n\
              path(X, Y) :- edge(X, Y).\n\
              path(X, Y) :- path(X, Z), edge(Z, Y).\n\
              end_module.\n",
@@ -63,10 +79,11 @@ pub fn sg(seed: u64) -> Case {
         let _ = writeln!(facts, "par({a}, {b}).");
     }
     Case {
-        program: format!(
+        template: format!(
             "{facts}\
              module sg.\n\
              export sg(ff).\n\
+             @CONTROLS.\n\
              sg(X, X) :- par(X, _).\n\
              sg(X, Y) :- par(P, X), sg(P, Q), par(Q, Y).\n\
              end_module.\n"
@@ -80,10 +97,11 @@ pub fn mutual(seed: u64) -> Case {
     let mut rng = TestRng::new(seed);
     let nodes = rng.gen_range(8, 14);
     Case {
-        program: format!(
+        template: format!(
             "{}{}\
              module mr.\n\
              export odd(ff).\n\
+             @CONTROLS.\n\
              odd(X, Y) :- a(X, Y).\n\
              odd(X, Y) :- even(X, Z), a(Z, Y).\n\
              even(X, Y) :- odd(X, Z), b(Z, Y).\n\
@@ -105,10 +123,11 @@ pub fn negation(seed: u64) -> Case {
         random_edges(&mut rng, "blocked", nodes, nodes / 2),
     );
     Case {
-        program: format!(
+        template: format!(
             "{facts}\
              module nb.\n\
              export path(ff).\n\
+             @CONTROLS.\n\
              path(X, Y) :- edge(X, Y), not blocked(X, Y).\n\
              path(X, Y) :- path(X, Z), edge(Z, Y), not blocked(Z, Y), between(0, 100, X).\n\
              end_module.\n"
@@ -126,10 +145,11 @@ pub fn nonground(seed: u64) -> Case {
     let hub = rng.gen_range(0, nodes);
     let _ = writeln!(facts, "edge({hub}, W).");
     Case {
-        program: format!(
+        template: format!(
             "{facts}\
              module ng.\n\
              export reach(ff).\n\
+             @CONTROLS.\n\
              reach(X, Y) :- edge(X, Y).\n\
              reach(X, Y) :- reach(X, Z), edge(Z, Y).\n\
              end_module.\n"

@@ -1,0 +1,268 @@
+//! The engine differential: over the shared 5-family × 20-seed program
+//! generators, the default engine at `k=1` and at `k=4` must answer
+//! exactly like the *reference evaluator* — the same program under
+//! `@naive. @rewrite none.`, which joins in source order over
+//! index/scan candidates with none of the optimised machinery (no hash
+//! tables, no delta batches, no planner, no worker pool, no maintained
+//! state).
+//!
+//! Answer lists are compared sorted but *not* deduplicated, so
+//! multiplicity differences fail too. `k=1` vs `k=4` must match exactly
+//! on every family (the parallel merge replays the serial insertion
+//! order). Default vs reference is exact on the ground families; on
+//! `nonground` it is modulo subsumption, because the planner and hash
+//! buckets legitimately change derivation order and `SetSubsuming`
+//! relations keep an already-stored specific tuple when a more general
+//! one lands later — the stored representation of the same answer set
+//! depends on arrival order.
+//!
+//! Two kinds of profile assertions (gated on the `profile` feature)
+//! keep the differential honest: every optimisation must demonstrably
+//! engage on the default side ([`ENGAGED`]), and the reference side must
+//! demonstrably touch none of them ([`reference_is_independent`]).
+
+#[path = "common/families.rs"]
+mod families;
+
+use coral_core::profile::EngineProfile;
+use coral_core::session::Session;
+use families::{Case, Family, FAMILIES, REFERENCE, SEEDS};
+
+/// Counters that must be nonzero on the default side: per family where
+/// marked, otherwise summed over the whole suite.
+const ENGAGED: [(&str, bool); 7] = [
+    ("columnar.batched_rows", true),
+    ("columnar.fallback_rows", false),
+    ("joinhash.tables_built", false),
+    ("joinhash.bloom_skips", false),
+    ("planner.reordered", false),
+    ("planner.replans", false),
+    ("parallel.parallel_firings", false),
+];
+
+fn engaged(p: &EngineProfile) -> [u64; ENGAGED.len()] {
+    [
+        p.columnar.batched_rows,
+        p.columnar.fallback_rows,
+        p.joinhash.tables_built,
+        p.joinhash.bloom_skips,
+        p.planner.reordered,
+        p.planner.replans,
+        p.sccs.iter().map(|s| s.parallel.parallel_firings).sum(),
+    ]
+}
+
+/// Consult `program`, run `query`, and return the sorted answers (not
+/// deduplicated) with the session for profile inspection.
+fn run(threads: usize, program: &str, query: &str, label: &str) -> (Vec<String>, Session) {
+    let s = Session::new();
+    s.set_threads(threads);
+    s.set_profiling(true);
+    s.consult_str(program)
+        .unwrap_or_else(|e| panic!("{label}: consult failed: {e}"));
+    let mut out: Vec<String> = s
+        .query_all(query)
+        .unwrap_or_else(|e| panic!("{label}: query {query} failed: {e}"))
+        .iter()
+        .map(|a| a.to_string())
+        .collect();
+    out.sort();
+    (out, s)
+}
+
+/// The reference run must not have touched any optimised machinery —
+/// even with a worker pool configured.
+fn reference_is_independent(s: &Session, label: &str) {
+    assert_eq!(
+        s.maintain_totals(),
+        coral_core::MaintainTotals::default(),
+        "{label}: reference run built or propagated maintained state"
+    );
+    if !coral_core::profile::AVAILABLE {
+        return;
+    }
+    let p = s.last_profile().expect("reference run was profiled");
+    let (jh, pl, mt) = (&p.joinhash, &p.planner, &p.maintain);
+    let par = p.sccs.iter().fold((0, 0), |(f, s), sec| {
+        (
+            f + sec.parallel.parallel_firings,
+            s + sec.parallel.serial_fallbacks,
+        )
+    });
+    for (name, v) in [
+        ("joinhash.tables_built", jh.tables_built),
+        ("joinhash.build_rows", jh.build_rows),
+        ("joinhash.probes", jh.probes),
+        ("joinhash.bloom_skips", jh.bloom_skips),
+        ("joinhash.fallback_probes", jh.fallback_probes),
+        ("planner.costed", pl.costed),
+        ("planner.reordered", pl.reordered),
+        ("planner.replans", pl.replans),
+        ("parallel.parallel_firings", par.0),
+        ("parallel.serial_fallbacks", par.1),
+        ("maintain.propagated", mt.propagated),
+        ("maintain.overdeleted", mt.overdeleted),
+        ("maintain.rederived", mt.rederived),
+        ("maintain.count_updates", mt.count_updates),
+    ] {
+        assert_eq!(v, 0, "{label}: reference run counted {name}");
+    }
+}
+
+/// One rendered answer value: a ground integer or a fresh variable
+/// (the generators only produce integer constants, so any non-integer
+/// token is a wildcard).
+#[derive(PartialEq)]
+enum Val {
+    Ground(i64),
+    Wild,
+}
+
+fn parse_answer(a: &str) -> Vec<Val> {
+    a.split(", ")
+        .map(|part| {
+            let v = part.rsplit(" = ").next().unwrap_or(part);
+            match v.parse::<i64>() {
+                Ok(n) => Val::Ground(n),
+                Err(_) => Val::Wild,
+            }
+        })
+        .collect()
+}
+
+/// Whether answer `a` subsumes answer `b` (a wildcard covers anything).
+fn subsumes(a: &[Val], b: &[Val]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| matches!(x, Val::Wild) || x == y)
+}
+
+/// Rewrite an answer with every wildcard value as `_`, so fresh-variable
+/// numbering differences between runs cannot fail the comparison.
+fn canonical(a: &str) -> String {
+    a.split(", ")
+        .map(|part| match part.rsplit_once(" = ") {
+            Some((var, v)) if v.parse::<i64>().is_err() => format!("{var} = _"),
+            _ => part.to_string(),
+        })
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
+/// Drop answers subsumed by a *different* answer in the same list, then
+/// dedup: the canonical representation of the answer set.
+fn modulo_subsumption(answers: &[String]) -> Vec<String> {
+    let mut answers: Vec<String> = answers.iter().map(|a| canonical(a)).collect();
+    answers.sort();
+    answers.dedup();
+    let parsed: Vec<Vec<Val>> = answers.iter().map(|a| parse_answer(a)).collect();
+    // Mutually subsuming answers (differently named wildcards) keep
+    // only the first; otherwise the strictly more general one survives.
+    let keep: Vec<bool> = (0..answers.len())
+        .map(|i| {
+            !(0..answers.len()).any(|j| {
+                j != i
+                    && subsumes(&parsed[j], &parsed[i])
+                    && (!subsumes(&parsed[i], &parsed[j]) || j < i)
+            })
+        })
+        .collect();
+    answers
+        .into_iter()
+        .zip(keep)
+        .filter_map(|(a, k)| k.then_some(a))
+        .collect()
+}
+
+/// One family across its seed range; returns the default side's
+/// accumulated [`ENGAGED`] counters (`k=1` and `k=4` runs summed).
+fn run_family(&(name, gen, base): &Family) -> [u64; ENGAGED.len()] {
+    let mut totals = [0u64; ENGAGED.len()];
+    for seed in base..base + SEEDS {
+        let case: Case = gen(seed);
+        let label = format!("{name} seed {seed}");
+        let program = case.program("");
+
+        let (reference, rs) = run(4, &case.program(REFERENCE), case.query, &label);
+        assert!(!reference.is_empty(), "{label}: query has answers");
+        reference_is_independent(&rs, &label);
+
+        let (serial, s1) = run(1, &program, case.query, &label);
+        if name == "nonground" {
+            assert_eq!(
+                modulo_subsumption(&serial),
+                modulo_subsumption(&reference),
+                "{label}: default (k=1) answers differ from the reference \
+                 modulo subsumption on:\n{program}"
+            );
+        } else {
+            assert_eq!(
+                serial, reference,
+                "{label}: default (k=1) answers differ from the reference on:\n{program}"
+            );
+        }
+        let (parallel, s4) = run(4, &program, case.query, &label);
+        assert_eq!(
+            parallel, serial,
+            "{label}: default k=4 answers differ from k=1 on:\n{program}"
+        );
+        for s in [s1, s4] {
+            if let Some(p) = s.last_profile() {
+                for (t, v) in totals.iter_mut().zip(engaged(&p)) {
+                    *t += v;
+                }
+            }
+        }
+    }
+    totals
+}
+
+#[test]
+fn default_engine_matches_the_reference_on_all_families() {
+    // Families are independent; run them side by side.
+    let per_family: Vec<[u64; ENGAGED.len()]> = std::thread::scope(|scope| {
+        let handles: Vec<_> = FAMILIES
+            .iter()
+            .map(|f| scope.spawn(move || run_family(f)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    if !coral_core::profile::AVAILABLE {
+        return;
+    }
+    let mut suite = [0u64; ENGAGED.len()];
+    for ((name, ..), totals) in FAMILIES.iter().zip(&per_family) {
+        for (i, (counter, each_family)) in ENGAGED.iter().enumerate() {
+            suite[i] += totals[i];
+            assert!(
+                !each_family || totals[i] > 0,
+                "{name}: no default run ever counted {counter} — differential vacuous"
+            );
+        }
+        if *name == "nonground" {
+            assert!(
+                totals[1] > 0,
+                "nonground: side-table rows never took the unify fallback — \
+                 the sparse boundary went untested"
+            );
+        }
+    }
+    for ((counter, _), total) in ENGAGED.iter().zip(suite) {
+        assert!(
+            total > 0,
+            "no default run on any family ever counted {counter} — differential vacuous"
+        );
+    }
+    eprintln!(
+        "engine differential, default side: {:?}",
+        ENGAGED
+            .iter()
+            .map(|(c, _)| *c)
+            .zip(suite)
+            .collect::<Vec<_>>()
+    );
+}

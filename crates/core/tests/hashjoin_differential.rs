@@ -2,8 +2,7 @@
 //! 5-family × 20-seed program generators, answers with transient
 //! hash-join tables (serial and `k=4` parallel) must be equivalent to
 //! answers with hash joins disabled (`set_hashjoin(false)`, the
-//! `CORAL_HASHJOIN=0` escape hatch — pure index probing) and to the
-//! fully legacy path (hash joins *and* columnar batching off).
+//! `CORAL_HASHJOIN=0` escape hatch — pure index probing).
 //!
 //! Equivalence is modulo subsumption, exactly as in the planner
 //! differential: hash-bucket order (insertion order within a bucket,
@@ -91,14 +90,12 @@ type JoinhashTotals = (u64, u64, u64);
 fn run(
     threads: usize,
     hashjoin: bool,
-    columnar: bool,
     program: &str,
     query: &str,
 ) -> (Vec<String>, JoinhashTotals) {
     let s = Session::new();
     s.set_threads(threads);
     s.set_hashjoin(hashjoin);
-    s.set_columnar(columnar);
     s.set_profiling(true);
     s.consult_str(program)
         .unwrap_or_else(|e| panic!("consult failed (k={threads} hashjoin={hashjoin}): {e}"));
@@ -131,7 +128,8 @@ fn family_differential(name: &str, gen: fn(u64) -> families::Case, base: u64) ->
     let mut skips = 0u64;
     for seed in base..base + families::SEEDS {
         let case = gen(seed);
-        let (baseline, off_jh) = run(1, false, true, &case.program, case.query);
+        let program = case.program("");
+        let (baseline, off_jh) = run(1, false, &program, case.query);
         assert!(
             !baseline.is_empty(),
             "{name} seed {seed}: query has answers"
@@ -143,23 +141,17 @@ fn family_differential(name: &str, gen: fn(u64) -> families::Case, base: u64) ->
                 "{name} seed {seed}: hashjoin-off run must report zero joinhash counters"
             );
         }
-        let (legacy, _) = run(1, false, false, &case.program, case.query);
-        assert_eq!(
-            legacy, baseline,
-            "{name} seed {seed}: legacy (tuple-at-a-time) answers differ on:\n{}",
-            case.program
-        );
-        let (hj1, jh1) = run(1, true, true, &case.program, case.query);
+        let (hj1, jh1) = run(1, true, &program, case.query);
         assert_eq!(
             hj1, baseline,
             "{name} seed {seed}: hash-join (k=1) answers differ from index probing on:\n{}",
-            case.program
+            program
         );
-        let (hj4, jh4) = run(4, true, true, &case.program, case.query);
+        let (hj4, jh4) = run(4, true, &program, case.query);
         assert_eq!(
             hj4, baseline,
             "{name} seed {seed}: hash-join (k=4) answers differ from index probing on:\n{}",
-            case.program
+            program
         );
         tables += jh1.0 + jh4.0;
         skips += jh1.2 + jh4.2;

@@ -6,10 +6,9 @@
 //! while randomized insert/delete batches churn the base relations. An
 //! *oracle* session — maintenance off, same program, the same mutation
 //! sequence replayed, evaluated from scratch — must produce exactly the
-//! same answers after every batch, across thread counts and the
-//! columnar on/off axis. Non-vacuousness is asserted from the engine's
-//! maintenance totals: both counting and DRed propagation must actually
-//! fire, or the suite is testing nothing.
+//! same answers after every batch, serial and parallel. Non-vacuousness
+//! is asserted from the engine's maintenance totals: both counting and
+//! DRed propagation must actually fire, or the suite is testing nothing.
 
 #[path = "common/families.rs"]
 mod families;
@@ -30,17 +29,6 @@ fn base_preds(family: &str) -> &'static [(&'static str, bool)] {
         "nonground" => &[("edge", false)],
         other => panic!("unknown family {other}"),
     }
-}
-
-/// Insert `@maintain <kind>.` after the module's export line.
-fn with_maintain(program: &str, kind: &str) -> String {
-    let at = program.find("export").expect("family module has an export");
-    let line_end = at + program[at..].find('\n').expect("newline after export") + 1;
-    format!(
-        "{}@maintain {kind}.\n{}",
-        &program[..line_end],
-        &program[line_end..]
-    )
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -116,8 +104,8 @@ fn sorted_answers(session: &Session, query: &str, label: &str) -> Vec<String> {
     out
 }
 
-/// Evaluation-config axis: serial/parallel × columnar on/off.
-const CONFIGS: &[(usize, bool)] = &[(1, false), (1, true), (4, false), (4, true)];
+/// Evaluation-config axis: serial and parallel.
+const THREADS: &[usize] = &[1, 4];
 
 const BATCHES: usize = 3;
 
@@ -129,14 +117,12 @@ fn differential(
     query: &str,
     preds: &[(&'static str, bool)],
     threads: usize,
-    columnar: bool,
     rng: &mut TestRng,
     label: &str,
 ) -> coral_core::MaintainTotals {
     let m = Session::new();
     m.set_maintain(true);
     m.set_threads(threads);
-    m.set_columnar(columnar);
     m.consult_str(program)
         .unwrap_or_else(|e| panic!("consult failed ({label}): {e}"));
     // First query builds the maintained state.
@@ -155,7 +141,6 @@ fn differential(
         let o = Session::new();
         o.set_maintain(false);
         o.set_threads(threads);
-        o.set_columnar(columnar);
         o.consult_str(program).unwrap();
         apply(&o, &history);
 
@@ -164,7 +149,7 @@ fn differential(
         assert_eq!(
             maintained, recomputed,
             "{label}: maintained answers diverge from recompute \
-             after batch {batch_no} (threads={threads}, columnar={columnar})"
+             after batch {batch_no} (threads={threads})"
         );
     }
     m.engine().maintain_totals()
@@ -182,8 +167,8 @@ fn dred_matches_recompute_oracle() {
         let mut family_propagated = 0u64;
         for seed in 0..families::SEEDS {
             let case = gen(base_seed + seed);
-            let program = with_maintain(&case.program, "dred");
-            for (ci, &(threads, columnar)) in CONFIGS.iter().enumerate() {
+            let program = case.program("@maintain dred.\n");
+            for (ci, &threads) in THREADS.iter().enumerate() {
                 let mut rng = TestRng::new(0x5EED_0000 + base_seed * 1000 + seed * 7 + ci as u64);
                 let label = format!("{name} seed {seed}");
                 let t = differential(
@@ -191,7 +176,6 @@ fn dred_matches_recompute_oracle() {
                     case.query,
                     base_preds(name),
                     threads,
-                    columnar,
                     &mut rng,
                     &label,
                 );
@@ -261,10 +245,10 @@ fn counting_matches_recompute_oracle() {
     let mut count_updates = 0u64;
     for seed in 0..families::SEEDS {
         let (program, query) = counting_case(7000 + seed);
-        for (ci, &(threads, columnar)) in CONFIGS.iter().enumerate() {
+        for (ci, &threads) in THREADS.iter().enumerate() {
             let mut rng = TestRng::new(0xC0_0000 + seed * 13 + ci as u64);
             let label = format!("counting seed {seed}");
-            let t = differential(&program, query, preds, threads, columnar, &mut rng, &label);
+            let t = differential(&program, query, preds, threads, &mut rng, &label);
             propagated += t.propagated;
             count_updates += t.count_updates;
         }
@@ -282,7 +266,7 @@ fn counting_matches_recompute_oracle() {
 #[test]
 fn maintain_off_is_wholesale_recompute() {
     let case = families::tc(42);
-    let program = with_maintain(&case.program, "dred");
+    let program = case.program("@maintain dred.\n");
     let s = Session::new();
     s.set_maintain(false);
     s.consult_str(&program).unwrap();
@@ -303,7 +287,7 @@ fn maintain_off_is_wholesale_recompute() {
 #[test]
 fn maintain_recompute_annotation_opts_out() {
     let case = families::tc(43);
-    let program = with_maintain(&case.program, "recompute");
+    let program = case.program("@maintain recompute.\n");
     let s = Session::new();
     s.set_maintain(true);
     s.consult_str(&program).unwrap();

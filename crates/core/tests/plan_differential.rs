@@ -125,7 +125,8 @@ fn family_differential(name: &str, gen: fn(u64) -> families::Case, base: u64) ->
     let mut replans = 0u64;
     for seed in base..base + families::SEEDS {
         let case = gen(seed);
-        let (baseline, off_planner) = run(1, false, &case.program, case.query);
+        let program = case.program("");
+        let (baseline, off_planner) = run(1, false, &program, case.query);
         assert!(
             !baseline.is_empty(),
             "{name} seed {seed}: query has answers"
@@ -137,19 +138,19 @@ fn family_differential(name: &str, gen: fn(u64) -> families::Case, base: u64) ->
                 "{name} seed {seed}: stats-off run must not touch the planner"
             );
         }
-        let (serial, p1) = run(1, true, &case.program, case.query);
+        let (serial, p1) = run(1, true, &program, case.query);
         assert_eq!(
             serial, baseline,
             "{name} seed {seed}: cost-based (k=1) answers differ from \
              the static heuristic on:\n{}",
-            case.program
+            program
         );
-        let (parallel, _) = run(4, true, &case.program, case.query);
+        let (parallel, _) = run(4, true, &program, case.query);
         assert_eq!(
             parallel, baseline,
             "{name} seed {seed}: cost-based (k=4) answers differ from \
              the static heuristic on:\n{}",
-            case.program
+            program
         );
         reordered += p1.0;
         replans += p1.1;

@@ -31,12 +31,15 @@ fn profile_annotation_collects_four_layers() {
         return;
     }
     let s = Session::new();
-    // Legacy tuple-at-a-time joins: the columnar fast path decides
-    // all-ground workloads like this one without ever calling the
-    // unifier, which would leave the term-layer counters at zero.
-    s.set_columnar(false);
-    s.consult_str(&TC_PROGRAM.replace("module tc.", "module tc.\n@profile."))
-        .unwrap();
+    // The ground fast path decides all-ground joins without ever
+    // calling the unifier, so route one binding through an explicit
+    // `=` to exercise the term layer.
+    s.consult_str(
+        &TC_PROGRAM
+            .replace("module tc.", "module tc.\n@profile.")
+            .replace(":- edge(X, Y).", ":- edge(X, Z), Z = Y."),
+    )
+    .unwrap();
     assert!(!s.profiling(), "@profile must not need the session flag");
     let answers = s.query_all("path(1, Y)").unwrap();
     assert_eq!(answers.len(), 4);

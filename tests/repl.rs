@@ -145,12 +145,9 @@ fn profile_command_golden_shape() {
         .parse()
         .unwrap_or_else(|e| panic!("answers count is not an integer: {e} in {answers_line}"));
     assert_eq!(n, 3, "{stdout}");
-    // The unify counter renders as "unify <N> attempts". The spawned
-    // binary inherits CORAL_COLUMNAR: with the columnar fast path on
-    // (the default) this all-ground program runs exactly zero unify
-    // attempts — the join decides every candidate by column equality —
-    // while the legacy path unifies per candidate.
-    let columnar = coral::core::seminaive::resolve_columnar(None);
+    // The unify counter renders as "unify <N> attempts". This
+    // all-ground program runs exactly zero unify attempts — the join
+    // decides every candidate by column equality.
     let term_line = stdout.lines().find(|l| l.starts_with("  term: ")).unwrap();
     let attempts: u64 = term_line
         .split("unify ")
@@ -159,17 +156,13 @@ fn profile_command_golden_shape() {
         .unwrap()
         .parse()
         .unwrap_or_else(|e| panic!("unify count is not an integer: {e} in {term_line}"));
-    if columnar {
-        assert_eq!(attempts, 0, "{term_line}");
-    } else {
-        assert!(attempts > 0, "{term_line}");
-    }
+    assert_eq!(attempts, 0, "{term_line}");
     // The JSON emitter output is present and structurally sane.
     assert!(stdout.contains("\"query\": \"path(1, "), "{stdout}");
     assert!(stdout.contains("\"totals\": {"), "{stdout}");
     assert!(stdout.contains("\"sccs\": ["), "{stdout}");
-    // The columnar section is always emitted in JSON (zeroed when the
-    // fast path never engaged), and each of its counters is an integer.
+    // The columnar section is always emitted in JSON, and each of its
+    // counters is an integer.
     assert!(stdout.contains("\"columnar\": {"), "{stdout}");
     for key in ["batched_rows", "fallback_rows", "vectorized_probes"] {
         let line = stdout
@@ -185,15 +178,10 @@ fn profile_command_golden_shape() {
         n.parse::<u64>()
             .unwrap_or_else(|e| panic!("{key} is not an integer: {e} in {line}"));
     }
-    // With the fast path on, the query joins ground edge facts, so the
-    // rendered tree shows the columnar line; the legacy path leaves all
-    // columnar counters at zero and the line is suppressed.
-    if columnar {
-        assert!(stdout.contains("  columnar: "), "{stdout}");
-        assert!(stdout.contains(" batched rows"), "{stdout}");
-    } else {
-        assert!(!stdout.contains("  columnar: "), "{stdout}");
-    }
+    // The query joins ground edge facts, so the rendered tree shows
+    // the columnar line.
+    assert!(stdout.contains("  columnar: "), "{stdout}");
+    assert!(stdout.contains(" batched rows"), "{stdout}");
     // The planner section is always emitted in JSON (zeroed under
     // CORAL_STATS=0), and each of its counters is an integer; the
     // orders list is a JSON array of strings.
