@@ -157,10 +157,6 @@ struct EngineInner {
     /// Statistics-driven cost-based planning (seeded from `CORAL_STATS`,
     /// overridable per engine; off = the static left-to-right heuristic).
     stats: Cell<bool>,
-    /// Transient hash-join tables with Bloom-filter sideways passing
-    /// (seeded from `CORAL_HASHJOIN`, overridable per engine; off =
-    /// pure index probing).
-    hashjoin: Cell<bool>,
     /// Profile of the most recently completed profiled call.
     last_profile: RefCell<Option<crate::profile::EngineProfile>>,
     /// Cooperative cancellation flag (shared with [`CancelToken`]s).
@@ -206,7 +202,6 @@ impl Engine {
                 profiling: Cell::new(false),
                 threads: Cell::new(crate::parallel::resolve_threads(None)),
                 stats: Cell::new(crate::seminaive::resolve_stats(None)),
-                hashjoin: Cell::new(crate::seminaive::resolve_hashjoin(None)),
                 last_profile: RefCell::new(None),
                 cancel: Arc::new(AtomicBool::new(false)),
                 budget: Cell::new(Budget::from_env(Budget::unlimited())),
@@ -330,18 +325,6 @@ impl Engine {
     /// Whether statistics-driven cost-based planning is on.
     pub fn stats_enabled(&self) -> bool {
         self.inner.stats.get()
-    }
-
-    /// Enable or disable transient hash-join tables in the semi-naive
-    /// join (seeded from `CORAL_HASHJOIN`; off restores pure index
-    /// probing — the differential baseline and escape hatch).
-    pub fn set_hashjoin(&self, on: bool) {
-        self.inner.hashjoin.set(on);
-    }
-
-    /// Whether hash-join evaluation is on.
-    pub fn hashjoin_enabled(&self) -> bool {
-        self.inner.hashjoin.get()
     }
 
     /// Refresh statistics for every base relation with a full scan
@@ -974,8 +957,7 @@ impl Engine {
         let mut state = FixpointState::new(Rc::clone(&cm), &mdef.setup)?
             .with_strategy(Strategy::from(mdef.controls.fixpoint))
             .with_threads(self.threads())
-            .with_stats(self.stats_enabled())
-            .with_hashjoin(self.hashjoin_enabled());
+            .with_stats(self.stats_enabled());
         state.seed(pattern)?;
         if mdef.controls.lazy {
             return Ok(Box::new(crate::save_module::LazyScan::new(

@@ -795,8 +795,7 @@ impl MaintainedState {
         let mut state = FixpointState::new(Rc::clone(&cm), &mdef.setup)?
             .with_strategy(Strategy::from(mdef.controls.fixpoint))
             .with_threads(engine.threads())
-            .with_stats(engine.stats_enabled())
-            .with_hashjoin(engine.hashjoin_enabled());
+            .with_stats(engine.stats_enabled());
         state.seed(&vec![Term::var(0); pred.arity])?;
         state.run(engine)?;
         ensure_propagation_indexes(engine, &state, &cm);

@@ -229,8 +229,7 @@ pub fn evaluate(
     pattern: &[Term],
 ) -> EvalResult<Box<dyn AnswerScan>> {
     let mut state = FixpointState::new(Rc::clone(&cm), &mdef.setup)?
-        .with_strategy(Strategy::from(mdef.controls.fixpoint))
-        .with_hashjoin(engine.hashjoin_enabled());
+        .with_strategy(Strategy::from(mdef.controls.fixpoint));
     let seed = cm
         .rewritten
         .seed

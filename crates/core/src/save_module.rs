@@ -53,8 +53,7 @@ pub fn call(
             None => {
                 let s = FixpointState::new(Rc::clone(&cm), &mdef.setup)?
                     .with_strategy(Strategy::from(mdef.controls.fixpoint))
-                    .with_threads(engine.threads())
-                    .with_hashjoin(engine.hashjoin_enabled());
+                    .with_threads(engine.threads());
                 s.assert_no_aggregates()?;
                 s
             }

@@ -113,10 +113,6 @@ pub struct FixpointState {
     /// Whether the adaptive planner re-costs delta rule orders between
     /// fixpoint iterations (`CORAL_STATS=0` disables).
     stats_on: bool,
-    /// Whether bound literals may be joined through transient hash
-    /// tables with Bloom-filter sideways passing (`CORAL_HASHJOIN=0`
-    /// restores pure index probing).
-    hashjoin: bool,
     /// The transient hash-table cache for this fixpoint.
     hj: HashJoinState,
     /// Adaptive plan overrides, keyed by (SCC, rule index, version
@@ -144,20 +140,6 @@ struct PlannedVersion {
 /// static join-order heuristic and never replans mid-fixpoint.
 pub fn resolve_stats(explicit: Option<bool>) -> bool {
     explicit.unwrap_or_else(|| match std::env::var("CORAL_STATS") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off"
-        ),
-        Err(_) => true,
-    })
-}
-
-/// Resolve a hash-join request: explicit value, else the
-/// `CORAL_HASHJOIN` environment variable (`0`/`false`/`off` disable),
-/// else on. With hash joins off every bound literal goes through the
-/// relation's indices, exactly as before this optimization existed.
-pub fn resolve_hashjoin(explicit: Option<bool>) -> bool {
-    explicit.unwrap_or_else(|| match std::env::var("CORAL_HASHJOIN") {
         Ok(v) => !matches!(
             v.trim().to_ascii_lowercase().as_str(),
             "0" | "false" | "off"
@@ -220,7 +202,6 @@ impl FixpointState {
             profile_id: crate::profile::new_state_id(),
             threads: 1,
             stats_on: resolve_stats(None),
-            hashjoin: resolve_hashjoin(None),
             hj: HashJoinState::new(),
             overrides: HashMap::new(),
             envs: EnvSet::new(),
@@ -245,13 +226,6 @@ impl FixpointState {
     /// iterations (defaults to [`resolve_stats`]`(None)`).
     pub fn with_stats(mut self, stats_on: bool) -> FixpointState {
         self.stats_on = stats_on;
-        self
-    }
-
-    /// Enable or disable transient hash-join tables (defaults to
-    /// [`resolve_hashjoin`]`(None)`).
-    pub fn with_hashjoin(mut self, hashjoin: bool) -> FixpointState {
-        self.hashjoin = hashjoin;
         self
     }
 
@@ -442,8 +416,7 @@ impl FixpointState {
         // `@naive` is the reference evaluator: source-order joins over
         // index/scan candidates only — no hash tables, no delta batches,
         // no plan overrides, no parallel dispatch.
-        let hashjoin = self.hashjoin && !naive;
-        if hashjoin {
+        if !naive {
             // Recursive predicates' delta boundaries moved since the
             // last sweep: evict their tables so the cost gate re-decides
             // hash-build vs index-probe with fresh cardinalities.
@@ -495,11 +468,8 @@ impl FixpointState {
                         }
                     }
                 }
-                if hashjoin {
-                    self.hj.set_outer_rows(
-                        delta_rows.map_or(crate::planner::DEFAULT_CARD, |r| r as f64),
-                    );
-                }
+                self.hj
+                    .set_outer_rows(delta_rows.map_or(crate::planner::DEFAULT_CARD, |r| r as f64));
                 self.stats.rule_firings += 1;
                 let collecting = crate::profile::collecting();
                 let probes_before = if collecting {
@@ -553,7 +523,7 @@ impl FixpointState {
                         external,
                         ranges,
                         delta_batch,
-                        hashjoin: hashjoin.then_some(&self.hj),
+                        hashjoin: (!naive).then_some(&self.hj),
                     };
                     let head = rule.head.clone();
                     eval_rule(&ctx, rule, version, &mut self.envs, &mut |envs, env| {
@@ -718,7 +688,7 @@ impl FixpointState {
         // binding walk the planner uses; workers verify the runtime
         // pattern agrees before taking a table.
         let mut hash_tables: HashMap<usize, Arc<coral_rel::JoinHashTable>> = HashMap::new();
-        if self.hashjoin {
+        {
             use crate::join::RuleEnv as _;
             let probe_ctx = JoinCtx {
                 locals: &self.locals,
@@ -727,32 +697,21 @@ impl FixpointState {
                 delta_batch: None,
                 hashjoin: Some(&self.hj),
             };
-            let mut bound: std::collections::HashSet<coral_term::VarId> =
-                std::collections::HashSet::new();
+            let mut bound: HashSet<coral_term::VarId> = HashSet::new();
             for (pos, elem) in rule.body.iter().enumerate() {
-                if pos != delta_pos {
-                    match elem {
-                        BodyElem::Local { lit, recursive } => {
-                            let cols = crate::planner::bound_cols(lit, &bound);
-                            if !cols.is_empty() {
-                                if let Some(t) =
-                                    probe_ctx.hash_table(lit, true, *recursive, pos, version, &cols)
-                                {
-                                    hash_tables.insert(pos, t);
-                                }
-                            }
+                let probed = match elem {
+                    BodyElem::Local { lit, recursive } => Some((lit, true, *recursive)),
+                    BodyElem::External { lit } => Some((lit, false, false)),
+                    _ => None,
+                };
+                if let Some((lit, local, recursive)) = probed.filter(|_| pos != delta_pos) {
+                    let cols = crate::planner::bound_cols(lit, &bound);
+                    if !cols.is_empty() {
+                        if let Some(t) =
+                            probe_ctx.hash_table(lit, local, recursive, pos, version, &cols)
+                        {
+                            hash_tables.insert(pos, t);
                         }
-                        BodyElem::External { lit } => {
-                            let cols = crate::planner::bound_cols(lit, &bound);
-                            if !cols.is_empty() {
-                                if let Some(t) =
-                                    probe_ctx.hash_table(lit, false, false, pos, version, &cols)
-                                {
-                                    hash_tables.insert(pos, t);
-                                }
-                            }
-                        }
-                        _ => {}
                     }
                 }
                 bound.extend(elem.vars());

@@ -222,18 +222,6 @@ impl Session {
         self.engine.stats_enabled()
     }
 
-    /// Enable or disable transient hash-join tables in the semi-naive
-    /// join (seeded from `CORAL_HASHJOIN`; off = pure index probing,
-    /// exactly the pre-hash-join behavior).
-    pub fn set_hashjoin(&self, on: bool) {
-        self.engine.set_hashjoin(on);
-    }
-
-    /// Whether hash-join evaluation is on.
-    pub fn hashjoin_enabled(&self) -> bool {
-        self.engine.hashjoin_enabled()
-    }
-
     /// Enable or disable incremental maintenance of derived relations
     /// (seeded from `CORAL_MAINTAIN`; off = wholesale invalidation and
     /// recomputation, exactly the pre-maintenance behavior).

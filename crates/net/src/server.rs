@@ -86,9 +86,6 @@ pub struct ServerConfig {
     pub max_eval_in_flight: Option<usize>,
     /// Backoff hint (milliseconds) carried by shed responses.
     pub shed_backoff_ms: u32,
-    /// Hash-join evaluation per session; `None` defers to
-    /// `CORAL_HASHJOIN` (default on).
-    pub hashjoin: Option<bool>,
 }
 
 impl Default for ServerConfig {
@@ -103,7 +100,6 @@ impl Default for ServerConfig {
             budget: Budget::unlimited(),
             max_eval_in_flight: None,
             shed_backoff_ms: 50,
-            hashjoin: None,
         }
     }
 }
@@ -440,9 +436,6 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
     let session = Session::new();
     if let Some(threads) = shared.config.threads {
         session.set_threads(threads);
-    }
-    if let Some(hj) = shared.config.hashjoin {
-        session.set_hashjoin(hj);
     }
     session.set_budget(shared.config.budget);
     if let Some(storage) = &shared.storage {

@@ -14,7 +14,6 @@
 //! :profile [on|off|json]        toggle profiling / show the last profile
 //! :threads [N]                  show/set evaluation threads
 //! :maintain [on|off]            show/toggle incremental maintenance
-//! :hashjoin [on|off]            show/toggle hash-join evaluation
 //! :budget [spec|unlimited]      show/set the per-query resource budget
 //! :quit                         leave
 //! ```
@@ -467,7 +466,6 @@ fn meta_command(session: &Session, cmd: &str) -> bool {
                  :threads [N]                   show/set evaluation threads\n\
                  :stats [on|off]                show/toggle cost-based planning\n\
                  :maintain [on|off]             show/toggle incremental maintenance\n\
-                 :hashjoin [on|off]             show/toggle hash-join evaluation\n\
                  :analyze                       refresh base-relation statistics\n\
                  :budget [spec|unlimited]       show/set per-query budget\n\
                  \x20                              (spec: deadline-ms=500 tuples=10000 ...)\n\
@@ -595,25 +593,6 @@ fn meta_command(session: &Session, cmd: &str) -> bool {
                 println!("incremental maintenance: off");
             }
             other => eprintln!("usage: :maintain [on|off] (got {other:?})"),
-        },
-        ":hashjoin" => match rest {
-            "" => println!(
-                "hash-join evaluation: {}",
-                if session.hashjoin_enabled() {
-                    "on"
-                } else {
-                    "off"
-                }
-            ),
-            "on" => {
-                session.set_hashjoin(true);
-                println!("hash-join evaluation: on");
-            }
-            "off" => {
-                session.set_hashjoin(false);
-                println!("hash-join evaluation: off");
-            }
-            other => eprintln!("usage: :hashjoin [on|off] (got {other:?})"),
         },
         ":analyze" => match session.analyze() {
             Ok(n) => println!("analyzed {n} relation{}", if n == 1 { "" } else { "s" }),

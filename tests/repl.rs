@@ -307,7 +307,7 @@ fn maintain_command_golden_shape() {
 }
 
 #[test]
-fn hashjoin_command_golden_shape() {
+fn joinhash_profile_golden_shape() {
     let (stdout, stderr) = run_script(
         "edge(0, 1). edge(0, 2). edge(1, 3). edge(2, 3). edge(3, 4).\n\
          edge(1, 4). edge(2, 4). edge(4, 5). edge(3, 5). edge(0, 5).\n\
@@ -316,18 +316,12 @@ fn hashjoin_command_golden_shape() {
          path(X, Y) :- edge(X, Y).\n\
          path(X, Y) :- path(X, Z), edge(Z, Y).\n\
          end_module.\n\
-         :hashjoin\n\
          :profile on\n\
          ?- path(X, Y).\n\
          :profile json\n\
-         :hashjoin off\n\
-         :hashjoin on\n\
          :quit\n",
     );
     assert!(stderr.is_empty(), "stderr: {stderr}");
-    // Flag defaults on; toggling renders both states.
-    assert!(stdout.contains("hash-join evaluation: on"), "{stdout}");
-    assert!(stdout.contains("hash-join evaluation: off"), "{stdout}");
     if coral::core::profile::AVAILABLE {
         // The profile JSON always carries the joinhash section with all
         // five counters as integers.
