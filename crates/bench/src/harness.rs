@@ -279,9 +279,8 @@ fn host_meta_json() -> String {
         Err(_) => json_string("unset"),
     };
     format!(
-        "{{\"host_cpus\": {cpus}, \"coral_threads\": {}, \"coral_stats\": {}, \"coral_maintain\": {}}}",
+        "{{\"host_cpus\": {cpus}, \"coral_threads\": {}, \"coral_maintain\": {}}}",
         env_or_unset("CORAL_THREADS"),
-        env_or_unset("CORAL_STATS"),
         env_or_unset("CORAL_MAINTAIN"),
     )
 }

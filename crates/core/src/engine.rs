@@ -154,9 +154,6 @@ struct EngineInner {
     /// Worker-pool size for partitioned delta evaluation (1 = serial;
     /// seeded from `CORAL_THREADS`, overridable per engine).
     threads: Cell<usize>,
-    /// Statistics-driven cost-based planning (seeded from `CORAL_STATS`,
-    /// overridable per engine; off = the static left-to-right heuristic).
-    stats: Cell<bool>,
     /// Profile of the most recently completed profiled call.
     last_profile: RefCell<Option<crate::profile::EngineProfile>>,
     /// Cooperative cancellation flag (shared with [`CancelToken`]s).
@@ -201,7 +198,6 @@ impl Engine {
                 base_multiset: RefCell::new(Vec::new()),
                 profiling: Cell::new(false),
                 threads: Cell::new(crate::parallel::resolve_threads(None)),
-                stats: Cell::new(crate::seminaive::resolve_stats(None)),
                 last_profile: RefCell::new(None),
                 cancel: Arc::new(AtomicBool::new(false)),
                 budget: Cell::new(Budget::from_env(Budget::unlimited())),
@@ -309,22 +305,6 @@ impl Engine {
     /// The configured worker-pool size.
     pub fn threads(&self) -> usize {
         self.inner.threads.get()
-    }
-
-    /// Enable or disable statistics-driven cost-based planning (seeded
-    /// from `CORAL_STATS`; off = the static left-to-right heuristic).
-    /// Compiled plans depend on the flag, so flipping it invalidates
-    /// every module's plan cache.
-    pub fn set_stats(&self, on: bool) {
-        if self.inner.stats.get() != on {
-            self.inner.stats.set(on);
-            self.invalidate_plans();
-        }
-    }
-
-    /// Whether statistics-driven cost-based planning is on.
-    pub fn stats_enabled(&self) -> bool {
-        self.inner.stats.get()
     }
 
     /// Refresh statistics for every base relation with a full scan
@@ -744,10 +724,7 @@ impl Engine {
         };
         // `@naive` modules are the reference evaluator and keep their
         // source-order joins; Ordered Search fixes its own order.
-        if self.stats_enabled()
-            && !mdef.controls.ordered
-            && mdef.controls.fixpoint != FixpointKind::Naive
-        {
+        if !mdef.controls.ordered && mdef.controls.fixpoint != FixpointKind::Naive {
             let src = DbStats { db: &self.inner.db };
             // Strategy selection: the default rewriting is a guess, so
             // cost the factoring alternative and keep whichever module
@@ -956,8 +933,7 @@ impl Engine {
         // by a module at the end of a call", §5.4.2).
         let mut state = FixpointState::new(Rc::clone(&cm), &mdef.setup)?
             .with_strategy(Strategy::from(mdef.controls.fixpoint))
-            .with_threads(self.threads())
-            .with_stats(self.stats_enabled());
+            .with_threads(self.threads());
         state.seed(pattern)?;
         if mdef.controls.lazy {
             return Ok(Box::new(crate::save_module::LazyScan::new(

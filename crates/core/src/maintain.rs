@@ -677,16 +677,14 @@ fn prepare(
     // Mirror the engine's compile-time planning: the maintained state
     // must evaluate the same cost-based join orders a direct call
     // would, or answering from it silently undoes the planner.
-    if engine.stats_enabled() {
-        crate::planner::plan_module(
-            &mut cm,
-            &crate::engine::DbStats {
-                db: engine.db().as_ref(),
-            },
-            opts.intelligent_backtracking,
-            opts.auto_index,
-        );
-    }
+    crate::planner::plan_module(
+        &mut cm,
+        &crate::engine::DbStats {
+            db: engine.db().as_ref(),
+        },
+        opts.intelligent_backtracking,
+        opts.auto_index,
+    );
     // Aggregation invalidates both algebras (a count or a rederivation
     // cannot see through a group).
     if cm
@@ -730,12 +728,8 @@ fn prepare(
             }
         }
     }
-    // The cost-based default: without statistics `auto` never
-    // maintains, and with them tiny modules recompute.
+    // The cost-based default: tiny modules recompute.
     if kind == MaintainKind::Auto {
-        if !engine.stats_enabled() {
-            return None;
-        }
         let total: usize = base_deps
             .iter()
             .filter_map(|p| engine.db().get(p.name, p.arity))
@@ -794,8 +788,7 @@ impl MaintainedState {
         let base_epochs = base_epochs_now(engine, &base_deps);
         let mut state = FixpointState::new(Rc::clone(&cm), &mdef.setup)?
             .with_strategy(Strategy::from(mdef.controls.fixpoint))
-            .with_threads(engine.threads())
-            .with_stats(engine.stats_enabled());
+            .with_threads(engine.threads());
         state.seed(&vec![Term::var(0); pred.arity])?;
         state.run(engine)?;
         ensure_propagation_indexes(engine, &state, &cm);

@@ -110,9 +110,6 @@ pub struct FixpointState {
     profile_id: u64,
     /// Worker-pool size for partitioned delta evaluation (1 = serial).
     threads: usize,
-    /// Whether the adaptive planner re-costs delta rule orders between
-    /// fixpoint iterations (`CORAL_STATS=0` disables).
-    stats_on: bool,
     /// The transient hash-table cache for this fixpoint.
     hj: HashJoinState,
     /// Adaptive plan overrides, keyed by (SCC, rule index, version
@@ -132,20 +129,6 @@ struct PlannedVersion {
     /// The permutation that produced `rule` (`perm[new] = old`), kept to
     /// detect when a re-cost converges on the same order.
     perm: Vec<usize>,
-}
-
-/// Resolve a statistics/cost-based-planning request: explicit value,
-/// else the `CORAL_STATS` environment variable (`0`/`false`/`off`
-/// disable), else on. With statistics off the engine keeps the legacy
-/// static join-order heuristic and never replans mid-fixpoint.
-pub fn resolve_stats(explicit: Option<bool>) -> bool {
-    explicit.unwrap_or_else(|| match std::env::var("CORAL_STATS") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off"
-        ),
-        Err(_) => true,
-    })
 }
 
 /// Label of one semi-naive rule version for the profile's per-rule rows.
@@ -201,7 +184,6 @@ impl FixpointState {
             stats: FixpointStats::default(),
             profile_id: crate::profile::new_state_id(),
             threads: 1,
-            stats_on: resolve_stats(None),
             hj: HashJoinState::new(),
             overrides: HashMap::new(),
             envs: EnvSet::new(),
@@ -219,13 +201,6 @@ impl FixpointState {
     /// set this: their derivation order is semantically significant.
     pub fn with_threads(mut self, threads: usize) -> FixpointState {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Enable or disable adaptive re-costing between fixpoint
-    /// iterations (defaults to [`resolve_stats`]`(None)`).
-    pub fn with_stats(mut self, stats_on: bool) -> FixpointState {
-        self.stats_on = stats_on;
         self
     }
 
@@ -363,7 +338,7 @@ impl FixpointState {
             // the observed delta cardinalities against the live relation
             // statistics and reorder next iteration's delta joins when a
             // cheaper order emerges.
-            if self.stats_on && scc.recursive && self.strategy != Strategy::Naive {
+            if scc.recursive && self.strategy != Strategy::Naive {
                 self.maybe_replan(scc_idx, scc, external);
             }
         }

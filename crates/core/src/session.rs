@@ -210,18 +210,6 @@ impl Session {
         self.engine.threads()
     }
 
-    /// Enable or disable statistics-driven cost-based join planning
-    /// (seeded from `CORAL_STATS`; off = the static left-to-right
-    /// heuristic). Flipping the flag invalidates cached plans.
-    pub fn set_stats(&self, on: bool) {
-        self.engine.set_stats(on);
-    }
-
-    /// Whether statistics-driven cost-based planning is on.
-    pub fn stats_enabled(&self) -> bool {
-        self.engine.stats_enabled()
-    }
-
     /// Enable or disable incremental maintenance of derived relations
     /// (seeded from `CORAL_MAINTAIN`; off = wholesale invalidation and
     /// recomputation, exactly the pre-maintenance behavior).

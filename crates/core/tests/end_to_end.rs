@@ -2,6 +2,10 @@
 
 use coral_core::session::Session;
 use coral_core::EvalError;
+use coral_term::testutil::TestRng;
+use coral_term::Term;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 fn answers(session: &Session, q: &str) -> Vec<String> {
     let mut out: Vec<String> = session
@@ -123,6 +127,20 @@ fn same_generation() {
     assert_eq!(answers(&s, "sg(a, Y)"), vec!["Y = a", "Y = b", "Y = c"]);
 }
 
+/// The complete program of Figure 3, verbatim.
+const FIGURE_3: &str = r#"
+module s_p.
+export s_p(bfff).
+@aggregate_selection p(X, Y, P, C) (X, Y) min(C).
+@aggregate_selection p(X, Y, P, C) (X, Y, C) any(P).
+s_p(X, Y, P, C) :- s_p_length(X, Y, C), p(X, Y, P, C).
+s_p_length(X, Y, min(C)) :- p(X, Y, P, C).
+p(X, Y, P1, C1) :- p(X, Z, P, C), edge(Z, Y, EC),
+                   append([edge(Z, Y)], P, P1), C1 = C + EC.
+p(X, Y, [edge(X, Y)], C) :- edge(X, Y, C).
+end_module.
+"#;
+
 #[test]
 fn figure_3_shortest_path() {
     // The complete program of Figure 3, on a cyclic graph: without the
@@ -134,21 +152,7 @@ fn figure_3_shortest_path() {
          edge(c, d, 2). edge(b, d, 10).\n",
     )
     .unwrap();
-    s.consult_str(
-        r#"
-module s_p.
-export s_p(bfff).
-@aggregate_selection p(X, Y, P, C) (X, Y) min(C).
-@aggregate_selection p(X, Y, P, C) (X, Y, C) any(P).
-s_p(X, Y, P, C) :- s_p_length(X, Y, C), p(X, Y, P, C).
-s_p_length(X, Y, min(C)) :- p(X, Y, P, C).
-p(X, Y, P1, C1) :- p(X, Z, P, C), edge(Z, Y, EC),
-                   append([edge(Z, Y)], P, P1), C1 = C + EC.
-p(X, Y, [edge(X, Y)], C) :- edge(X, Y, C).
-end_module.
-"#,
-    )
-    .unwrap();
+    s.consult_str(FIGURE_3).unwrap();
     let got = answers(&s, "s_p(a, Y, P, C)");
     // Shortest costs from a: b=2, c=5 (a-b-c), d=7 (a-b-c-d).
     assert_eq!(got.len(), 4, "{got:?}"); // b, c, d, and a itself via cycle a-b-c-a cost 6
@@ -173,6 +177,79 @@ end_module.
             .any(|a| a.contains("Y = a") && a.contains("C = 6")),
         "{got:?}"
     );
+}
+
+#[test]
+fn figure_3_on_a_64_node_graph_matches_dijkstra() {
+    // Large enough that the cost-based planner reorders the path
+    // rule's body: `append/3` must still run only after `p` and `edge`
+    // have bound its inputs, or the rule is refused as unsafe.
+    const NODES: usize = 64;
+    let mut rng = TestRng::new(3);
+    // A ring keeps every node reachable from 0; chords add shortcuts.
+    let mut edges: Vec<(usize, usize, u64)> = (0..NODES)
+        .map(|a| (a, (a + 1) % NODES, rng.gen_range(1, 10) as u64))
+        .collect();
+    for _ in 0..3 * NODES {
+        let (a, b) = (rng.gen_range(0, NODES), rng.gen_range(0, NODES));
+        if a != b && !edges.iter().any(|&(x, y, _)| (x, y) == (a, b)) {
+            edges.push((a, b, rng.gen_range(1, 10) as u64));
+        }
+    }
+    let s = Session::new();
+    let facts: String = edges
+        .iter()
+        .map(|(a, b, c)| format!("edge({a}, {b}, {c}).\n"))
+        .collect();
+    s.consult_str(&facts).unwrap();
+    s.consult_str(FIGURE_3).unwrap();
+
+    // Dijkstra from 0 over paths of at least one edge (node 0's own
+    // entry is its cheapest cycle, as in Figure 3's semantics).
+    let mut best: HashMap<usize, u64> = HashMap::new();
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = edges
+        .iter()
+        .filter(|e| e.0 == 0)
+        .map(|&(_, b, c)| Reverse((c, b)))
+        .collect();
+    while let Some(Reverse((d, n))) = heap.pop() {
+        if best.contains_key(&n) {
+            continue;
+        }
+        best.insert(n, d);
+        for &(_, b, c) in edges.iter().filter(|e| e.0 == n) {
+            heap.push(Reverse((d + c, b)));
+        }
+    }
+    assert_eq!(best.len(), NODES);
+
+    let got = s.query_all("s_p(0, Y, P, C)").unwrap();
+    assert_eq!(got.len(), NODES, "one shortest path per node");
+    let cost_of: HashMap<(i64, i64), u64> = edges
+        .iter()
+        .map(|&(a, b, c)| ((a as i64, b as i64), c))
+        .collect();
+    for a in &got {
+        let cols = a.tuple.args();
+        let (Term::Int(y), Term::Int(c)) = (&cols[1], &cols[3]) else {
+            panic!("non-integer answer {a}");
+        };
+        assert_eq!(best[&(*y as usize)], *c as u64, "cost to {y}: {a}");
+        // The witness path's edges sum to the reported cost.
+        let witness: u64 = cols[2]
+            .list_elems()
+            .expect("path is a list")
+            .iter()
+            .map(|e| {
+                let e = e.as_app().expect("edge(_, _) term");
+                let (Term::Int(x), Term::Int(y)) = (&e.args()[0], &e.args()[1]) else {
+                    panic!("non-integer edge in {a}");
+                };
+                cost_of[&(*x, *y)]
+            })
+            .sum();
+        assert_eq!(witness, *c as u64, "witness cost: {a}");
+    }
 }
 
 #[test]

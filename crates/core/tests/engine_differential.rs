@@ -266,3 +266,37 @@ fn default_engine_matches_the_reference_on_all_families() {
             .collect::<Vec<_>>()
     );
 }
+
+#[test]
+fn analyze_refreshes_and_keeps_answers() {
+    // ANALYZE between queries refreshes statistics and invalidates
+    // plans; answers must be stable across it.
+    let s = Session::new();
+    s.consult_str(
+        "edge(1, 2). edge(2, 3).\n\
+         module t. export p(ff).\n\
+         p(X, Y) :- edge(X, Y).\n\
+         p(X, Y) :- p(X, Z), edge(Z, Y).\n\
+         end_module.",
+    )
+    .unwrap();
+    let before: Vec<String> = s
+        .query_all("p(X, Y)")
+        .unwrap()
+        .iter()
+        .map(|a| a.to_string())
+        .collect();
+    let n = s.analyze().unwrap();
+    assert!(n >= 1, "at least the edge relation is analyzed, got {n}");
+    let after: Vec<String> = s
+        .query_all("p(X, Y)")
+        .unwrap()
+        .iter()
+        .map(|a| a.to_string())
+        .collect();
+    let sorted = |mut v: Vec<String>| {
+        v.sort();
+        v
+    };
+    assert_eq!(sorted(before), sorted(after));
+}

@@ -464,7 +464,7 @@ fn meta_command(session: &Session, cmd: &str) -> bool {
                  :rewritten <pred>/<n> <form>   dump the rewritten program\n\
                  :profile [on|off|json]         toggle profiling / last profile\n\
                  :threads [N]                   show/set evaluation threads\n\
-                 :stats [on|off]                show/toggle cost-based planning\n\
+                 :stats                         base-relation statistics the planner sees\n\
                  :maintain [on|off]             show/toggle incremental maintenance\n\
                  :analyze                       refresh base-relation statistics\n\
                  :budget [spec|unlimited]       show/set per-query budget\n\
@@ -551,21 +551,26 @@ fn meta_command(session: &Session, cmd: &str) -> bool {
                 Err(_) => eprintln!("usage: :threads [N] (got {n:?})"),
             },
         },
-        ":stats" => match rest {
-            "" => println!(
-                "cost-based planning: {}",
-                if session.stats_enabled() { "on" } else { "off" }
-            ),
-            "on" => {
-                session.set_stats(true);
-                println!("cost-based planning: on");
+        ":stats" => {
+            // What the cost-based planner sees for each base relation.
+            for (name, arity) in session.engine().db().list() {
+                let stats = session
+                    .engine()
+                    .db()
+                    .get(name, arity)
+                    .and_then(|r| r.stats());
+                match stats {
+                    Some(st) => {
+                        let distinct: Vec<u64> = (0..st.arity()).map(|c| st.distinct(c)).collect();
+                        println!(
+                            "{name}/{arity}: {} rows, distinct per column {distinct:?}",
+                            st.cardinality()
+                        );
+                    }
+                    None => println!("{name}/{arity}: no statistics"),
+                }
             }
-            "off" => {
-                session.set_stats(false);
-                println!("cost-based planning: off");
-            }
-            other => eprintln!("usage: :stats [on|off] (got {other:?})"),
-        },
+        }
         ":maintain" => match rest {
             "" => {
                 let t = session.maintain_totals();

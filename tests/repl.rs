@@ -182,9 +182,9 @@ fn profile_command_golden_shape() {
     // the columnar line.
     assert!(stdout.contains("  columnar: "), "{stdout}");
     assert!(stdout.contains(" batched rows"), "{stdout}");
-    // The planner section is always emitted in JSON (zeroed under
-    // CORAL_STATS=0), and each of its counters is an integer; the
-    // orders list is a JSON array of strings.
+    // The planner section is always emitted in JSON, and each of its
+    // counters is an integer; the orders list is a JSON array of
+    // strings.
     assert!(stdout.contains("\"planner\": {"), "{stdout}");
     for key in ["costed", "reordered", "replans"] {
         let line = stdout
@@ -203,25 +203,22 @@ fn profile_command_golden_shape() {
             .unwrap_or_else(|e| panic!("{key} is not an integer: {e} in {line}"));
     }
     assert!(stdout.contains("\"orders\": ["), "{stdout}");
-    // The spawned binary inherits CORAL_STATS: with cost-based planning
-    // on (the default) the compiled module was costed, so the planner
-    // section reports at least one costed rule.
-    if coral::core::seminaive::resolve_stats(None) {
-        let planner_json = stdout
-            .split("\"planner\": {")
-            .nth(1)
-            .and_then(|s| s.split('}').next())
-            .unwrap_or_else(|| panic!("no planner object in {stdout}"));
-        let costed: u64 = planner_json
-            .split("\"costed\": ")
-            .nth(1)
-            .and_then(|s| s.split(',').next())
-            .unwrap()
-            .trim()
-            .parse()
-            .unwrap();
-        assert!(costed > 0, "stats on but no rule costed: {stdout}");
-    }
+    // The compiled module was costed, so the planner section reports
+    // at least one costed rule.
+    let planner_json = stdout
+        .split("\"planner\": {")
+        .nth(1)
+        .and_then(|s| s.split('}').next())
+        .unwrap_or_else(|| panic!("no planner object in {stdout}"));
+    let costed: u64 = planner_json
+        .split("\"costed\": ")
+        .nth(1)
+        .and_then(|s| s.split(',').next())
+        .unwrap()
+        .trim()
+        .parse()
+        .unwrap();
+    assert!(costed > 0, "no rule costed: {stdout}");
 }
 
 #[test]
@@ -229,14 +226,14 @@ fn stats_and_analyze_commands() {
     let (stdout, stderr) = run_script(
         "edge(1, 2). edge(2, 3).\n\
          :stats\n\
-         :stats off\n\
-         :stats on\n\
          :analyze\n\
          :quit\n",
     );
     assert!(stderr.is_empty(), "stderr: {stderr}");
-    assert!(stdout.contains("cost-based planning: off"), "{stdout}");
-    assert!(stdout.contains("cost-based planning: on"), "{stdout}");
+    assert!(
+        stdout.contains("edge/2: 2 rows, distinct per column [2, 2]"),
+        "{stdout}"
+    );
     assert!(stdout.contains("analyzed 1 relation"), "{stdout}");
 }
 
