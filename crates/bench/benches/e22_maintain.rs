@@ -3,12 +3,11 @@
 //!
 //! Each workload holds one long-lived session and repeatedly applies
 //! the same single-tuple update cycle: insert one base fact, re-query,
-//! delete it, re-query. The `maintain` rows run with incremental
-//! maintenance on (counting for the non-recursive workload, DRed for
-//! the recursive one — both forced by `@maintain` so the strategy under
-//! test is unambiguous); the `recompute` rows run the identical cycle
-//! with maintenance off, so every mutation invalidates the module and
-//! every query recomputes the fixpoint from scratch. Sessions are
+//! delete it, re-query. The `maintain` rows run the module under
+//! `@maintain counting` (the non-recursive workload) or `@maintain dred`
+//! (the recursive one), so the strategy under test is unambiguous; the
+//! `recompute` rows run the identical cycle under `@maintain recompute`,
+//! so every query recomputes the fixpoint from scratch. Sessions are
 //! built — and the maintained state materialized — *before* the
 //! measured region, so the counter deltas in `BENCH_maintain_churn.json`
 //! cover only the steady-state churn.
@@ -27,6 +26,8 @@ use coral_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criteri
 use coral_bench::{count_answers, workloads};
 use coral_core::session::Session;
 
+/// Row label and whether the row uses the workload's incremental
+/// `@maintain` strategy (else `@maintain recompute`).
 const MODES: [(&str, bool); 2] = [("maintain", true), ("recompute", false)];
 
 fn smoke() -> bool {
@@ -35,9 +36,8 @@ fn smoke() -> bool {
 
 /// Build the long-lived session: consult, then query once so the
 /// maintained rows enter the measured region with a live state.
-fn churn_session(maintain: bool, facts: &str, program: &str, query: &str) -> Session {
+fn churn_session(facts: &str, program: &str, query: &str) -> Session {
     let s = Session::new();
-    s.set_maintain(maintain);
     s.consult_str(facts).expect("facts consult");
     s.consult_str(program).expect("program consult");
     count_answers(&s, query);
@@ -72,12 +72,13 @@ fn bench(c: &mut Criterion) {
     let (v, e) = if smoke() { (30, 120) } else { (120, 480) };
     let tc_facts = workloads::random_graph(v, e, 23);
     let tc_prog = "module tc.\nexport path(ff).\n\
-                   @maintain dred.\n\
+                   @maintain KIND.\n\
                    path(X, Y) :- edge(X, Y).\n\
                    path(X, Y) :- edge(X, Z), path(Z, Y).\n\
                    end_module.\n";
     for (label, maintain) in MODES {
-        let s = churn_session(maintain, &tc_facts, tc_prog, "path(X, Y)");
+        let kind = if maintain { "dred" } else { "recompute" };
+        let s = churn_session(&tc_facts, &tc_prog.replace("KIND", kind), "path(X, Y)");
         g.bench_with_input(BenchmarkId::new("tc_churn", label), &(), |b, ()| {
             b.iter(|| cycle(&s, "edge(9001, 0)", "path(X, Y)"))
         });
@@ -94,11 +95,12 @@ fn bench(c: &mut Criterion) {
         workloads::random_graph(v, e, 29)
     );
     let hop_prog = "module hops.\nexport hop(ff).\n\
-                    @maintain counting.\n\
+                    @maintain KIND.\n\
                     hop(X, Y) :- edge(X, Z), edge(Z, Y).\n\
                     end_module.\n";
     for (label, maintain) in MODES {
-        let s = churn_session(maintain, &hop_facts, hop_prog, "hop(X, Y)");
+        let kind = if maintain { "counting" } else { "recompute" };
+        let s = churn_session(&hop_facts, &hop_prog.replace("KIND", kind), "hop(X, Y)");
         g.bench_with_input(BenchmarkId::new("hop_churn", label), &(), |b, ()| {
             b.iter(|| cycle(&s, "edge(9001, 0)", "hop(X, Y)"))
         });

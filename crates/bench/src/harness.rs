@@ -268,20 +268,15 @@ fn counter_deltas(before: &[(String, u64)], after: &[(String, u64)]) -> Vec<(Str
 }
 
 /// Host/configuration header attached to every BENCH_*.json so runs on
-/// different machines (or under different CORAL_* knobs) are comparable
-/// after the fact.
+/// different machines (or thread counts) are comparable after the fact.
 fn host_meta_json() -> String {
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(0);
-    let env_or_unset = |k: &str| match std::env::var(k) {
-        Ok(v) => json_string(&v),
-        Err(_) => json_string("unset"),
-    };
+    let threads = std::env::var("CORAL_THREADS").unwrap_or_else(|_| "unset".into());
     format!(
-        "{{\"host_cpus\": {cpus}, \"coral_threads\": {}, \"coral_maintain\": {}}}",
-        env_or_unset("CORAL_THREADS"),
-        env_or_unset("CORAL_MAINTAIN"),
+        "{{\"host_cpus\": {cpus}, \"coral_threads\": {}}}",
+        json_string(&threads),
     )
 }
 

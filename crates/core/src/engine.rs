@@ -164,10 +164,6 @@ struct EngineInner {
     /// Budget enforcer, polled at the cancellation poll sites; shared
     /// with parallel workers via `Arc`.
     governor: Arc<Governor>,
-    /// Incremental maintenance of derived relations (seeded from
-    /// `CORAL_MAINTAIN`, overridable per engine; off = wholesale
-    /// invalidation on every base mutation).
-    maintain: Cell<bool>,
     /// Cumulative maintenance counters (always compiled in).
     maintain_totals: Cell<crate::maintain::MaintainTotals>,
     /// Snapshots offered by the storage layer at attach time, consumed
@@ -202,7 +198,6 @@ impl Engine {
                 cancel: Arc::new(AtomicBool::new(false)),
                 budget: Cell::new(Budget::from_env(Budget::unlimited())),
                 governor: Arc::new(Governor::new()),
-                maintain: Cell::new(crate::maintain::resolve_maintain(None)),
                 maintain_totals: Cell::new(crate::maintain::MaintainTotals::default()),
                 offered_snapshots: RefCell::new(HashMap::new()),
             }),
@@ -331,23 +326,6 @@ impl Engine {
             mdef.compiled.borrow_mut().clear();
             mdef.maintained.borrow_mut().clear();
         }
-    }
-
-    /// Enable or disable incremental maintenance (seeded from
-    /// `CORAL_MAINTAIN`). Turning it off (or on) drops every maintained
-    /// state, restoring wholesale invalidation exactly.
-    pub fn set_maintain(&self, on: bool) {
-        if self.inner.maintain.get() != on {
-            self.inner.maintain.set(on);
-            for mdef in self.inner.modules.borrow().iter() {
-                mdef.maintained.borrow_mut().clear();
-            }
-        }
-    }
-
-    /// Whether incremental maintenance is on.
-    pub fn maintain_enabled(&self) -> bool {
-        self.inner.maintain.get()
     }
 
     /// Cumulative maintenance counters since the engine was created.

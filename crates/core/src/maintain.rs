@@ -20,8 +20,6 @@
 //! Strategy selection is per module via `@maintain counting`,
 //! `@maintain dred`, `@maintain recompute`, or the default
 //! `@maintain auto` (cost-gated: tiny base relations recompute).
-//! `CORAL_MAINTAIN=0` restores wholesale invalidation exactly: no state
-//! is ever built and every query recomputes.
 //!
 //! Safety discipline: a maintained state is **stale** from the moment a
 //! propagation starts until it completes; any anomaly the algebra cannot
@@ -41,21 +39,6 @@ use coral_term::bindenv::EnvSet;
 use coral_term::{Term, Tuple, VarId};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
-
-/// Resolve a maintenance request: explicit value, else the
-/// `CORAL_MAINTAIN` environment variable (`0`/`false`/`off` disable),
-/// else on. With maintenance off the engine never builds maintained
-/// states and every mutation invalidates wholesale — the exact legacy
-/// behaviour, kept as the differential baseline and escape hatch.
-pub fn resolve_maintain(explicit: Option<bool>) -> bool {
-    explicit.unwrap_or_else(|| match std::env::var("CORAL_MAINTAIN") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off"
-        ),
-        Err(_) => true,
-    })
-}
 
 /// Cumulative engine-level maintenance counters (always compiled in,
 /// unlike the `profile`-gated per-query counters; the `:maintain` REPL
@@ -1583,17 +1566,14 @@ pub fn decode_catalog(bytes: &[u8]) -> Option<HashMap<String, Vec<u8>>> {
 
 /// Maintained dispatch for a materialized module call: answer from (or
 /// first build) the maintained state for `pred`. `Ok(None)` falls back
-/// to ordinary evaluation — maintenance off, an incompatible module, or
-/// an export decided unmaintainable.
+/// to ordinary evaluation — `@maintain recompute`, an incompatible
+/// module, or an export decided unmaintainable.
 pub(crate) fn try_maintained_call(
     engine: &Engine,
     mdef: &Rc<ModuleDef>,
     pred: PredRef,
     pattern: &[Term],
 ) -> EvalResult<Option<Vec<Tuple>>> {
-    if !engine.maintain_enabled() {
-        return Ok(None);
-    }
     let c = &mdef.controls;
     // `@naive` is the reference evaluator: it always recomputes.
     if c.pipelined || c.ordered || c.save || c.lazy || c.fixpoint == FixpointKind::Naive {
@@ -1649,9 +1629,6 @@ pub(crate) fn try_maintained_call(
 /// reads `pred`. Called by the engine after the base relation reported
 /// a genuine presence transition.
 pub(crate) fn on_base_change(engine: &Engine, pred: PredRef, tuple: &Tuple, is_insert: bool) {
-    if !engine.maintain_enabled() {
-        return;
-    }
     for mdef in engine.modules_snapshot() {
         let mut map = mdef.maintained.borrow_mut();
         for st in map.values_mut().flatten() {

@@ -220,8 +220,8 @@ pub struct ColumnarStats {
     pub vectorized_probes: u64,
 }
 
-/// Cost-based-planner statistics for the profiled call (all zero when
-/// planning is off, e.g. `CORAL_STATS=0`).
+/// Cost-based-planner statistics for the profiled call (all zero for
+/// `@naive` and Ordered Search modules, which are never planned).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PlannerStats {
     /// Rules whose candidate join orders were costed.
@@ -236,8 +236,8 @@ pub struct PlannerStats {
 }
 
 /// Incremental-maintenance statistics for the profiled call (all zero
-/// when no maintained state absorbed a base delta, e.g.
-/// `CORAL_MAINTAIN=0` or a recompute-only module).
+/// when no maintained state absorbed a base delta, e.g. a
+/// `@maintain recompute` module).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MaintainStats {
     /// Base-delta propagations absorbed by maintained states.

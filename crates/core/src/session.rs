@@ -210,18 +210,6 @@ impl Session {
         self.engine.threads()
     }
 
-    /// Enable or disable incremental maintenance of derived relations
-    /// (seeded from `CORAL_MAINTAIN`; off = wholesale invalidation and
-    /// recomputation, exactly the pre-maintenance behavior).
-    pub fn set_maintain(&self, on: bool) {
-        self.engine.set_maintain(on);
-    }
-
-    /// Whether incremental maintenance is on.
-    pub fn maintain_enabled(&self) -> bool {
-        self.engine.maintain_enabled()
-    }
-
     /// Cumulative incremental-maintenance counters for this session.
     pub fn maintain_totals(&self) -> crate::MaintainTotals {
         self.engine.maintain_totals()

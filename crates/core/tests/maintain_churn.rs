@@ -19,10 +19,12 @@ use coral_storage::StorageClient;
 use coral_term::testutil::TestRng;
 use std::path::PathBuf;
 
+/// `@maintain KIND.` is `dred` for the maintained session and
+/// `recompute` for the foreign writer and the oracle.
 const PROGRAM: &str = "\
 module paths.\n\
 export path(ff).\n\
-@maintain dred.\n\
+@maintain KIND.\n\
 path(X, Y) :- edge(X, Y).\n\
 path(X, Y) :- edge(X, Z), path(Z, Y).\n\
 end_module.\n";
@@ -38,10 +40,10 @@ fn fresh_dir(name: &str) -> PathBuf {
 
 fn session(client: &StorageClient, maintain: bool) -> Session {
     let s = Session::new();
-    s.set_maintain(maintain);
     s.attach_storage_client(client.clone());
     s.create_persistent("edge", 2).unwrap();
-    s.consult_str(PROGRAM).unwrap();
+    let kind = if maintain { "dred" } else { "recompute" };
+    s.consult_str(&PROGRAM.replace("KIND", kind)).unwrap();
     s
 }
 

@@ -4,11 +4,12 @@
 //! For every shared program family (`common/families.rs`) and seed, a
 //! *maintained* session answers queries through its maintained state
 //! while randomized insert/delete batches churn the base relations. An
-//! *oracle* session — maintenance off, same program, the same mutation
-//! sequence replayed, evaluated from scratch — must produce exactly the
-//! same answers after every batch, serial and parallel. Non-vacuousness
-//! is asserted from the engine's maintenance totals: both counting and
-//! DRed propagation must actually fire, or the suite is testing nothing.
+//! *oracle* session — the same program under `@maintain recompute`, the
+//! same mutation sequence replayed, evaluated from scratch — must
+//! produce exactly the same answers after every batch, serial and
+//! parallel. Non-vacuousness is asserted from the engine's maintenance
+//! totals: both counting and DRed propagation must actually fire, or the
+//! suite is testing nothing.
 
 #[path = "common/families.rs"]
 mod families;
@@ -109,11 +110,13 @@ const THREADS: &[usize] = &[1, 4];
 
 const BATCHES: usize = 3;
 
-/// Run the maintained session against the recompute oracle through
-/// `BATCHES` mutation batches; returns the maintained session's final
-/// maintenance totals.
+/// Run the maintained session (`program_for(kind)`) against the
+/// recompute oracle (`program_for("recompute")`) through `BATCHES`
+/// mutation batches; returns the maintained session's final maintenance
+/// totals.
 fn differential(
-    program: &str,
+    program_for: &dyn Fn(&str) -> String,
+    kind: &str,
     query: &str,
     preds: &[(&'static str, bool)],
     threads: usize,
@@ -121,14 +124,14 @@ fn differential(
     label: &str,
 ) -> coral_core::MaintainTotals {
     let m = Session::new();
-    m.set_maintain(true);
     m.set_threads(threads);
-    m.consult_str(program)
+    m.consult_str(&program_for(kind))
         .unwrap_or_else(|e| panic!("consult failed ({label}): {e}"));
     // First query builds the maintained state.
     let initial = sorted_answers(&m, query, label);
     assert!(!initial.is_empty(), "{label}: query has answers");
 
+    let oracle_program = program_for("recompute");
     let mut history: Vec<(Op, String)> = Vec::new();
     let mut inserted = Vec::new();
     for batch_no in 0..BATCHES {
@@ -136,12 +139,11 @@ fn differential(
         apply(&m, &batch);
         history.extend(batch);
 
-        // Fresh-recompute oracle: maintenance off, same program, the
-        // whole mutation history replayed, evaluated from scratch.
+        // Fresh-recompute oracle: `@maintain recompute`, the whole
+        // mutation history replayed, evaluated from scratch.
         let o = Session::new();
-        o.set_maintain(false);
         o.set_threads(threads);
-        o.consult_str(program).unwrap();
+        o.consult_str(&oracle_program).unwrap();
         apply(&o, &history);
 
         let maintained = sorted_answers(&m, query, label);
@@ -151,8 +153,13 @@ fn differential(
             "{label}: maintained answers diverge from recompute \
              after batch {batch_no} (threads={threads})"
         );
+        assert_eq!(
+            o.maintain_totals(),
+            coral_core::MaintainTotals::default(),
+            "{label}: the recompute oracle did maintenance work"
+        );
     }
-    m.engine().maintain_totals()
+    m.maintain_totals()
 }
 
 /// DRed over every recursive family: maintained answers must equal the
@@ -167,12 +174,13 @@ fn dred_matches_recompute_oracle() {
         let mut family_propagated = 0u64;
         for seed in 0..families::SEEDS {
             let case = gen(base_seed + seed);
-            let program = case.program("@maintain dred.\n");
+            let program_for = |kind: &str| case.program(&format!("@maintain {kind}.\n"));
             for (ci, &threads) in THREADS.iter().enumerate() {
                 let mut rng = TestRng::new(0x5EED_0000 + base_seed * 1000 + seed * 7 + ci as u64);
                 let label = format!("{name} seed {seed}");
                 let t = differential(
-                    &program,
+                    &program_for,
+                    "dred",
                     case.query,
                     base_preds(name),
                     threads,
@@ -227,7 +235,7 @@ fn counting_case(seed: u64) -> (String, &'static str) {
         "{facts}\
          module cnt.\n\
          export hop(ff).\n\
-         @maintain counting.\n\
+         @maintain KIND.\n\
          hop(X, Y) :- edge(X, Y), not blocked(X, Y).\n\
          hop(X, Y) :- edge(X, Z), edge(Z, Y).\n\
          end_module.\n"
@@ -248,7 +256,15 @@ fn counting_matches_recompute_oracle() {
         for (ci, &threads) in THREADS.iter().enumerate() {
             let mut rng = TestRng::new(0xC0_0000 + seed * 13 + ci as u64);
             let label = format!("counting seed {seed}");
-            let t = differential(&program, query, preds, threads, &mut rng, &label);
+            let t = differential(
+                &|kind| program.replace("KIND", kind),
+                "counting",
+                query,
+                preds,
+                threads,
+                &mut rng,
+                &label,
+            );
             propagated += t.propagated;
             count_updates += t.count_updates;
         }
@@ -261,41 +277,22 @@ fn counting_matches_recompute_oracle() {
     );
 }
 
-/// The escape hatch: with maintenance off the engine must behave
-/// exactly as before — zero maintenance work, same answers.
-#[test]
-fn maintain_off_is_wholesale_recompute() {
-    let case = families::tc(42);
-    let program = case.program("@maintain dred.\n");
-    let s = Session::new();
-    s.set_maintain(false);
-    s.consult_str(&program).unwrap();
-    let before = sorted_answers(&s, case.query, "off");
-    s.insert_fact("edge(0, 1)").unwrap();
-    s.delete_fact("edge(0, 1)").unwrap();
-    let after = sorted_answers(&s, case.query, "off");
-    assert_eq!(before, after, "insert+delete of one fact is a no-op");
-    assert_eq!(
-        s.engine().maintain_totals(),
-        coral_core::MaintainTotals::default(),
-        "maintenance off must do zero maintenance work"
-    );
-}
-
-/// `@maintain recompute` pins a module to wholesale recomputation even
-/// while the engine-wide flag is on.
+/// `@maintain recompute` pins a module to wholesale recomputation:
+/// same answers, zero maintenance work.
 #[test]
 fn maintain_recompute_annotation_opts_out() {
     let case = families::tc(43);
-    let program = case.program("@maintain recompute.\n");
     let s = Session::new();
-    s.set_maintain(true);
-    s.consult_str(&program).unwrap();
-    let _ = sorted_answers(&s, case.query, "recompute");
+    s.consult_str(&case.program("@maintain recompute.\n"))
+        .unwrap();
+    let before = sorted_answers(&s, case.query, "recompute");
     s.insert_fact("edge(0, 1)").unwrap();
     let _ = sorted_answers(&s, case.query, "recompute");
+    s.delete_fact("edge(0, 1)").unwrap();
+    let after = sorted_answers(&s, case.query, "recompute");
+    assert_eq!(before, after, "insert+delete of one fact is a no-op");
     assert_eq!(
-        s.engine().maintain_totals(),
+        s.maintain_totals(),
         coral_core::MaintainTotals::default(),
         "@maintain recompute must never propagate"
     );

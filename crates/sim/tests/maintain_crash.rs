@@ -1,5 +1,5 @@
-//! Crash matrix for maintenance-catalog persistence: a session with
-//! incremental maintenance on builds maintained states, mutates base
+//! Crash matrix for maintenance-catalog persistence: a session builds
+//! maintained states for `@maintain dred|counting` modules, mutates base
 //! facts, and checkpoints (which persists the maintenance catalog to the
 //! `maintain.cat` heap file). The disk crashes at *every* mutating I/O
 //! operation in turn; after the power cycle a fresh session recovers,
@@ -40,6 +40,14 @@ const PROGRAM: &str = "\
     @maintain counting.\n\
     hop(X, Y) :- edge(X, Z), edge(Z, Y), not blocked(X, Z).\n\
     end_module.\n";
+
+/// [`PROGRAM`] with both modules pinned to `@maintain recompute`: the
+/// from-scratch oracle.
+fn recompute_program() -> String {
+    PROGRAM
+        .replace("@maintain dred.", "@maintain recompute.")
+        .replace("@maintain counting.", "@maintain recompute.")
+}
 
 /// Deterministic mutation batches applied between checkpoints. Inserts
 /// and deletes hit both base relations and both derived strategies.
@@ -100,7 +108,6 @@ fn run_workload(vfs: &SimVfs) -> (usize, bool) {
         return (0, false);
     };
     let s = Session::new();
-    s.set_maintain(true);
     s.attach_storage_client(srv);
     s.consult_str(PROGRAM).expect("consult is in-memory");
     // First queries build the maintained states (pure in-memory work).
@@ -138,15 +145,13 @@ fn verify_recovery(vfs: &SimVfs, applied: usize, ctx: &str) -> Result<bool, Stri
     }
 
     let m = Session::new();
-    m.set_maintain(true);
     m.attach_storage_client(srv);
     m.consult_str(PROGRAM)
         .map_err(|e| format!("{ctx}: re-consult failed: {e}"))?;
     apply(&m, &BATCHES[..applied], ctx);
 
     let o = Session::new();
-    o.set_maintain(false);
-    o.consult_str(PROGRAM).unwrap();
+    o.consult_str(&recompute_program()).unwrap();
     apply(&o, &BATCHES[..applied], ctx);
 
     for query in ["path(X, Y)", "hop(X, Y)"] {
@@ -225,18 +230,17 @@ fn crash_beyond_workload_restores_cleanly() {
     assert!(restored, "clean run must restore from the catalog");
 }
 
-/// Maintenance off: the catalog file is never even written, and recovery
-/// with maintenance back on simply rebuilds — correct answers either way.
+/// `@maintain recompute` builds no maintained state, so the catalog file
+/// is never even written.
 #[test]
-fn maintain_off_persists_nothing() {
+fn maintain_recompute_persists_nothing() {
     let vfs = SimVfs::new(99);
     {
         let srv = open(&vfs).unwrap();
         let s = Session::new();
-        s.set_maintain(false);
         s.attach_storage_client(srv);
-        s.consult_str(PROGRAM).unwrap();
-        let _ = sorted_answers(&s, "path(X, Y)", "off");
+        s.consult_str(&recompute_program()).unwrap();
+        let _ = sorted_answers(&s, "path(X, Y)", "recompute");
         s.checkpoint().unwrap();
     }
     vfs.power_cycle();
@@ -245,6 +249,6 @@ fn maintain_off_persists_nothing() {
     assert_eq!(
         file.scan().count(),
         0,
-        "maintenance off must not write catalog records"
+        "@maintain recompute must not write catalog records"
     );
 }

@@ -13,7 +13,7 @@
 //! :rewritten <pred>/<n> <form>  dump the optimizer's rewritten program
 //! :profile [on|off|json]        toggle profiling / show the last profile
 //! :threads [N]                  show/set evaluation threads
-//! :maintain [on|off]            show/toggle incremental maintenance
+//! :maintain                     incremental-maintenance totals
 //! :budget [spec|unlimited]      show/set the per-query resource budget
 //! :quit                         leave
 //! ```
@@ -465,7 +465,7 @@ fn meta_command(session: &Session, cmd: &str) -> bool {
                  :profile [on|off|json]         toggle profiling / last profile\n\
                  :threads [N]                   show/set evaluation threads\n\
                  :stats                         base-relation statistics the planner sees\n\
-                 :maintain [on|off]             show/toggle incremental maintenance\n\
+                 :maintain                      incremental-maintenance totals\n\
                  :analyze                       refresh base-relation statistics\n\
                  :budget [spec|unlimited]       show/set per-query budget\n\
                  \x20                              (spec: deadline-ms=500 tuples=10000 ...)\n\
@@ -571,34 +571,14 @@ fn meta_command(session: &Session, cmd: &str) -> bool {
                 }
             }
         }
-        ":maintain" => match rest {
-            "" => {
-                let t = session.maintain_totals();
-                println!(
-                    "incremental maintenance: {} ({} propagations, {} count updates, \
-                     {} overdeleted, {} rederived, {} rebuilds)",
-                    if session.maintain_enabled() {
-                        "on"
-                    } else {
-                        "off"
-                    },
-                    t.propagated,
-                    t.count_updates,
-                    t.overdeleted,
-                    t.rederived,
-                    t.rebuilds
-                );
-            }
-            "on" => {
-                session.set_maintain(true);
-                println!("incremental maintenance: on");
-            }
-            "off" => {
-                session.set_maintain(false);
-                println!("incremental maintenance: off");
-            }
-            other => eprintln!("usage: :maintain [on|off] (got {other:?})"),
-        },
+        ":maintain" => {
+            let t = session.maintain_totals();
+            println!(
+                "incremental maintenance: {} propagations, {} count updates, \
+                 {} overdeleted, {} rederived, {} rebuilds",
+                t.propagated, t.count_updates, t.overdeleted, t.rederived, t.rebuilds
+            );
+        }
         ":analyze" => match session.analyze() {
             Ok(n) => println!("analyzed {n} relation{}", if n == 1 { "" } else { "s" }),
             Err(e) => eprintln!("error: {e}"),
