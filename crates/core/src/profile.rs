@@ -251,8 +251,8 @@ pub struct MaintainStats {
 }
 
 /// Vectorized hash-join statistics for the profiled call (all zero
-/// when the hash-join path never engaged, e.g. `CORAL_HASHJOIN=0` or
-/// the cost gate kept every literal on the index-probe path).
+/// when the hash-join path never engaged: a `@naive` module, or the
+/// cost gate kept every literal on the index-probe path).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JoinHashStats {
     /// Transient hash tables built.
@@ -321,9 +321,9 @@ pub struct EngineProfile {
     pub totals: LayerTotals,
     /// Budget usage against the armed limits (unarmed = all zeros).
     pub budget: BudgetStats,
-    /// Columnar-path statistics (all zeros on the legacy path).
+    /// Columnar-path statistics.
     pub columnar: ColumnarStats,
-    /// Cost-based-planner statistics (all zeros with planning off).
+    /// Cost-based-planner statistics (all zeros for unplanned modules).
     pub planner: PlannerStats,
     /// Incremental-maintenance statistics (all zeros when no maintained
     /// state absorbed a base delta during the call).

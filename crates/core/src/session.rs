@@ -426,17 +426,14 @@ impl Session {
     /// Begin a storage transaction covering this session's registered
     /// persistent relations: every handle's reads and writes go through
     /// the transaction until [`Session::end_request_txn`]. Returns
-    /// `None` (a no-op) when no storage is attached or the store runs
-    /// the legacy non-MVCC path. The network server brackets each
+    /// `None` (a no-op) when no storage is attached. The network server
+    /// brackets each
     /// mutating request this way; a [`Session::is_txn_conflict`] error
     /// anywhere in between means "abort and retry".
     pub fn begin_request_txn(&self) -> EvalResult<Option<u64>> {
         let Some(storage) = self.storage.borrow().clone() else {
             return Ok(None);
         };
-        if !storage.mvcc_enabled() {
-            return Ok(None);
-        }
         let txn = storage.begin().map_err(coral_rel::RelError::from)?;
         self.for_each_persistent(|p| p.set_txn(Some(txn)));
         Ok(Some(txn))

@@ -663,12 +663,12 @@ impl Conn<'_> {
                     panic!("test-injected connection panic");
                 }
                 // Bracket the (potentially mutating) consult in a storage
-                // transaction. Under MVCC, concurrent sessions writing the
-                // same relation conflict retryably instead of corrupting
+                // transaction. Concurrent sessions writing the same
+                // relation conflict retryably instead of corrupting
                 // shared structures mid-interleaving; the loser's partial
                 // writes are rolled back and the client replays the whole
-                // consult after backoff (`Response::Retry`). Non-MVCC (or
-                // storage-less) sessions get `None` and run as before.
+                // consult after backoff (`Response::Retry`). Storage-less
+                // sessions get `None` and run unbracketed.
                 let txn = match self.session.begin_request_txn() {
                     Ok(t) => t,
                     Err(e) => return (self.eval_error(&e), false),

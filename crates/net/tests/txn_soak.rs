@@ -36,12 +36,6 @@ fn fresh_dir(name: &str) -> PathBuf {
 fn concurrent_mutating_consults_conflict_retryably_and_lose_nothing() {
     let dir = fresh_dir("main");
     let storage = coral_storage::StorageServer::open(&dir, 128).unwrap();
-    if !storage.mvcc_enabled() {
-        // CORAL_MVCC=0 escape-hatch run: requests are not bracketed in
-        // transactions and the relation-wide lock serializes writers,
-        // so there is nothing transactional to soak.
-        return;
-    }
     // Short lock waits make write-write races surface as conflicts
     // instead of quietly queueing behind the 200 ms default.
     storage.set_lock_timeout(Duration::from_millis(2));

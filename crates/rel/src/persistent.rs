@@ -74,9 +74,9 @@ pub struct PersistentRelation {
     /// the write side across each mutation keeps concurrent server
     /// sessions from interleaving mid-split and corrupting the tree.
     ///
-    /// Under MVCC this lock still serializes *non-transactional* (Live)
-    /// mutators of one relation; *readers* no longer take it — they pin
-    /// a snapshot instead — and transactional mutators are additionally
+    /// The lock serializes *non-transactional* (Live) mutators of one
+    /// relation; *readers* do not take it — they pin a snapshot
+    /// instead — and transactional mutators are additionally
     /// serialized by page write locks (every insert/delete touches the
     /// primary tree's meta page, so two transactions mutating the same
     /// relation always conflict and one retries).
@@ -215,22 +215,15 @@ impl PersistentRelation {
     }
 
     /// Begin a lock-free snapshot read: pin the current committed state
-    /// and point the handles at it until the scope drops. `None` when
-    /// reads should go through the base view instead (inside a
-    /// transaction, or MVCC off).
+    /// and point the handles at it until the scope drops. `None` inside
+    /// a transaction, where reads go through the transaction's view.
     fn snapshot_read(&self) -> Option<(Arc<SnapshotGuard>, ViewScope<'_>)> {
-        if self.txn.get().is_some() || !self.server.mvcc_enabled() {
+        if self.txn.get().is_some() {
             return None;
         }
         let guard = SnapshotGuard::pin(self.server.pool());
         self.apply_view(View::Snapshot(guard.ts()));
         Some((guard, ViewScope { rel: self }))
-    }
-
-    /// The shared-lock guard legacy (non-MVCC) readers hold; MVCC
-    /// readers rely on their pinned snapshot instead and never block.
-    fn legacy_read_guard(&self) -> Option<std::sync::RwLockReadGuard<'_, ()>> {
-        (!self.server.mvcc_enabled()).then(|| self.lock.read().unwrap())
     }
 
     /// The stored arity of the named relation in this store, or `None`
@@ -343,7 +336,6 @@ impl PersistentRelation {
     /// this verifies the structures agree with each other. Read-only;
     /// returns the violations found (empty = clean).
     pub fn check(&self) -> RelResult<Vec<String>> {
-        let _read = self.legacy_read_guard();
         self.sync_indices()?;
         let _snap = self.snapshot_read();
         let name = &self.name;
@@ -584,9 +576,8 @@ impl Relation for PersistentRelation {
     }
 
     fn scan(&self) -> TupleIter {
-        // MVCC: pin a snapshot and hand it to the lazy scan so it reads a
-        // stable commit point without blocking writers. Legacy: the lazy
-        // heap scan relies on per-page atomicity only, as before.
+        // Pin a snapshot and hand it to the lazy scan so it reads a
+        // stable commit point without blocking writers.
         let scan = match self.snapshot_read() {
             Some((guard, _scope)) => {
                 let view = View::Snapshot(guard.ts());
@@ -601,11 +592,8 @@ impl Relation for PersistentRelation {
     }
 
     fn lookup(&self, pattern: &[Term]) -> TupleIter {
-        // Legacy: shared lock while the indexed path walks tree + heap
-        // pages, so a concurrent writer cannot split a node out from under
-        // the descent. MVCC: no lock — the descent reads a pinned snapshot
-        // and the indexed path materialises before the view scope drops.
-        let _read = self.legacy_read_guard();
+        // No lock: the descent reads a pinned snapshot, and the indexed
+        // path materialises before the view scope drops.
         if let Err(e) = self.sync_indices() {
             return Box::new(std::iter::once(Err(e)));
         }
@@ -753,7 +741,6 @@ impl Relation for PersistentRelation {
     }
 
     fn stats(&self) -> Option<coral_stats::RelStats> {
-        let _read = self.legacy_read_guard();
         let _snap = self.snapshot_read();
         Some(self.load_stats_locked())
     }
@@ -784,19 +771,6 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&d);
         StorageServer::open(&d, 64).unwrap()
-    }
-
-    /// A server with MVCC pinned on, independent of `CORAL_MVCC` — for
-    /// tests of snapshot/transaction semantics that the legacy RwLock
-    /// path deliberately does not provide.
-    fn server_mvcc(name: &str) -> StorageClient {
-        let d: PathBuf = std::env::temp_dir().join(format!(
-            "coral-persistent-test-{}-{name}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&d);
-        StorageServer::open_with_mode(&d, 64, std::sync::Arc::new(coral_storage::StdVfs), true)
-            .unwrap()
     }
 
     fn flight(from: &str, to: &str, cost: i64) -> Tuple {
@@ -1029,8 +1003,7 @@ mod tests {
     /// committed afterwards by another handle stay invisible to it.
     #[test]
     fn snapshot_scan_isolated_from_concurrent_writer() {
-        let srv = server_mvcc("snapscan");
-        assert!(srv.mvcc_enabled());
+        let srv = server("snapscan");
         let r = PersistentRelation::open(&srv, "f", 2).unwrap();
         for i in 0..10 {
             assert!(r.insert(row(i)).unwrap());
@@ -1050,7 +1023,7 @@ mod tests {
 
     #[test]
     fn txn_writes_invisible_until_commit() {
-        let srv = server_mvcc("txnvis");
+        let srv = server("txnvis");
         let r = PersistentRelation::open(&srv, "f", 2).unwrap();
         let reader = PersistentRelation::open(&srv, "f", 2).unwrap();
         let t = srv.begin().unwrap();
@@ -1065,7 +1038,7 @@ mod tests {
 
     #[test]
     fn txn_conflict_is_retryable_after_commit() {
-        let srv = server_mvcc("txnconf");
+        let srv = server("txnconf");
         srv.set_lock_timeout(Duration::from_millis(0));
         let r1 = PersistentRelation::open(&srv, "f", 2).unwrap();
         let r2 = PersistentRelation::open(&srv, "f", 2).unwrap();

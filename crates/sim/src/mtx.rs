@@ -168,9 +168,7 @@ fn is_conflict(e: &RelError) -> bool {
 
 fn open_server(vfs: &SimVfs) -> Result<StorageClient, StorageError> {
     let v: Arc<dyn Vfs> = Arc::new(vfs.clone());
-    // MVCC explicitly on: this harness tests the transaction machinery
-    // itself, independent of the CORAL_MVCC escape hatch.
-    StorageServer::open_with_mode(Path::new(DIR), FRAMES, v, true)
+    StorageServer::open_with_vfs(Path::new(DIR), FRAMES, v)
 }
 
 /// Apply a committed transaction's effect to the model.

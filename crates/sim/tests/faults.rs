@@ -56,56 +56,17 @@ fn failed_commit_fsync_is_a_clean_abort() {
     assert!(srv.check().unwrap().is_clean());
 }
 
-/// If even erasing the failed append fails (two fsync errors in a row),
-/// the log is poisoned: commits keep failing loudly instead of silently
-/// layering records over a torn tail. A checkpoint rebuilds the log from
-/// scratch and clears the poison.
-#[test]
-fn double_fsync_failure_poisons_log_until_checkpoint() {
-    let vfs = SimVfs::new(2);
-    let srv = open(&vfs);
-    let heap = srv.heap("r.data").unwrap();
-
-    let txn = srv.begin().unwrap();
-    heap.insert(b"keep").unwrap();
-    srv.commit(txn).unwrap();
-
-    let txn = srv.begin().unwrap();
-    heap.insert(b"doomed").unwrap();
-    vfs.fail_next_syncs(2);
-    assert!(srv.commit(txn).is_err());
-
-    // Poisoned: even a clean commit attempt is refused.
-    let txn = srv.begin().unwrap();
-    heap.insert(b"refused").unwrap();
-    let err = srv.commit(txn).unwrap_err();
-    assert!(
-        err.to_string().contains("poisoned"),
-        "unexpected error: {err}"
-    );
-
-    // A checkpoint truncates the log and heals it.
-    srv.checkpoint().unwrap();
-    let txn = srv.begin().unwrap();
-    heap.insert(b"after-heal").unwrap();
-    srv.commit(txn).unwrap();
-
-    let mut live: Vec<Vec<u8>> = heap.scan().map(|r| r.unwrap().1).collect();
-    live.sort();
-    assert_eq!(live, vec![b"after-heal".to_vec(), b"keep".to_vec()]);
-}
-
-/// The poison-until-checkpoint path under the MVCC transaction manager:
-/// a double fsync failure during a group commit poisons the log; later
+/// If even erasing a failed append fails (two fsync errors in a row
+/// during a group commit), the log is poisoned: commits keep failing
+/// loudly instead of silently layering records over a torn tail. Later
 /// transactions' commits are refused with a clear error *and cleanly
 /// aborted* (no transaction leaks, no partial state), a checkpoint heals
 /// the log, and a post-heal crash recovers exactly the committed state.
 #[test]
-fn poisoned_log_aborts_mvcc_commits_until_checkpoint_then_recovers() {
+fn poisoned_log_aborts_group_commits_until_checkpoint_then_recovers() {
     let vfs = SimVfs::new(7);
     {
-        let v: Arc<dyn Vfs> = Arc::new(vfs.clone());
-        let srv = StorageServer::open_with_mode(Path::new("/db"), 16, v, true).unwrap();
+        let srv = open(&vfs);
         let heap = srv.heap("r.data").unwrap();
 
         let txn = srv.begin().unwrap();
@@ -142,8 +103,7 @@ fn poisoned_log_aborts_mvcc_commits_until_checkpoint_then_recovers() {
     // Crash after the heal: recovery must replay exactly the two
     // successful commits — nothing from the poisoned window.
     vfs.power_cycle();
-    let v: Arc<dyn Vfs> = Arc::new(vfs.clone());
-    let srv = StorageServer::open_with_mode(Path::new("/db"), 16, v, true).unwrap();
+    let srv = open(&vfs);
     let mut live: Vec<Vec<u8>> = srv
         .heap("r.data")
         .unwrap()

@@ -19,12 +19,12 @@
 //! of the same tree must serialize them externally — the relation layer
 //! does so by holding the write side of
 //! [`StorageServer::named_lock`](crate::StorageServer::named_lock)
-//! across every mutation of a persistent relation. Under MVCC,
-//! transactional mutators are additionally serialized by the page lock
-//! on the meta page (every insert/delete touches it through
-//! `bump_len`), so two transactions mutating the same tree always
-//! conflict and one retries; *readers* go through snapshot views and
-//! neither block nor take any lock.
+//! across every mutation of a persistent relation. Transactional
+//! mutators are additionally serialized by the page lock on the meta
+//! page (every insert/delete touches it through `bump_len`), so two
+//! transactions mutating the same tree always conflict and one retries;
+//! *readers* go through snapshot views and neither block nor take any
+//! lock.
 
 use crate::buffer::{BufferPool, SnapshotGuard};
 use crate::error::{StorageError, StorageResult};

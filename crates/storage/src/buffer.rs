@@ -17,9 +17,8 @@
 //!
 //! ## MVCC
 //!
-//! A pool opened with [`BufferPool::new_mvcc`] layers the [`crate::tx`]
-//! concurrency manager over the frames. Every page access then carries a
-//! [`View`]:
+//! The pool layers the [`crate::tx`] concurrency manager over the
+//! frames. Every page access carries a [`View`]:
 //!
 //! * `Live` reads the frame (newest state); a `Live` *write* is
 //!   attributed to the sole active transaction if exactly one is open
@@ -67,11 +66,8 @@ pub struct BufferStats {
     pub page_writes: u64,
 }
 
-/// A page's address and contents, as returned by [`BufferPool::commit_txn`].
+/// A page's address and contents, as returned by [`BufferPool::tx_prepare`].
 pub type PageImage = ((FileId, PageId), Box<[u8]>);
-
-/// Before-images of the pages dirtied by the open transaction.
-type TxnImages = HashMap<(FileId, PageId), Box<[u8]>>;
 
 /// The image served for a page that did not exist at a snapshot's
 /// timestamp (files only grow; trailing pages read as empty).
@@ -91,14 +87,8 @@ struct Inner {
     files: HashMap<FileId, PageFile>,
     hand: usize,
     stats: BufferStats,
-    /// Before-images of pages dirtied by the active transaction, if one
-    /// is open (`None` = no transaction). The single-slot design matches
-    /// the paper's single-user client (§2); the MVCC pool replaces it
-    /// with `mvcc` and refuses this API.
-    txn: Option<TxnImages>,
-    /// Multi-transaction MVCC state (`None` = legacy single-slot mode,
-    /// the `CORAL_MVCC=0` escape hatch).
-    mvcc: Option<MvccState>,
+    /// Multi-transaction MVCC state.
+    mvcc: MvccState,
 }
 
 /// A fixed-capacity page cache over a set of registered files.
@@ -140,18 +130,8 @@ impl Drop for SnapshotGuard {
 }
 
 impl BufferPool {
-    /// Create a pool with `capacity` frames (at least 1) in legacy
-    /// single-transaction mode.
+    /// Create a pool with `capacity` frames (at least 1).
     pub fn new(capacity: usize) -> BufferPool {
-        Self::build(capacity, false)
-    }
-
-    /// Create a pool with the MVCC concurrency manager enabled.
-    pub fn new_mvcc(capacity: usize) -> BufferPool {
-        Self::build(capacity, true)
-    }
-
-    fn build(capacity: usize, mvcc: bool) -> BufferPool {
         let capacity = capacity.max(1);
         let frames = (0..capacity)
             .map(|_| Frame {
@@ -169,8 +149,7 @@ impl BufferPool {
                 files: HashMap::new(),
                 hand: 0,
                 stats: BufferStats::default(),
-                txn: None,
-                mvcc: mvcc.then(MvccState::default),
+                mvcc: MvccState::default(),
             }),
             capacity,
             locks: LockTable::new(Duration::from_millis(200)),
@@ -180,11 +159,6 @@ impl BufferPool {
     /// Number of frames.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// True iff the MVCC concurrency manager is enabled.
-    pub fn mvcc_enabled(&self) -> bool {
-        self.inner.lock().unwrap().mvcc.is_some()
     }
 
     /// Set the write-lock wait budget. Zero makes contended acquisitions
@@ -212,10 +186,8 @@ impl BufferPool {
             }
         }
         inner.map.retain(|(k, _), _| *k != fid);
-        if let Some(m) = inner.mvcc.as_mut() {
-            m.versions.retain(|(k, _), _| *k != fid);
-            m.page_ts.retain(|(k, _), _| *k != fid);
-        }
+        inner.mvcc.versions.retain(|(k, _), _| *k != fid);
+        inner.mvcc.page_ts.retain(|(k, _), _| *k != fid);
         Ok(inner.files.remove(&fid))
     }
 
@@ -351,11 +323,15 @@ impl BufferPool {
         body: impl FnOnce(&[u8]) -> R,
     ) -> StorageResult<R> {
         let mut inner = self.inner.lock().unwrap();
-        let snapshot = match (view, inner.mvcc.as_mut()) {
-            (View::Live, _) | (_, None) => None,
-            (View::Snapshot(s), Some(_)) => Some(s),
-            (View::Txn(id), Some(m)) => {
-                let st = m.active.get_mut(&id).ok_or(StorageError::UnknownTxn(id))?;
+        let snapshot = match view {
+            View::Live => None,
+            View::Snapshot(s) => Some(s),
+            View::Txn(id) => {
+                let st = inner
+                    .mvcc
+                    .active
+                    .get_mut(&id)
+                    .ok_or(StorageError::UnknownTxn(id))?;
                 if st.write_set.contains(&(fid, pid)) {
                     None // own uncommitted write: read the frame
                 } else {
@@ -365,23 +341,19 @@ impl BufferPool {
             }
         };
         if let Some(s) = snapshot {
-            let m = inner.mvcc.as_ref().unwrap();
-            let found = m
-                .versions
-                .get(&(fid, pid))
-                .map(|list| list.iter().rposition(|&(ts, _)| ts <= s));
-            match found {
-                Some(Some(i)) => {
-                    crate::profile::bump(|c| c.pool_hits += 1);
-                    let bytes = &m.versions[&(fid, pid)][i].1;
-                    return Ok(body(bytes));
-                }
-                // Versions exist but all postdate the snapshot: the page
-                // was born after it. Files only grow, so serve "empty".
-                Some(None) => return Ok(body(&ZERO_PAGE)),
-                // No versions: the frame holds committed bytes.
-                None => {}
+            if let Some(list) = inner.mvcc.versions.get(&(fid, pid)) {
+                return Ok(match list.iter().rposition(|&(ts, _)| ts <= s) {
+                    Some(i) => {
+                        crate::profile::bump(|c| c.pool_hits += 1);
+                        body(&list[i].1)
+                    }
+                    // Versions exist but all postdate the snapshot: the
+                    // page was born after it. Files only grow, so serve
+                    // "empty".
+                    None => body(&ZERO_PAGE),
+                });
             }
+            // No versions: the frame holds committed bytes.
         }
         let idx = self.find_frame(&mut inner, fid, pid, true)?;
         Ok(body(&inner.frames[idx].data))
@@ -399,7 +371,7 @@ impl BufferPool {
     }
 
     /// Run `body` with write access to the page on behalf of `view`.
-    /// Under MVCC a transactional write acquires the page write lock
+    /// A transactional write acquires the page write lock
     /// (blocking up to the lock timeout, wound-or-timeout on contention),
     /// checks first-updater-wins against the writer's snapshot, saves the
     /// committed before-image into the version store, and pins the frame
@@ -414,71 +386,44 @@ impl BufferPool {
         // Resolve the writer first; a lock wait must not hold the pool
         // mutex.
         enum Mode {
-            Legacy,
             Bare,
             Tx(u64, u64),
         }
         let mode = {
             let inner = self.inner.lock().unwrap();
-            match inner.mvcc.as_ref() {
-                None => Mode::Legacy,
-                Some(m) => match view {
-                    View::Snapshot(_) => {
-                        return Err(StorageError::Corrupt(
-                            "write through a read-only snapshot view".into(),
-                        ))
-                    }
-                    View::Txn(id) => {
-                        let st = m.active.get(&id).ok_or(StorageError::UnknownTxn(id))?;
+            let m = &inner.mvcc;
+            match view {
+                View::Snapshot(_) => {
+                    return Err(StorageError::Corrupt(
+                        "write through a read-only snapshot view".into(),
+                    ))
+                }
+                View::Txn(id) => {
+                    let st = m.active.get(&id).ok_or(StorageError::UnknownTxn(id))?;
+                    Mode::Tx(id, st.seq)
+                }
+                View::Live => {
+                    // Single-session compatibility: attribute to the
+                    // sole active transaction, if any.
+                    if m.active.len() == 1 {
+                        let (&id, st) = m.active.iter().next().unwrap();
                         Mode::Tx(id, st.seq)
+                    } else if m.active.is_empty() {
+                        Mode::Bare
+                    } else {
+                        return Err(StorageError::Corrupt(
+                            "ambiguous write outside a transaction: multiple \
+                             transactions active (use an explicit txn view)"
+                                .into(),
+                        ));
                     }
-                    View::Live => {
-                        // Single-session compatibility: attribute to the
-                        // sole active transaction, if any.
-                        if m.active.len() == 1 {
-                            let (&id, st) = m.active.iter().next().unwrap();
-                            Mode::Tx(id, st.seq)
-                        } else if m.active.is_empty() {
-                            Mode::Bare
-                        } else {
-                            return Err(StorageError::Corrupt(
-                                "ambiguous write outside a transaction: multiple \
-                                 transactions active (use an explicit txn view)"
-                                    .into(),
-                            ));
-                        }
-                    }
-                },
+                }
             }
         };
         match mode {
-            Mode::Legacy => self.with_page_mut_legacy(fid, pid, body),
             Mode::Tx(id, seq) => self.txn_page_write(fid, pid, id, seq, body),
             Mode::Bare => self.bare_page_write(fid, pid, body),
         }
-    }
-
-    /// The pre-MVCC write path: single-slot transaction before-images.
-    fn with_page_mut_legacy<R>(
-        &self,
-        fid: FileId,
-        pid: PageId,
-        body: impl FnOnce(&mut [u8]) -> R,
-    ) -> StorageResult<R> {
-        let mut inner = self.inner.lock().unwrap();
-        let idx = self.find_frame(&mut inner, fid, pid, true)?;
-        // First write under an open transaction: save the before-image and
-        // pin the frame until commit/abort (no-steal).
-        if let Some(txn) = inner.txn.take() {
-            let mut txn = txn;
-            if let std::collections::hash_map::Entry::Vacant(e) = txn.entry((fid, pid)) {
-                e.insert(inner.frames[idx].data.clone());
-                inner.frames[idx].pins += 1;
-            }
-            inner.txn = Some(txn);
-        }
-        inner.frames[idx].dirty = true;
-        Ok(body(&mut inner.frames[idx].data))
     }
 
     /// A transactional write: lock, first-updater check, before-image,
@@ -497,8 +442,9 @@ impl BufferPool {
         self.locks.acquire(id, seq, key)?;
         let mut inner = self.inner.lock().unwrap();
         let idx = self.find_frame(&mut inner, fid, pid, true)?;
-        let Inner { frames, mvcc, .. } = &mut *inner;
-        let m = mvcc.as_mut().expect("txn write on non-MVCC pool");
+        let Inner {
+            frames, mvcc: m, ..
+        } = &mut *inner;
         let st = m.active.get_mut(&id).ok_or(StorageError::UnknownTxn(id))?;
         let cur_ts = m.page_ts.get(&key).copied().unwrap_or(0);
         if !st.write_set.contains(&key) {
@@ -537,8 +483,9 @@ impl BufferPool {
         let key = (fid, pid);
         let mut inner = self.inner.lock().unwrap();
         let idx = self.find_frame(&mut inner, fid, pid, true)?;
-        let Inner { frames, mvcc, .. } = &mut *inner;
-        let m = mvcc.as_mut().expect("bare write on non-MVCC pool");
+        let Inner {
+            frames, mvcc: m, ..
+        } = &mut *inner;
         // A transaction may have begun since the mode was resolved.
         if m.active.values().any(|t| t.write_set.contains(&key)) {
             m.stats.conflicts += 1;
@@ -579,10 +526,7 @@ impl BufferPool {
     /// snapshot is the current commit timestamp.
     pub fn tx_begin(&self, id: u64) -> StorageResult<()> {
         let mut inner = self.inner.lock().unwrap();
-        let m = inner
-            .mvcc
-            .as_mut()
-            .ok_or_else(|| StorageError::Corrupt("MVCC disabled".into()))?;
+        let m = &mut inner.mvcc;
         m.next_seq += 1;
         let st = TxnState {
             seq: m.next_seq,
@@ -619,11 +563,11 @@ impl BufferPool {
         }
         let mut inner = self.inner.lock().unwrap();
         let Inner {
-            frames, map, mvcc, ..
+            frames,
+            map,
+            mvcc: m,
+            ..
         } = &mut *inner;
-        let m = mvcc
-            .as_mut()
-            .ok_or_else(|| StorageError::Corrupt("MVCC disabled".into()))?;
         let st = m.active.get(&id).ok_or(StorageError::UnknownTxn(id))?;
         for key in &st.read_set {
             if st.write_set.contains(key) {
@@ -657,11 +601,11 @@ impl BufferPool {
     pub fn tx_install(&self, id: u64) -> StorageResult<()> {
         let mut inner = self.inner.lock().unwrap();
         let Inner {
-            frames, map, mvcc, ..
+            frames,
+            map,
+            mvcc: m,
+            ..
         } = &mut *inner;
-        let m = mvcc
-            .as_mut()
-            .ok_or_else(|| StorageError::Corrupt("MVCC disabled".into()))?;
         let st = m.active.remove(&id).ok_or(StorageError::UnknownTxn(id))?;
         m.commit_ts += 1;
         let ts = m.commit_ts;
@@ -692,11 +636,11 @@ impl BufferPool {
     pub fn tx_abort(&self, id: u64) -> StorageResult<()> {
         let mut inner = self.inner.lock().unwrap();
         let Inner {
-            frames, map, mvcc, ..
+            frames,
+            map,
+            mvcc: m,
+            ..
         } = &mut *inner;
-        let m = mvcc
-            .as_mut()
-            .ok_or_else(|| StorageError::Corrupt("MVCC disabled".into()))?;
         let st = m.active.remove(&id).ok_or(StorageError::UnknownTxn(id))?;
         let mut broken = None;
         for key in &st.write_set {
@@ -725,57 +669,44 @@ impl BufferPool {
     /// Pin the current committed state; returns the snapshot timestamp.
     pub fn pin_snapshot(&self) -> u64 {
         let mut inner = self.inner.lock().unwrap();
-        match inner.mvcc.as_mut() {
-            Some(m) => {
-                let ts = m.commit_ts;
-                *m.pins.entry(ts).or_insert(0) += 1;
-                m.stats.snapshots += 1;
-                ts
-            }
-            None => 0,
-        }
+        let m = &mut inner.mvcc;
+        let ts = m.commit_ts;
+        *m.pins.entry(ts).or_insert(0) += 1;
+        m.stats.snapshots += 1;
+        ts
     }
 
     /// Release one pin of snapshot `ts`.
     pub fn release_snapshot(&self, ts: u64) {
         let mut inner = self.inner.lock().unwrap();
-        if let Some(m) = inner.mvcc.as_mut() {
-            if let Some(n) = m.pins.get_mut(&ts) {
-                *n -= 1;
-                if *n == 0 {
-                    m.pins.remove(&ts);
-                }
+        if let Some(n) = inner.mvcc.pins.get_mut(&ts) {
+            *n -= 1;
+            if *n == 0 {
+                inner.mvcc.pins.remove(&ts);
             }
         }
     }
 
-    /// Number of active MVCC transactions.
+    /// Number of active transactions.
     pub fn active_txn_count(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap()
-            .mvcc
-            .as_ref()
-            .map_or(0, |m| m.active.len())
+        self.inner.lock().unwrap().mvcc.active.len()
     }
 
     /// The sole active transaction, if exactly one is open (the
     /// single-session attribution target).
     pub fn sole_active_txn(&self) -> Option<u64> {
         let inner = self.inner.lock().unwrap();
-        let m = inner.mvcc.as_ref()?;
-        if m.active.len() == 1 {
-            m.active.keys().next().copied()
+        let active = &inner.mvcc.active;
+        if active.len() == 1 {
+            active.keys().next().copied()
         } else {
             None
         }
     }
 
-    /// Transaction counters (all zero in legacy mode and after
-    /// `CORAL_MVCC=0`).
+    /// Transaction counters.
     pub fn tx_stats(&self) -> TxStats {
-        let inner = self.inner.lock().unwrap();
-        let mut s = inner.mvcc.as_ref().map(|m| m.stats).unwrap_or_default();
+        let mut s = self.inner.lock().unwrap().mvcc.stats;
         s.conflicts += self.locks.conflicts.load(Ordering::Relaxed);
         s.wounds += self.locks.wounds.load(Ordering::Relaxed);
         s
@@ -784,105 +715,8 @@ impl BufferPool {
     /// Record one group-commit batch of `txns` transactions.
     pub fn note_group_commit(&self, txns: u64) {
         let mut inner = self.inner.lock().unwrap();
-        if let Some(m) = inner.mvcc.as_mut() {
-            m.stats.group_commits += 1;
-            m.stats.group_committed_txns += txns;
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Legacy single-slot transaction (CORAL_MVCC=0).
-    // -----------------------------------------------------------------
-
-    /// Open a transaction: subsequent page writes save before-images and
-    /// pin their frames until [`Self::commit_txn`] or [`Self::abort_txn`].
-    /// Only one transaction may be open (the single-user model of §2);
-    /// unavailable on an MVCC pool.
-    pub fn begin_txn(&self) -> StorageResult<()> {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.mvcc.is_some() {
-            return Err(StorageError::Corrupt(
-                "single-slot transaction API unavailable in MVCC mode".into(),
-            ));
-        }
-        if inner.txn.is_some() {
-            return Err(StorageError::Corrupt("transaction already open".into()));
-        }
-        inner.txn = Some(HashMap::new());
-        Ok(())
-    }
-
-    /// True iff a legacy transaction is open.
-    pub fn in_txn(&self) -> bool {
-        self.inner.lock().unwrap().txn.is_some()
-    }
-
-    /// After-images of the pages dirtied so far by the open transaction,
-    /// *without* closing it. The commit protocol peeks the images here,
-    /// writes them to the log, and only then finalizes with
-    /// [`Self::commit_txn`] (on log success) or [`Self::abort_txn`] (on
-    /// log failure) — so a failed log write rolls the pool back instead
-    /// of leaving unlogged dirty pages free to reach disk.
-    pub fn txn_images(&self) -> StorageResult<Vec<PageImage>> {
-        let inner = self.inner.lock().unwrap();
-        let txn = inner
-            .txn
-            .as_ref()
-            .ok_or_else(|| StorageError::Corrupt("no open transaction".into()))?;
-        let mut images = Vec::with_capacity(txn.len());
-        for &(fid, pid) in txn.keys() {
-            let idx = *inner.map.get(&(fid, pid)).ok_or_else(|| {
-                StorageError::Corrupt("transaction page evicted despite pin".into())
-            })?;
-            images.push(((fid, pid), inner.frames[idx].data.clone()));
-        }
-        images.sort_by_key(|(k, _)| *k);
-        Ok(images)
-    }
-
-    /// Close the transaction, unpinning its pages. Returns the
-    /// after-images as `(location, bytes)` pairs.
-    pub fn commit_txn(&self) -> StorageResult<Vec<PageImage>> {
-        let mut inner = self.inner.lock().unwrap();
-        let txn = inner
-            .txn
-            .take()
-            .ok_or_else(|| StorageError::Corrupt("commit without open transaction".into()))?;
-        let mut images = Vec::with_capacity(txn.len());
-        for ((fid, pid), _) in txn {
-            let idx = *inner.map.get(&(fid, pid)).ok_or_else(|| {
-                StorageError::Corrupt("transaction page evicted despite pin".into())
-            })?;
-            images.push(((fid, pid), inner.frames[idx].data.clone()));
-            inner.frames[idx].pins = inner.frames[idx].pins.saturating_sub(1);
-        }
-        images.sort_by_key(|(k, _)| *k);
-        Ok(images)
-    }
-
-    /// Roll the transaction back: restore before-images and unpin.
-    pub fn abort_txn(&self) -> StorageResult<()> {
-        let mut inner = self.inner.lock().unwrap();
-        let txn = inner
-            .txn
-            .take()
-            .ok_or_else(|| StorageError::Corrupt("abort without open transaction".into()))?;
-        let mut missing = false;
-        for ((fid, pid), before) in txn {
-            let Some(&idx) = inner.map.get(&(fid, pid)) else {
-                missing = true;
-                continue;
-            };
-            inner.frames[idx].data = before;
-            inner.frames[idx].pins = inner.frames[idx].pins.saturating_sub(1);
-            inner.frames[idx].dirty = true;
-        }
-        if missing {
-            return Err(StorageError::Corrupt(
-                "transaction page evicted despite pin".into(),
-            ));
-        }
-        Ok(())
+        inner.mvcc.stats.group_commits += 1;
+        inner.mvcc.stats.group_committed_txns += txns;
     }
 
     /// Pin a page so it cannot be evicted (loads it if absent).
@@ -910,23 +744,19 @@ impl BufferPool {
         // commit/abort outcome.
         let locked: HashSet<PageKey> = inner
             .mvcc
-            .as_ref()
-            .map(|m| {
-                m.active
-                    .values()
-                    .flat_map(|t| t.write_set.iter().copied())
-                    .filter(|k| k.0 == fid)
-                    .collect()
-            })
-            .unwrap_or_default();
+            .active
+            .values()
+            .flat_map(|t| t.write_set.iter().copied())
+            .filter(|k| k.0 == fid)
+            .collect();
         for i in 0..inner.frames.len() {
             if let Some((k, pid)) = inner.frames[i].key {
                 if k == fid && inner.frames[i].dirty {
                     if locked.contains(&(k, pid)) {
                         let Inner { files, mvcc, .. } = &mut *inner;
                         let image = mvcc
-                            .as_ref()
-                            .and_then(|m| m.versions.get(&(k, pid)))
+                            .versions
+                            .get(&(k, pid))
                             .and_then(|l| l.last())
                             .map(|(_, img)| img)
                             .ok_or_else(|| {
@@ -978,10 +808,7 @@ impl BufferPool {
         for fid in fids {
             self.flush_file(fid)?;
         }
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(m) = inner.mvcc.as_mut() {
-            m.gc_all();
-        }
+        self.inner.lock().unwrap().mvcc.gc_all();
         Ok(())
     }
 
@@ -1042,8 +869,10 @@ mod tests {
         (pool, fid)
     }
 
-    fn mvcc_pool(name: &str, frames: usize, pages: u64) -> (BufferPool, FileId) {
-        let pool = BufferPool::new_mvcc(frames);
+    /// A warm pool with zero lock timeout, so contended writes fail
+    /// immediately instead of waiting.
+    fn txn_pool(name: &str, frames: usize, pages: u64) -> (BufferPool, FileId) {
+        let pool = BufferPool::new(frames);
         pool.set_lock_timeout(Duration::from_millis(0));
         let fid = FileId(0);
         pool.register_file(fid, PageFile::open(&tmpfile(name)).unwrap());
@@ -1139,23 +968,28 @@ mod tests {
     fn txn_abort_restores_before_images() {
         let (pool, fid) = pool_with_file("txn.pages", 4, 2);
         pool.with_page_mut(fid, PageId(0), |d| d[0] = 1).unwrap();
-        pool.begin_txn().unwrap();
-        pool.with_page_mut(fid, PageId(0), |d| d[0] = 2).unwrap();
-        pool.with_page_mut(fid, PageId(1), |d| d[0] = 3).unwrap();
-        pool.abort_txn().unwrap();
+        pool.tx_begin(1).unwrap();
+        for (pid, v) in [(0, 2), (1, 3)] {
+            pool.with_page_mut_view(fid, PageId(pid), View::Txn(1), |d| d[0] = v)
+                .unwrap();
+        }
+        pool.tx_abort(1).unwrap();
         assert_eq!(pool.with_page(fid, PageId(0), |d| d[0]).unwrap(), 1);
         assert_eq!(pool.with_page(fid, PageId(1), |d| d[0]).unwrap(), 0);
     }
 
     #[test]
-    fn txn_commit_returns_after_images() {
+    fn txn_prepare_returns_after_images() {
         let (pool, fid) = pool_with_file("txn2.pages", 4, 2);
-        pool.begin_txn().unwrap();
-        assert!(pool.in_txn());
-        pool.with_page_mut(fid, PageId(1), |d| d[9] = 9).unwrap();
-        pool.with_page_mut(fid, PageId(1), |d| d[10] = 10).unwrap();
-        let images = pool.commit_txn().unwrap();
-        assert!(!pool.in_txn());
+        pool.tx_begin(1).unwrap();
+        assert_eq!(pool.active_txn_count(), 1);
+        pool.with_page_mut_view(fid, PageId(1), View::Txn(1), |d| d[9] = 9)
+            .unwrap();
+        pool.with_page_mut_view(fid, PageId(1), View::Txn(1), |d| d[10] = 10)
+            .unwrap();
+        let images = pool.tx_prepare(1, &HashSet::new()).unwrap();
+        pool.tx_install(1).unwrap();
+        assert_eq!(pool.active_txn_count(), 0);
         assert_eq!(images.len(), 1, "one touched page, logged once");
         assert_eq!(images[0].0, (fid, PageId(1)));
         assert_eq!(images[0].1[9], 9);
@@ -1163,13 +997,16 @@ mod tests {
     }
 
     #[test]
-    fn nested_txn_rejected() {
+    fn duplicate_and_unknown_txn_ids_rejected() {
         let (pool, _) = pool_with_file("txn3.pages", 4, 1);
-        pool.begin_txn().unwrap();
-        assert!(pool.begin_txn().is_err());
-        pool.commit_txn().unwrap();
-        assert!(pool.commit_txn().is_err());
-        assert!(pool.abort_txn().is_err());
+        pool.tx_begin(1).unwrap();
+        assert!(pool.tx_begin(1).is_err());
+        pool.tx_install(1).unwrap();
+        assert!(matches!(
+            pool.tx_install(1),
+            Err(StorageError::UnknownTxn(1))
+        ));
+        assert!(matches!(pool.tx_abort(1), Err(StorageError::UnknownTxn(1))));
     }
 
     #[test]
@@ -1185,11 +1022,11 @@ mod tests {
         ));
     }
 
-    // -------------------------- MVCC ---------------------------------
+    // ----------------- snapshots, locks, validation ------------------
 
     #[test]
     fn snapshot_does_not_see_uncommitted_writes() {
-        let (pool, fid) = mvcc_pool("mv-snap.pages", 8, 2);
+        let (pool, fid) = txn_pool("mv-snap.pages", 8, 2);
         pool.with_page_mut(fid, PageId(0), |d| d[0] = 1).unwrap(); // bare
         pool.tx_begin(1).unwrap();
         let snap = pool.pin_snapshot();
@@ -1222,7 +1059,7 @@ mod tests {
 
     #[test]
     fn abort_restores_committed_image_and_releases_locks() {
-        let (pool, fid) = mvcc_pool("mv-abort.pages", 8, 2);
+        let (pool, fid) = txn_pool("mv-abort.pages", 8, 2);
         pool.with_page_mut(fid, PageId(0), |d| d[0] = 7).unwrap();
         pool.tx_begin(1).unwrap();
         pool.with_page_mut_view(fid, PageId(0), View::Txn(1), |d| d[0] = 8)
@@ -1239,7 +1076,7 @@ mod tests {
 
     #[test]
     fn write_write_conflict_is_retryable() {
-        let (pool, fid) = mvcc_pool("mv-ww.pages", 8, 2);
+        let (pool, fid) = txn_pool("mv-ww.pages", 8, 2);
         pool.tx_begin(1).unwrap();
         pool.tx_begin(2).unwrap();
         pool.with_page_mut_view(fid, PageId(0), View::Txn(1), |d| d[0] = 1)
@@ -1258,7 +1095,7 @@ mod tests {
 
     #[test]
     fn first_updater_wins_after_snapshot() {
-        let (pool, fid) = mvcc_pool("mv-fuw.pages", 8, 2);
+        let (pool, fid) = txn_pool("mv-fuw.pages", 8, 2);
         pool.tx_begin(1).unwrap();
         // Txn 2 commits a write to page 0 after txn 1's snapshot.
         pool.tx_begin(2).unwrap();
@@ -1274,7 +1111,7 @@ mod tests {
 
     #[test]
     fn read_validation_catches_rw_conflict() {
-        let (pool, fid) = mvcc_pool("mv-bocc.pages", 8, 2);
+        let (pool, fid) = txn_pool("mv-bocc.pages", 8, 2);
         pool.tx_begin(1).unwrap();
         // Txn 1 reads page 0.
         pool.with_page_view(fid, PageId(0), View::Txn(1), |_| ())
@@ -1295,7 +1132,7 @@ mod tests {
 
     #[test]
     fn live_write_attributed_to_sole_txn() {
-        let (pool, fid) = mvcc_pool("mv-attr.pages", 8, 2);
+        let (pool, fid) = txn_pool("mv-attr.pages", 8, 2);
         pool.tx_begin(9).unwrap();
         pool.with_page_mut(fid, PageId(0), |d| d[0] = 5).unwrap();
         // The write joined txn 9: aborting undoes it.
@@ -1306,7 +1143,7 @@ mod tests {
     #[test]
     fn checkpoint_flushes_committed_image_under_active_writer() {
         let path = tmpfile("mv-ckpt.pages");
-        let pool = BufferPool::new_mvcc(8);
+        let pool = BufferPool::new(8);
         let fid = FileId(0);
         pool.register_file(fid, PageFile::open(&path).unwrap());
         pool.allocate_page(fid).unwrap();
@@ -1327,7 +1164,7 @@ mod tests {
 
     #[test]
     fn snapshot_of_page_born_later_reads_zeros() {
-        let (pool, fid) = mvcc_pool("mv-born.pages", 8, 1);
+        let (pool, fid) = txn_pool("mv-born.pages", 8, 1);
         let snap = pool.pin_snapshot();
         pool.tx_begin(1).unwrap();
         let pid = pool.allocate_page(fid).unwrap();
@@ -1339,14 +1176,5 @@ mod tests {
             .unwrap();
         assert_eq!(v, 0, "page postdates the snapshot");
         pool.release_snapshot(snap);
-    }
-
-    #[test]
-    fn legacy_pool_has_zero_tx_stats() {
-        let (pool, fid) = pool_with_file("legacy-zero.pages", 4, 1);
-        pool.with_page_mut(fid, PageId(0), |d| d[0] = 1).unwrap();
-        assert_eq!(pool.tx_stats(), TxStats::default());
-        assert!(!pool.mvcc_enabled());
-        assert!(pool.tx_begin(1).is_err());
     }
 }

@@ -17,7 +17,7 @@ use crate::btree::BTree;
 use crate::buffer::{BufferPool, BufferStats, PageImage};
 use crate::check::CheckReport;
 use crate::error::{StorageError, StorageResult};
-use crate::file::{FileId, PageFile, PageId};
+use crate::file::{FileId, PageFile};
 use crate::heap::HeapFile;
 use crate::page::PAGE_SIZE;
 use crate::tx::{PageKey, TxStats, View};
@@ -59,13 +59,10 @@ pub struct StorageServer {
     vfs: Arc<dyn Vfs>,
     pool: Arc<BufferPool>,
     state: Mutex<ServerState>,
-    /// Whether the MVCC concurrency manager is on (`CORAL_MVCC`, default
-    /// on; `CORAL_MVCC=0` restores the PR-2 single-slot + RwLock path).
-    mvcc: bool,
     /// Named readers-writer locks handed out to storage structures whose
     /// operations span multiple pages (see [`StorageServer::named_lock`]).
     locks: Mutex<HashMap<String, Arc<RwLock<()>>>>,
-    /// Group-commit queue (MVCC mode only).
+    /// Group-commit queue.
     gc: Mutex<GcInner>,
     gc_cv: Condvar,
     /// Serializes commit-batch install against checkpoint, so the WAL is
@@ -89,23 +86,10 @@ impl StorageServer {
     /// pages, the write-ahead log, and the catalog — goes through the
     /// VFS, so a simulated file system (the `coral-sim` crate) can inject
     /// faults and crash points under every byte the server persists.
-    /// MVCC is on unless `CORAL_MVCC=0`.
     pub fn open_with_vfs(
         dir: &Path,
         frames: usize,
         vfs: Arc<dyn Vfs>,
-    ) -> StorageResult<StorageClient> {
-        let mvcc = std::env::var("CORAL_MVCC").map_or(true, |v| v != "0");
-        Self::open_with_mode(dir, frames, vfs, mvcc)
-    }
-
-    /// Open with an explicit concurrency mode (`mvcc = false` is the
-    /// legacy single-slot-transaction + relation-RwLock path).
-    pub fn open_with_mode(
-        dir: &Path,
-        frames: usize,
-        vfs: Arc<dyn Vfs>,
-        mvcc: bool,
     ) -> StorageResult<StorageClient> {
         vfs.create_dir_all(dir)?;
         let catalog = Self::read_catalog(vfs.as_ref(), &dir.join("catalog"))?;
@@ -139,11 +123,7 @@ impl StorageServer {
             wal.checkpoint()?;
         }
 
-        let pool = Arc::new(if mvcc {
-            BufferPool::new_mvcc(frames)
-        } else {
-            BufferPool::new(frames)
-        });
+        let pool = Arc::new(BufferPool::new(frames));
         let mut next_file = 0;
         for &no in catalog.values() {
             let pf = PageFile::open_with(vfs.as_ref(), &Self::file_path(dir, no))?;
@@ -161,7 +141,6 @@ impl StorageServer {
                 next_txn: 1,
                 active: HashSet::new(),
             }),
-            mvcc,
             locks: Mutex::new(HashMap::new()),
             gc: Mutex::new(GcInner::default()),
             gc_cv: Condvar::new(),
@@ -368,19 +347,14 @@ impl StorageServer {
         BTree::open_with_view(Arc::clone(&self.pool), fid, view)
     }
 
-    /// True iff the MVCC concurrency manager is on.
-    pub fn mvcc_enabled(&self) -> bool {
-        self.mvcc
-    }
-
-    /// Set the page write-lock wait budget (MVCC mode). Zero makes
+    /// Set the page write-lock wait budget. Zero makes
     /// contended acquisitions fail immediately — deterministic for the
     /// simulator.
     pub fn set_lock_timeout(&self, timeout: Duration) {
         self.pool.set_lock_timeout(timeout);
     }
 
-    /// Transaction counters (all zero under `CORAL_MVCC=0`).
+    /// Transaction counters.
     pub fn tx_stats(&self) -> TxStats {
         self.pool.tx_stats()
     }
@@ -390,16 +364,12 @@ impl StorageServer {
         self.state.lock().unwrap().active.len()
     }
 
-    /// Begin a transaction. Under MVCC any number may be open, each
-    /// reading a snapshot taken here; in legacy mode at most one.
+    /// Begin a transaction. Any number may be open, each reading a
+    /// snapshot taken here.
     pub fn begin(&self) -> StorageResult<u64> {
         let mut state = self.state.lock().unwrap();
         let id = state.next_txn;
-        if self.mvcc {
-            self.pool.tx_begin(id)?;
-        } else {
-            self.pool.begin_txn()?;
-        }
+        self.pool.tx_begin(id)?;
         state.next_txn += 1;
         state.active.insert(id);
         Ok(id)
@@ -414,9 +384,9 @@ impl StorageServer {
     /// leave unlogged dirty pages unpinned and free to reach disk, a
     /// state recovery knows nothing about.)
     ///
-    /// Under MVCC, commits are *grouped*: the first session to arrive
-    /// becomes the leader and flushes every transaction queued behind it
-    /// with one WAL write and one fsync, then installs them in log order
+    /// Commits are *grouped*: the first session to arrive becomes the
+    /// leader and flushes every transaction queued behind it with one
+    /// WAL write and one fsync, then installs them in log order
     /// (the commit-ordering barrier: commit timestamps are assigned in
     /// the order the WAL persisted). A validation failure
     /// ([`StorageError::TxnConflict`]) aborts that transaction only; the
@@ -431,37 +401,9 @@ impl StorageServer {
                 return Err(StorageError::UnknownTxn(txn));
             }
         }
-        let result = if self.mvcc {
-            self.group_commit(txn)
-        } else {
-            self.legacy_commit(txn)
-        };
+        let result = self.group_commit(txn);
         self.state.lock().unwrap().active.remove(&txn);
         result
-    }
-
-    fn legacy_commit(&self, txn: u64) -> StorageResult<()> {
-        let images = self.pool.txn_images()?;
-        let logged = {
-            let mut state = self.state.lock().unwrap();
-            let refs: Vec<(u32, PageId, &[u8])> = images
-                .iter()
-                .map(|((fid, pid), img)| (fid.0, *pid, img.as_ref()))
-                .collect();
-            state.wal.log_commit(txn, &refs)
-        };
-        match logged {
-            Ok(()) => {
-                self.pool.commit_txn()?;
-                Ok(())
-            }
-            Err(e) => {
-                // Roll back; if even that fails, the log error still wins
-                // (the caller can only treat both as "commit failed").
-                let _ = self.pool.abort_txn();
-                Err(e)
-            }
-        }
     }
 
     /// Queue `txn` for commit; lead a batch or wait for the leader.
@@ -578,11 +520,7 @@ impl StorageServer {
                 return Err(StorageError::UnknownTxn(txn));
             }
         }
-        if self.mvcc {
-            self.pool.tx_abort(txn)
-        } else {
-            self.pool.abort_txn()
-        }
+        self.pool.tx_abort(txn)
     }
 
     /// Flush all data files and truncate the log. Serialized against
@@ -800,8 +738,7 @@ mod tests {
     #[test]
     fn concurrent_txns_on_disjoint_relations_commit() {
         let dir = fresh_dir("mvcc-two");
-        let srv =
-            StorageServer::open_with_mode(&dir, 32, Arc::new(crate::vfs::StdVfs), true).unwrap();
+        let srv = StorageServer::open(&dir, 32).unwrap();
         let a = srv.heap("a.data").unwrap();
         let b = srv.heap("b.data").unwrap();
         let ta = srv.begin().unwrap();
@@ -823,8 +760,7 @@ mod tests {
     #[test]
     fn conflicting_txns_one_wins_one_retries() {
         let dir = fresh_dir("mvcc-conflict");
-        let srv =
-            StorageServer::open_with_mode(&dir, 32, Arc::new(crate::vfs::StdVfs), true).unwrap();
+        let srv = StorageServer::open(&dir, 32).unwrap();
         srv.set_lock_timeout(Duration::from_millis(0));
         let heap = srv.heap("r.data").unwrap();
         heap.insert(b"seed").unwrap(); // bare write, page 0 exists
@@ -845,8 +781,7 @@ mod tests {
     #[test]
     fn group_commit_batches_concurrent_committers() {
         let dir = fresh_dir("mvcc-group");
-        let srv =
-            StorageServer::open_with_mode(&dir, 64, Arc::new(crate::vfs::StdVfs), true).unwrap();
+        let srv = StorageServer::open(&dir, 64).unwrap();
         let threads: Vec<_> = (0..8u32)
             .map(|i| {
                 let client: StorageClient = Arc::clone(&srv);
@@ -876,23 +811,6 @@ mod tests {
         // scheduler makes no promises, so only assert accounting.
         assert_eq!(stats.group_committed_txns, 160);
         assert!(stats.group_commits <= 160);
-    }
-
-    #[test]
-    fn mvcc_escape_hatch_restores_legacy_path() {
-        let dir = fresh_dir("legacy-mode");
-        let srv =
-            StorageServer::open_with_mode(&dir, 16, Arc::new(crate::vfs::StdVfs), false).unwrap();
-        assert!(!srv.mvcc_enabled());
-        let heap = srv.heap("r.data").unwrap();
-        let txn = srv.begin().unwrap();
-        heap.insert(b"x").unwrap();
-        srv.commit(txn).unwrap();
-        assert_eq!(srv.tx_stats(), TxStats::default());
-        // Single-slot: a second concurrent begin fails in legacy mode.
-        let t1 = srv.begin().unwrap();
-        assert!(srv.begin().is_err());
-        srv.abort(t1).unwrap();
     }
 }
 

@@ -44,9 +44,8 @@ pub type PageKey = (FileId, PageId);
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum View {
     /// The live frames: newest state, including any uncommitted writes.
-    /// The compatibility view — single-session callers that predate MVCC
-    /// read and write through it (writes are attributed to the sole
-    /// active transaction, if any).
+    /// Single-session callers read and write through it (writes are
+    /// attributed to the sole active transaction, if any).
     #[default]
     Live,
     /// A frozen commit-timestamp snapshot: committed state as of the
@@ -58,8 +57,7 @@ pub enum View {
     Txn(u64),
 }
 
-/// Transaction-manager counters. All remain zero when MVCC is disabled
-/// (`CORAL_MVCC=0`) — the acceptance check for the RwLock escape hatch.
+/// Transaction-manager counters.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct TxStats {
     /// Transactions begun.

@@ -140,20 +140,6 @@ impl Wal {
         }
     }
 
-    /// Append and fsync a commit record.
-    pub fn log_commit(&mut self, txn: u64, pages: &[(u32, PageId, &[u8])]) -> StorageResult<()> {
-        let mut payload = Vec::with_capacity(12 + pages.len() * (12 + PAGE_SIZE));
-        payload.extend_from_slice(&txn.to_le_bytes());
-        payload.extend_from_slice(&(pages.len() as u32).to_le_bytes());
-        for (file_no, pid, image) in pages {
-            debug_assert_eq!(image.len(), PAGE_SIZE);
-            payload.extend_from_slice(&file_no.to_le_bytes());
-            payload.extend_from_slice(&pid.0.to_le_bytes());
-            payload.extend_from_slice(image);
-        }
-        self.append(KIND_COMMIT, &payload)
-    }
-
     /// Append and fsync a *batch* of commit records with a single write
     /// and a single sync — the group-commit fast path. The records land
     /// in slice order, which recovery (and therefore the commit-timestamp
@@ -298,13 +284,21 @@ mod tests {
         vec![fill; PAGE_SIZE]
     }
 
+    /// Log one transaction as a batch of one.
+    fn log_commit(w: &mut Wal, txn: u64, pages: &[(u32, PageId, &[u8])]) -> StorageResult<()> {
+        let pages = pages
+            .iter()
+            .map(|&(f, p, img)| (f, p, img.into()))
+            .collect();
+        w.log_commit_batch(&[(txn, pages)])
+    }
+
     #[test]
     fn commit_then_recover() {
         let mut w = wal("basic.wal");
         let img1 = image(1);
         let img2 = image(2);
-        w.log_commit(7, &[(0, PageId(3), &img1), (1, PageId(0), &img2)])
-            .unwrap();
+        log_commit(&mut w, 7, &[(0, PageId(3), &img1), (1, PageId(0), &img2)]).unwrap();
         let txns = w.recover().unwrap();
         assert_eq!(txns.len(), 1);
         assert_eq!(txns[0].txn, 7);
@@ -316,9 +310,9 @@ mod tests {
     #[test]
     fn checkpoint_clears_history() {
         let mut w = wal("ckpt.wal");
-        w.log_commit(1, &[(0, PageId(0), &image(1))]).unwrap();
+        log_commit(&mut w, 1, &[(0, PageId(0), &image(1))]).unwrap();
         w.checkpoint().unwrap();
-        w.log_commit(2, &[(0, PageId(1), &image(2))]).unwrap();
+        log_commit(&mut w, 2, &[(0, PageId(1), &image(2))]).unwrap();
         let txns = w.recover().unwrap();
         assert_eq!(txns.len(), 1);
         assert_eq!(txns[0].txn, 2);
@@ -328,8 +322,8 @@ mod tests {
     fn torn_tail_is_ignored_and_trimmed() {
         let path = {
             let mut w = wal("torn.wal");
-            w.log_commit(1, &[(0, PageId(0), &image(9))]).unwrap();
-            w.log_commit(2, &[(0, PageId(1), &image(8))]).unwrap();
+            log_commit(&mut w, 1, &[(0, PageId(0), &image(9))]).unwrap();
+            log_commit(&mut w, 2, &[(0, PageId(1), &image(8))]).unwrap();
             w.path().to_path_buf()
         };
         // Chop bytes off the tail, simulating a crash mid-write.
@@ -345,7 +339,7 @@ mod tests {
         let len_after = std::fs::metadata(&path).unwrap().len();
         assert!(len_after < data.len() as u64 - 100);
         assert_eq!(w.recover().unwrap().len(), 1);
-        w.log_commit(3, &[(0, PageId(2), &image(7))]).unwrap();
+        log_commit(&mut w, 3, &[(0, PageId(2), &image(7))]).unwrap();
         let txns = w.recover().unwrap();
         assert_eq!(
             txns.iter().map(|t| t.txn).collect::<Vec<_>>(),
@@ -358,8 +352,8 @@ mod tests {
     fn corrupt_checksum_stops_recovery() {
         let path = {
             let mut w = wal("crc.wal");
-            w.log_commit(1, &[(0, PageId(0), &image(1))]).unwrap();
-            w.log_commit(2, &[(0, PageId(1), &image(2))]).unwrap();
+            log_commit(&mut w, 1, &[(0, PageId(0), &image(1))]).unwrap();
+            log_commit(&mut w, 2, &[(0, PageId(1), &image(2))]).unwrap();
             w.path().to_path_buf()
         };
         let mut data = std::fs::read(&path).unwrap();
@@ -403,7 +397,7 @@ mod tests {
     fn multiple_commits_in_order() {
         let mut w = wal("order.wal");
         for t in 0..5u64 {
-            w.log_commit(t, &[(0, PageId(t), &image(t as u8))]).unwrap();
+            log_commit(&mut w, t, &[(0, PageId(t), &image(t as u8))]).unwrap();
         }
         let txns = w.recover().unwrap();
         assert_eq!(
