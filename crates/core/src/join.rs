@@ -151,9 +151,9 @@ pub trait RuleEnv {
 
     /// The columnar batch driving body position `pos`, if this
     /// evaluation has one (the semi-naive delta slot). Only consulted
-    /// when the slot's lookup pattern is
-    /// open (all distinct free variables), where a batch scan is
-    /// candidate-for-candidate identical to the relation lookup.
+    /// when the slot's lookup pattern is open (all distinct free
+    /// variables), where a batch scan is candidate-for-candidate
+    /// identical to the relation lookup.
     fn delta_batch(&self, pos: usize) -> Option<Arc<ColumnarBatch>> {
         let _ = pos;
         None
@@ -555,8 +555,8 @@ fn unify_row(envs: &mut EnvSet, lit_args: &[Term], env: EnvId, t: &Tuple) -> boo
         .all(|(a, b)| unify(envs, a, env, b, tenv))
 }
 
-/// Fast path for a fully ground candidate: bind pattern
-/// variables directly and compare ground pattern arguments by term
+/// Fast path for a fully ground candidate: bind pattern variables
+/// directly and compare ground pattern arguments by term
 /// equality — exactly the decision unifying two ground terms makes —
 /// skipping the candidate frame and the unifier. Returns `None` when a
 /// pattern argument dereferences to a non-ground functor term, in which

@@ -17,13 +17,14 @@
 //!
 //! Reordering is safety-preserving by construction: only runs of
 //! consecutive *positive* literals between negation/comparison barriers
-//! are permuted (the same rule as the legacy heuristic), and the
-//! permuted rule's semi-naive versions and backtrack points are
+//! are permuted (the same rule as the `@reorder_joins` heuristic), a
+//! builtin is held back until its binding requirements are met, and
+//! the permuted rule's semi-naive versions and backtrack points are
 //! recomputed so the evaluator sees a self-consistent [`CompiledRule`].
 //! Ties break by source position, so planning is deterministic given
 //! the statistics — and the statistics are deterministic functions of
 //! relation contents, which semi-naive evaluation fixes independently
-//! of thread count or columnar mode.
+//! of thread count.
 
 use crate::compile::{BodyElem, CompiledModule, CompiledRule};
 use coral_lang::PredRef;

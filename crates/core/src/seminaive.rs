@@ -672,21 +672,32 @@ impl FixpointState {
                 delta_batch: None,
                 hashjoin: Some(&self.hj),
             };
-            let mut bound: HashSet<coral_term::VarId> = HashSet::new();
+            let mut bound: std::collections::HashSet<coral_term::VarId> =
+                std::collections::HashSet::new();
             for (pos, elem) in rule.body.iter().enumerate() {
-                let probed = match elem {
-                    BodyElem::Local { lit, recursive } => Some((lit, true, *recursive)),
-                    BodyElem::External { lit } => Some((lit, false, false)),
-                    _ => None,
-                };
-                if let Some((lit, local, recursive)) = probed.filter(|_| pos != delta_pos) {
-                    let cols = crate::planner::bound_cols(lit, &bound);
-                    if !cols.is_empty() {
-                        if let Some(t) =
-                            probe_ctx.hash_table(lit, local, recursive, pos, version, &cols)
-                        {
-                            hash_tables.insert(pos, t);
+                if pos != delta_pos {
+                    match elem {
+                        BodyElem::Local { lit, recursive } => {
+                            let cols = crate::planner::bound_cols(lit, &bound);
+                            if !cols.is_empty() {
+                                if let Some(t) =
+                                    probe_ctx.hash_table(lit, true, *recursive, pos, version, &cols)
+                                {
+                                    hash_tables.insert(pos, t);
+                                }
+                            }
                         }
+                        BodyElem::External { lit } => {
+                            let cols = crate::planner::bound_cols(lit, &bound);
+                            if !cols.is_empty() {
+                                if let Some(t) =
+                                    probe_ctx.hash_table(lit, false, false, pos, version, &cols)
+                                {
+                                    hash_tables.insert(pos, t);
+                                }
+                            }
+                        }
+                        _ => {}
                     }
                 }
                 bound.extend(elem.vars());

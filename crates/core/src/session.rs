@@ -427,9 +427,9 @@ impl Session {
     /// persistent relations: every handle's reads and writes go through
     /// the transaction until [`Session::end_request_txn`]. Returns
     /// `None` (a no-op) when no storage is attached. The network server
-    /// brackets each
-    /// mutating request this way; a [`Session::is_txn_conflict`] error
-    /// anywhere in between means "abort and retry".
+    /// brackets each mutating request this way; a
+    /// [`Session::is_txn_conflict`] error anywhere in between means
+    /// "abort and retry".
     pub fn begin_request_txn(&self) -> EvalResult<Option<u64>> {
         let Some(storage) = self.storage.borrow().clone() else {
             return Ok(None);

@@ -644,7 +644,7 @@ impl Relation for PersistentRelation {
             None => {
                 let pattern = pattern.to_vec();
                 // The lazy fallback scan outlives this call, so it carries
-                // its own snapshot pin (MVCC) or view (legacy/txn).
+                // its own snapshot pin, or the transaction's view.
                 let scan = match &snap {
                     Some((guard, _)) => self
                         .heap
