@@ -1,8 +1,9 @@
 //! Check the E22 acceptance criterion against a
 //! `BENCH_maintain_churn.json` report: on every churn workload the
 //! maintained rows must show at least 10× fewer `core.join_probes` per
-//! answer delivered than the recompute rows, the
-//! `core.maintain_propagated` counter must confirm the maintenance
+//! answer delivered than the recompute rows and a lower `median_ns`
+//! (a repair that wins on probes and loses on the clock is not a win),
+//! the `core.maintain_propagated` counter must confirm the maintenance
 //! machinery actually ran (and stayed out of the recompute rows), and
 //! the strategy-specific counters must show each strategy engaged:
 //! `core.maintain_count_updates > 0` on the counting workload,
@@ -63,12 +64,16 @@ fn main() -> ExitCode {
         .and_then(Val::as_arr)
         .map(|a| a.iter().filter_map(Val::as_obj).collect())
         .unwrap_or_default();
-    let counters_of = |id: &str| -> Option<&[(String, Val)]> {
-        let row = benchmarks
+    let row_of = |id: &str| -> Option<&[(String, Val)]> {
+        benchmarks
             .iter()
             .copied()
-            .find(|b| json::get_str(b, "id").is_ok_and(|s| s == id))?;
-        json::get(row, "counters").ok().and_then(Val::as_obj)
+            .find(|b| json::get_str(b, "id").is_ok_and(|s| s == id))
+    };
+    let counters_of = |id: &str| -> Option<&[(String, Val)]> {
+        json::get(row_of(id)?, "counters")
+            .ok()
+            .and_then(Val::as_obj)
     };
 
     if benchmarks.iter().all(|b| {
@@ -92,6 +97,16 @@ fn main() -> ExitCode {
             failures.push(format!("{w}: missing maintain or recompute row"));
             continue;
         };
+        // The wall-clock gate: both rows run the identical cycle.
+        let median =
+            |mode: &str| row_of(&format!("{w}/{mode}")).map_or(0, |r| counter(r, "median_ns"));
+        let (mt, rt) = (median("maintain"), median("recompute"));
+        if mt == 0 || mt >= rt {
+            failures.push(format!(
+                "{w}: maintain median {mt} ns is not below recompute median {rt} ns"
+            ));
+        }
+        println!("{w}: median_ns recompute {rt} maintain {mt}");
         if counter(m, "core.maintain_propagated") == 0 {
             failures.push(format!(
                 "{w}: maintained row never propagated a base delta — the gate is vacuous"

@@ -18,7 +18,7 @@ use crate::error::{EvalError, EvalResult};
 use crate::join::ExternalResolver;
 use crate::planner::StatsSource;
 use crate::rewrite::rewrite_module;
-use crate::scan::{scan_to_iter, AnswerScan, IterScan, VecScan};
+use crate::scan::{scan_to_iter, AnswerScan, IterScan, TupleScan};
 use crate::seminaive::{FixpointState, LocalSetup, Strategy};
 use coral_lang::{
     Adornment, AggFn, Annotation, Binding, FixpointKind, Literal, MaintainKind, Module, PredRef,
@@ -792,7 +792,7 @@ impl Engine {
     /// Apply the optimizer's index recommendations to base relations
     /// (idempotent; silently skipped for relation implementations that
     /// do not take indices, e.g. computed relations).
-    fn apply_external_indexes(&self, mdef: &ModuleDef, cm: &CompiledModule) {
+    pub(crate) fn apply_external_indexes(&self, mdef: &ModuleDef, cm: &CompiledModule) {
         for (pred, cols) in &cm.external_indexes {
             if let Some(rel) = self.inner.db.get(pred.name, pred.arity) {
                 let _ = rel.make_index(IndexSpec::Args(cols.clone()));
@@ -895,8 +895,8 @@ impl Engine {
         let adornment = self.choose_adornment(&mdef, pred, pattern)?;
         // Incrementally maintained exports answer from the maintained
         // state without re-running the fixpoint.
-        if let Some(answers) = crate::maintain::try_maintained_call(self, &mdef, pred, pattern)? {
-            return Ok(Box::new(VecScan::new(answers)));
+        if let Some(scan) = crate::maintain::try_maintained_call(self, &mdef, pred, pattern)? {
+            return Ok(scan);
         }
         let cm = self.compiled_for(&mdef, pred, &adornment, dontcare)?;
         self.apply_external_indexes(&mdef, &cm);
@@ -908,7 +908,8 @@ impl Engine {
         }
         // Plain materialized call: fresh state, discarded afterwards
         // ("CORAL … discards all intermediate facts and subgoals computed
-        // by a module at the end of a call", §5.4.2).
+        // by a module at the end of a call", §5.4.2); an all-free answer
+        // scan keeps just the answers' subsidiaries alive.
         let mut state = FixpointState::new(Rc::clone(&cm), &mdef.setup)?
             .with_strategy(Strategy::from(mdef.controls.fixpoint))
             .with_threads(self.threads());
@@ -921,7 +922,7 @@ impl Engine {
             )));
         }
         state.run(self)?;
-        Ok(Box::new(answers_scan(&state, pattern)))
+        Ok(answers_scan(&state, pattern))
     }
 
     /// Run a top-level query: returns the scan of full-arity answer
@@ -958,37 +959,53 @@ impl Engine {
     }
 }
 
-/// Expand projected answers back to the query arity and filter to those
-/// unifying with the pattern.
-pub(crate) fn answers_scan(state: &FixpointState, pattern: &[Term]) -> VecScan {
-    let cm = state.compiled();
-    let answers = state.answers();
-    let dontcare = &cm.rewritten.dontcare;
-    let mut out = Vec::new();
-    if dontcare.is_empty() {
-        for t in answers.lookup(pattern).flatten() {
-            out.push(t);
+/// Re-expansion of projected answers to the query arity: kept columns
+/// back in place, a fresh variable at every don't-care position.
+pub(crate) fn expander(full_arity: usize, dontcare: &[usize]) -> impl Fn(Tuple) -> Tuple {
+    let dontcare = dontcare.to_vec();
+    move |t| {
+        if dontcare.is_empty() {
+            return t;
         }
-    } else {
-        let full_arity = pattern.len();
-        let kept: Vec<usize> = (0..full_arity).filter(|j| !dontcare.contains(j)).collect();
-        for t in answers.scan().flatten() {
-            let mut args = vec![Term::var(0); full_arity];
-            let mut next_var = t.nvars();
-            for (k, &j) in kept.iter().enumerate() {
-                args[j] = t.args()[k].clone();
-            }
-            for &j in dontcare {
-                args[j] = Term::Var(VarId(next_var));
-                next_var += 1;
-            }
-            out.push(Tuple::new(args));
-        }
+        let mut fresh = t.nvars()..;
+        let mut kept = t.args().iter().cloned();
+        let arg = |j| match dontcare.contains(&j) {
+            true => Term::Var(VarId(fresh.next().expect("unbounded"))),
+            false => kept.next().expect("one stored column per kept position"),
+        };
+        Tuple::new((0..full_arity).map(arg).collect())
     }
-    // Final unification filter (bindings not propagated by the chosen
-    // query form are applied here as a post-selection).
-    out.retain(|t| unifies_with(pattern, t));
-    VecScan::new(out)
+}
+
+/// The one read path of a materialized answers relation, maintained or
+/// not: the answers unifying with `pattern`, re-expanded over the
+/// positions the rewriting projected away. The scan is a copy-on-write
+/// snapshot taken at open, and keeps the subsidiaries it reads alive, so
+/// the caller may drop `state`. An all-distinct-variables pattern
+/// streams the relation — nothing is copied or unified per tuple before
+/// it is pulled; any other pattern filters (an indexed lookup, when
+/// nothing was projected away), which applies the bindings the chosen
+/// query form did not propagate as a post-selection.
+pub(crate) fn answers_scan(state: &FixpointState, pattern: &[Term]) -> Box<dyn AnswerScan> {
+    let rel = state.answers();
+    let dontcare = &state.compiled().rewritten.dontcare;
+    let all_free = pattern
+        .iter()
+        .enumerate()
+        .all(|(i, t)| matches!(t, Term::Var(_)) && !pattern[..i].contains(t));
+    let filter = || {
+        let pattern = pattern.to_vec();
+        move |t: &Tuple| unifies_with(&pattern, t)
+    };
+    if dontcare.is_empty() && !all_free {
+        return Box::new(TupleScan(rel.lookup(pattern).flatten().filter(filter())));
+    }
+    let scan = rel.scan_owned().map(expander(pattern.len(), dontcare));
+    if all_free {
+        Box::new(TupleScan(scan))
+    } else {
+        Box::new(TupleScan(scan.filter(filter())))
+    }
 }
 
 pub(crate) fn unifies_with(pattern: &[Term], t: &Tuple) -> bool {
@@ -1007,24 +1024,23 @@ pub(crate) fn unifies_with(pattern: &[Term], t: &Tuple) -> bool {
 
 /// Frame-free filter for the dominant case: every tuple argument ground,
 /// every pattern argument either ground (decided by term equality) or a
-/// variable (bound positionally, repeated occurrences compared for
-/// consistency). Returns `None` — take the general unifier — as soon as
-/// a non-ground term appears on either side.
-fn fast_unifies_with(pattern: &[Term], t: &Tuple) -> Option<bool> {
-    let mut binds: Vec<(coral_term::VarId, &Term)> = Vec::new();
-    for (p, a) in pattern.iter().zip(t.args()) {
+/// variable (a repeated occurrence must hold the term its first
+/// occurrence holds). Returns `None` — take the general unifier — as
+/// soon as a non-ground term appears on either side.
+pub(crate) fn fast_unifies_with(pattern: &[Term], t: &Tuple) -> Option<bool> {
+    let args = t.args();
+    for (i, (p, a)) in pattern.iter().zip(args).enumerate() {
         if !a.is_ground() {
             return None;
         }
         match p {
-            Term::Var(v) => match binds.iter().find(|(bv, _)| bv == v) {
-                Some((_, prev)) => {
-                    if *prev != a {
+            Term::Var(_) => {
+                if let Some(first) = pattern[..i].iter().position(|q| q == p) {
+                    if args[first] != *a {
                         return Some(false);
                     }
                 }
-                None => binds.push((*v, a)),
-            },
+            }
             g if g.is_ground() => {
                 if g != a {
                     return Some(false);

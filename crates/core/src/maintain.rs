@@ -23,20 +23,32 @@
 //!
 //! Safety discipline: a maintained state is **stale** from the moment a
 //! propagation starts until it completes; any anomaly the algebra cannot
-//! model (non-ground tuples, count underflow, a relation disagreeing
-//! with its shadow) leaves the state stale, and a stale state is
-//! discarded and rebuilt on the next query — never answered from.
+//! model (non-ground tuples, count underflow, an insert or delete whose
+//! outcome contradicts the repair's bookkeeping) leaves the state stale,
+//! and a stale state is discarded and rebuilt on the next query — never
+//! answered from.
+//!
+//! Cost discipline: a maintained state is the kept [`FixpointState`] and
+//! nothing per tuple beside it (derivation counts for counting SCCs
+//! excepted). Membership is decided by the relation's own
+//! exact-duplicate map ([`HashRelation::contains_exact`] and the `bool`
+//! results of `insert`/`delete`), a repair records its net delta where
+//! each change happens, and the propagation indexes are built when the
+//! first change arrives — so a query costs nothing beyond the fixpoint
+//! and a repair allocates in proportion to what it changes.
 
 use crate::compile::{BodyElem, CompiledModule, CompiledRule, CompiledScc, SnVersion};
 use crate::engine::{Engine, ModuleDef};
 use crate::error::EvalResult;
 use crate::join::{eval_rule, resolve_head, ExternalResolver, JoinCtx, Ranges};
 use crate::rewrite::rewrite_module;
+use crate::scan::AnswerScan;
 use crate::seminaive::{FixpointState, Strategy};
 use coral_lang::{Adornment, FixpointKind, Literal, MaintainKind, PredRef, RewriteKind};
 use coral_rel::{CountChange, CountStore, HashRelation, IndexSpec, Relation, TupleIter};
 use coral_term::bindenv::EnvSet;
 use coral_term::{Term, Tuple, VarId};
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
@@ -73,14 +85,28 @@ pub(crate) enum SccStrategy {
 /// tuple is a genuine presence transition of its relation.
 #[derive(Clone, Default, Debug)]
 struct Delta {
-    ins: Vec<Tuple>,
-    del: Vec<Tuple>,
+    ins: Rc<Vec<Tuple>>,
+    del: Rc<Vec<Tuple>>,
+}
+
+impl Delta {
+    fn new(ins: Vec<Tuple>, del: Vec<Tuple>) -> Delta {
+        Delta {
+            ins: Rc::new(ins),
+            del: Rc::new(del),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.ins.is_empty() && self.del.is_empty()
+    }
 }
 
 /// Per-predicate deltas accumulated while a propagation walks the SCCs.
 type Changes = HashMap<PredRef, Delta>;
 
 /// How a sentinel predicate resolves during transformed-rule evaluation.
+#[derive(Clone)]
 enum View {
     /// Enumerate exactly these tuples (a delta or round list).
     List(Rc<Vec<Tuple>>),
@@ -122,11 +148,18 @@ fn ext(lit: &Literal, to: PredRef) -> BodyElem {
     }
 }
 
-/// `(pred, negated)` of a literal element, `None` for comparisons.
-fn elem_pred(e: &BodyElem) -> Option<(PredRef, bool)> {
+fn neg(lit: &Literal, to: PredRef) -> BodyElem {
+    BodyElem::Negated {
+        lit: relit(lit, to),
+        local: false,
+    }
+}
+
+/// `(literal, negated)` of a literal element, `None` for comparisons.
+fn elem_lit(e: &BodyElem) -> Option<(&Literal, bool)> {
     match e {
-        BodyElem::Local { lit, .. } | BodyElem::External { lit } => Some((lit.pred_ref(), false)),
-        BodyElem::Negated { lit, .. } => Some((lit.pred_ref(), true)),
+        BodyElem::Local { lit, .. } | BodyElem::External { lit } => Some((lit, false)),
+        BodyElem::Negated { lit, .. } => Some((lit, true)),
         BodyElem::Compare { .. } => None,
     }
 }
@@ -157,15 +190,9 @@ fn baseline(e: &BodyElem, changed: &HashSet<PredRef>, old: bool) -> BodyElem {
         BodyElem::Negated { lit, local } => {
             let p = lit.pred_ref();
             if old && changed.contains(&p) {
-                BodyElem::Negated {
-                    lit: relit(lit, sent("old", p)),
-                    local: false,
-                }
+                neg(lit, sent("old", p))
             } else if *local {
-                BodyElem::Negated {
-                    lit: relit(lit, sent("cur", p)),
-                    local: false,
-                }
+                neg(lit, sent("cur", p))
             } else {
                 e.clone()
             }
@@ -278,70 +305,41 @@ fn delta_variants(
 ) -> Vec<Variant> {
     let mut out = Vec::new();
     for (k, e) in rule.body.iter().enumerate() {
-        let Some((p, negated)) = elem_pred(e) else {
+        let Some((lit, negated)) = elem_lit(e) else {
             continue;
         };
+        let p = lit.pred_ref();
         if !delta_preds.contains(&p) {
             continue;
         }
-        let lit = match e {
-            BodyElem::Local { lit, .. }
-            | BodyElem::External { lit }
-            | BodyElem::Negated { lit, .. } => lit,
-            BodyElem::Compare { .. } => unreachable!(),
-        };
-        if !negated {
-            // Positive occurrence: insertions create derivations,
-            // deletions destroy them.
-            if effects != Effects::Negative {
-                out.push(Variant {
-                    rule: make_variant(rule, k, ext(lit, sent("di", p)), None, changed, phase),
-                    sign: 1,
-                });
-            }
-            if effects != Effects::Positive {
-                out.push(Variant {
-                    rule: make_variant(rule, k, ext(lit, sent("dd", p)), None, changed, phase),
-                    sign: -1,
-                });
-            }
+        // Positive occurrence: insertions create derivations, deletions
+        // destroy them. Negated occurrence: a *deletion* from `p`
+        // creates derivations (`¬p` holds now, witnessed by the deleted
+        // tuple), an *insertion* destroys them (`¬p` held before,
+        // witnessed by the inserted tuple). The witness sits at body end
+        // where its arguments are fully bound, and yields at most one
+        // tuple, so each transition counts exactly once.
+        let variants = if negated {
+            [
+                (1, neg(lit, sent("cur", p)), Some(ext(lit, sent("wd", p)))),
+                (-1, neg(lit, sent("old", p)), Some(ext(lit, sent("wi", p)))),
+            ]
         } else {
-            // Negated occurrence: a *deletion* from `p` creates
-            // derivations (`¬p` holds now, witnessed by the deleted
-            // tuple), an *insertion* destroys them (`¬p` held before,
-            // witnessed by the inserted tuple). The witness sits at body
-            // end where its arguments are fully bound, and yields at
-            // most one tuple, so each transition counts exactly once.
-            if effects != Effects::Negative {
+            [
+                (1, ext(lit, sent("di", p)), None),
+                (-1, ext(lit, sent("dd", p)), None),
+            ]
+        };
+        for (sign, delta_elem, witness) in variants {
+            let wanted = match effects {
+                Effects::Positive => sign > 0,
+                Effects::Negative => sign < 0,
+                Effects::Both => true,
+            };
+            if wanted {
                 out.push(Variant {
-                    rule: make_variant(
-                        rule,
-                        k,
-                        BodyElem::Negated {
-                            lit: relit(lit, sent("cur", p)),
-                            local: false,
-                        },
-                        Some(ext(lit, sent("wd", p))),
-                        changed,
-                        phase,
-                    ),
-                    sign: 1,
-                });
-            }
-            if effects != Effects::Positive {
-                out.push(Variant {
-                    rule: make_variant(
-                        rule,
-                        k,
-                        BodyElem::Negated {
-                            lit: relit(lit, sent("old", p)),
-                            local: false,
-                        },
-                        Some(ext(lit, sent("wi", p))),
-                        changed,
-                        phase,
-                    ),
-                    sign: -1,
+                    rule: make_variant(rule, k, delta_elem, witness, changed, phase),
+                    sign,
                 });
             }
         }
@@ -361,15 +359,6 @@ fn full_variant(rule: &CompiledRule) -> CompiledRule {
     make_rule(rule, body)
 }
 
-fn elem_lit(e: &BodyElem) -> Option<&Literal> {
-    match e {
-        BodyElem::Local { lit, .. }
-        | BodyElem::External { lit }
-        | BodyElem::Negated { lit, .. } => Some(lit),
-        BodyElem::Compare { .. } => None,
-    }
-}
-
 fn term_bound(t: &Term, bound: &HashSet<VarId>) -> bool {
     let mut vs = Vec::new();
     t.collect_vars(&mut vs);
@@ -386,7 +375,8 @@ fn term_bound(t: &Term, bound: &HashSet<VarId>) -> bool {
 /// head's arguments bind first. Over-approximation is harmless (lookup
 /// only uses an index whose columns are actually bound by the query
 /// pattern), creation is idempotent, and the relations are in-memory,
-/// so this is cheap one-time work per build or restore.
+/// so this is cheap one-time work — done when a state's first change
+/// arrives, never for a state that is only queried.
 fn ensure_propagation_indexes(engine: &Engine, state: &FixpointState, cm: &CompiledModule) {
     let local: HashSet<PredRef> = cm.local_preds.iter().copied().collect();
     let mut wanted: HashSet<(PredRef, Vec<usize>)> = HashSet::new();
@@ -402,7 +392,7 @@ fn ensure_propagation_indexes(engine: &Engine, state: &FixpointState, cm: &Compi
                         t.collect_vars(&mut vs);
                     }
                 } else {
-                    let Some(lit) = elem_lit(&rule.body[k]) else {
+                    let Some((lit, _)) = elem_lit(&rule.body[k]) else {
                         continue;
                     };
                     for t in &lit.args {
@@ -414,7 +404,9 @@ fn ensure_propagation_indexes(engine: &Engine, state: &FixpointState, cm: &Compi
                     if i == k {
                         continue;
                     }
-                    let Some(lit) = elem_lit(e) else { continue };
+                    let Some((lit, _)) = elem_lit(e) else {
+                        continue;
+                    };
                     let cols: Vec<usize> = lit
                         .args
                         .iter()
@@ -453,18 +445,16 @@ fn make_views(cm: &CompiledModule, changes: &Changes) -> Views {
         views.insert(sent("cur", *p), View::Cur { orig: *p });
     }
     for (p, d) in changes {
-        let ins = Rc::new(d.ins.clone());
-        let del = Rc::new(d.del.clone());
-        views.insert(sent("di", *p), View::List(Rc::clone(&ins)));
-        views.insert(sent("dd", *p), View::List(Rc::clone(&del)));
-        views.insert(sent("wi", *p), View::Witness(ins));
-        views.insert(sent("wd", *p), View::Witness(Rc::clone(&del)));
+        views.insert(sent("di", *p), View::List(Rc::clone(&d.ins)));
+        views.insert(sent("dd", *p), View::List(Rc::clone(&d.del)));
+        views.insert(sent("wi", *p), View::Witness(Rc::clone(&d.ins)));
+        views.insert(sent("wd", *p), View::Witness(Rc::clone(&d.del)));
         views.insert(
             sent("old", *p),
             View::Old {
                 orig: *p,
                 ins: Rc::new(d.ins.iter().cloned().collect()),
-                del,
+                del: Rc::clone(&d.del),
             },
         );
         views.insert(sent("cur", *p), View::Cur { orig: *p });
@@ -514,8 +504,8 @@ impl ExternalResolver for MaintainResolver<'_> {
         };
         match view {
             View::List(v) => {
-                let out: Vec<Tuple> = v.iter().cloned().collect();
-                Ok(Box::new(out.into_iter().map(Ok)))
+                let v = Rc::clone(v);
+                Ok(Box::new((0..v.len()).map(move |i| Ok(v[i].clone()))))
             }
             View::Witness(v) => {
                 let first = v
@@ -583,14 +573,24 @@ fn eval_variant(
 /// cost model asked for it.
 const AUTO_MIN_BASE: usize = 16;
 
+/// Gate for DRed's overdeletion phase: once the cone passes
+/// `max(DRED_MIN_CONE, stored / 2)` tuples of the SCC, rederiving it
+/// costs more than recomputing the module, so the repair gives up
+/// (relations still untouched) and the next query rebuilds. The floor
+/// keeps small relations on the repair path whatever the cone's share.
+const DRED_MIN_CONE: usize = 4096;
+
 /// A maintained materialization of one exported predicate: the kept
-/// fixpoint state, per-SCC repair strategies, derivation counts for the
-/// counting SCCs, and exact shadow sets mirroring every local relation.
+/// fixpoint state, per-SCC repair strategies, and derivation counts for
+/// the counting SCCs. Every local relation is a set of ground tuples
+/// (checked at build), so its own duplicate map decides membership.
 pub(crate) struct MaintainedState {
     state: FixpointState,
     strategies: Vec<SccStrategy>,
     counts: HashMap<PredRef, CountStore>,
-    shadow: HashMap<PredRef, HashSet<Tuple>>,
+    /// Whether the propagation indexes exist yet (built by the first
+    /// `propagate`; a state that is only queried never pays for them).
+    indexed: bool,
     /// Base predicates (external, non-builtin) this module reads;
     /// sorted for deterministic fingerprints.
     base_deps: Vec<PredRef>,
@@ -683,9 +683,10 @@ fn prepare(
     for scc in &cm.sccs {
         for rule in &scc.rules {
             for e in &rule.body {
-                let (p, _) = match e {
-                    BodyElem::External { lit } => (lit.pred_ref(), false),
-                    BodyElem::Negated { lit, local: false } => (lit.pred_ref(), true),
+                let p = match e {
+                    BodyElem::External { lit } | BodyElem::Negated { lit, local: false } => {
+                        lit.pred_ref()
+                    }
                     _ => continue,
                 };
                 if crate::engine::builtins::is_builtin(p) {
@@ -737,26 +738,9 @@ fn prepare(
 }
 
 impl MaintainedState {
-    /// Whether this state must be rebuilt before answering.
-    pub(crate) fn stale(&self) -> bool {
-        self.stale
-    }
-
-    /// Answer a query pattern from the maintained answers relation.
-    pub(crate) fn answers(&self, pattern: &[Term]) -> EvalResult<Vec<Tuple>> {
-        let rel = self.state.answers();
-        let mut out = Vec::new();
-        for t in rel.lookup(pattern) {
-            let t = t?;
-            if crate::engine::unifies_with(pattern, &t) {
-                out.push(t);
-            }
-        }
-        Ok(out)
-    }
-
     /// Build a fresh maintained state by running the module's fixpoint
-    /// to completion, then initializing shadows and derivation counts.
+    /// to completion, then checking every local relation is a ground set
+    /// and initializing derivation counts.
     /// `Ok(None)` means unmaintainable (cached); `Err` is a genuine
     /// evaluation error the ordinary call path would also hit.
     fn build(
@@ -774,27 +758,22 @@ impl MaintainedState {
             .with_threads(engine.threads());
         state.seed(&vec![Term::var(0); pred.arity])?;
         state.run(engine)?;
-        ensure_propagation_indexes(engine, &state, &cm);
-        let mut shadow: HashMap<PredRef, HashSet<Tuple>> = HashMap::new();
-        for p in &cm.local_preds {
-            let rel = state.locals().require(*p);
-            let mut set = HashSet::new();
-            for t in rel.scan() {
-                let t = t?;
-                if !t.is_ground() {
-                    return Ok(None);
-                }
-                set.insert(t);
-            }
-            if set.len() != rel.len() {
-                // Duplicate-collapsed or subsumed contents: the shadow
-                // cannot mirror the relation exactly.
-                return Ok(None);
-            }
-            shadow.insert(*p, set);
+        // Non-ground, duplicate-collapsed or subsumed contents: neither
+        // algebra models them.
+        if !cm
+            .local_preds
+            .iter()
+            .all(|p| state.locals().require(*p).is_ground_set())
+        {
+            return Ok(None);
         }
         // Recount derivations for every counting SCC and cross-check
-        // against the fixpoint's contents.
+        // against the fixpoint's contents. The recount joins the rules as
+        // compiled, probing base relations the fixpoint read through
+        // transient hash tables: give it the indexes a plain call gets.
+        if strategies.contains(&SccStrategy::Counting) {
+            engine.apply_external_indexes(mdef, &cm);
+        }
         let mut counts: HashMap<PredRef, CountStore> = HashMap::new();
         let empty = Changes::new();
         let views = make_views(&cm, &empty);
@@ -809,27 +788,19 @@ impl MaintainedState {
             for rule in &scc.rules {
                 let h = rule.head.pred_ref();
                 let fv = full_variant(rule);
-                let mut tainted = false;
                 eval_variant(engine, &state, &views, &fv, &mut |t| {
-                    if !t.is_ground() {
-                        tainted = true;
-                        return Ok(());
-                    }
                     *acc.get_mut(&h).expect("scc head").entry(t).or_insert(0) += 1;
                     Ok(())
                 })?;
-                if tainted {
-                    return Ok(None);
-                }
             }
             for (p, m) in acc {
                 let mut store = CountStore::new();
                 for (t, n) in m {
                     store.set(t, n);
                 }
-                // The counted support must be exactly the relation.
-                let sh = shadow.get(&p).expect("shadowed local");
-                if store.len() != sh.len() || store.iter().any(|(t, _)| !sh.contains(t)) {
+                // The counted support must be exactly the relation (a
+                // non-ground derivation is in no ground set).
+                if !counts_mirror(&store, state.locals().require(p)) {
                     return Ok(None);
                 }
                 counts.insert(p, store);
@@ -839,7 +810,7 @@ impl MaintainedState {
             state,
             strategies,
             counts,
-            shadow,
+            indexed: false,
             base_deps,
             base_epochs,
             stale: false,
@@ -877,6 +848,12 @@ impl MaintainedState {
         if !tuple.is_ground() {
             return;
         }
+        // Indexes are access paths: building them after the base change
+        // is as good as before it.
+        if !self.indexed {
+            ensure_propagation_indexes(engine, &self.state, self.state.compiled());
+            self.indexed = true;
+        }
         if let Ok(true) = self.propagate_inner(engine, pred, tuple, is_insert) {
             self.stale = false;
         }
@@ -903,46 +880,33 @@ impl MaintainedState {
         is_insert: bool,
     ) -> EvalResult<bool> {
         let mut changes = Changes::new();
-        let mut d = Delta::default();
-        if is_insert {
-            d.ins.push(tuple.clone());
+        let (ins, del) = if is_insert {
+            (vec![tuple.clone()], Vec::new())
         } else {
-            d.del.push(tuple.clone());
-        }
-        changes.insert(pred, d);
+            (Vec::new(), vec![tuple.clone()])
+        };
+        changes.insert(pred, Delta::new(ins, del));
         let cm = Rc::clone(self.state.compiled());
         for (si, scc) in cm.sccs.iter().enumerate() {
             let affected = scc.rules.iter().any(|r| {
                 r.body
                     .iter()
-                    .any(|e| elem_pred(e).is_some_and(|(p, _)| changes.contains_key(&p)))
+                    .any(|e| elem_lit(e).is_some_and(|(l, _)| changes.contains_key(&l.pred_ref())))
             });
             if !affected {
                 continue;
             }
             engine.check_budget()?;
             let out = match self.strategies[si] {
-                SccStrategy::Counting => counting_scc(
-                    engine,
-                    &self.state,
-                    &cm,
-                    scc,
-                    &changes,
-                    &mut self.counts,
-                    &mut self.shadow,
-                )?,
-                SccStrategy::Dred => {
-                    dred_scc(engine, &self.state, &cm, scc, &changes, &mut self.shadow)?
+                SccStrategy::Counting => {
+                    counting_scc(engine, &self.state, &cm, scc, &changes, &mut self.counts)?
                 }
+                SccStrategy::Dred => dred_scc(engine, &self.state, &cm, scc, &changes)?,
             };
             let Some(derived) = out else {
                 return Ok(false);
             };
-            for (p, d) in derived {
-                if !d.ins.is_empty() || !d.del.is_empty() {
-                    changes.insert(p, d);
-                }
-            }
+            changes.extend(derived);
         }
         engine.maintain_charge(|t| t.propagated += 1);
         crate::profile::bump(|c| c.maintain_propagated += 1);
@@ -961,7 +925,6 @@ fn counting_scc(
     scc: &CompiledScc,
     changes: &Changes,
     counts: &mut HashMap<PredRef, CountStore>,
-    shadow: &mut HashMap<PredRef, HashSet<Tuple>>,
 ) -> EvalResult<Option<Changes>> {
     let views = make_views(cm, changes);
     let changed: HashSet<PredRef> = changes.keys().copied().collect();
@@ -990,9 +953,8 @@ fn counting_scc(
     let mut out = Changes::new();
     for (p, m) in acc {
         let store = counts.entry(p).or_default();
-        let rel = Rc::clone(state.locals().require(p));
-        let sh = shadow.get_mut(&p).expect("shadowed local");
-        let mut delta = Delta::default();
+        let rel = state.locals().require(p);
+        let (mut ins, mut del) = (Vec::new(), Vec::new());
         let mut updates = 0u64;
         for (t, d) in m {
             if d == 0 {
@@ -1001,16 +963,16 @@ fn counting_scc(
             updates += 1;
             match store.adjust(&t, d) {
                 CountChange::Appeared => {
-                    if !(rel.insert(t.clone())? && sh.insert(t.clone())) {
+                    if !rel.insert(t.clone())? {
                         return Ok(None);
                     }
-                    delta.ins.push(t);
+                    ins.push(t);
                 }
                 CountChange::Disappeared => {
-                    if !(rel.delete(&t)? && sh.remove(&t)) {
+                    if !rel.delete(&t)? {
                         return Ok(None);
                     }
-                    delta.del.push(t);
+                    del.push(t);
                 }
                 CountChange::Unchanged => {}
                 CountChange::Underflow => return Ok(None),
@@ -1020,96 +982,131 @@ fn counting_scc(
             engine.maintain_charge(|tot| tot.count_updates += updates);
             crate::profile::bump(|c| c.maintain_count_updates += updates);
         }
-        if !delta.ins.is_empty() || !delta.del.is_empty() {
+        let delta = Delta::new(ins, del);
+        if !delta.is_empty() {
             out.insert(p, delta);
         }
     }
     Ok(Some(out))
 }
 
+/// Whether `store`'s counted support is exactly `rel`'s contents.
+fn counts_mirror(store: &CountStore, rel: &HashRelation) -> bool {
+    store.len() == rel.len() && store.iter().all(|(t, _)| rel.contains_exact(t))
+}
+
+/// Semi-naive closure of one DRed phase: evaluate the `effects` delta
+/// variants of the SCC's rules against the upstream changes, then round
+/// by round against the head tuples `emit` accepted (it returns whether
+/// the tuple is new to the phase), served through the `tag` sentinel.
+/// Returns early, between variants, once `emit` has set `failed`.
+#[allow(clippy::too_many_arguments)]
+fn delta_closure(
+    engine: &Engine,
+    state: &FixpointState,
+    scc: &CompiledScc,
+    base_views: &Views,
+    upstream: &HashSet<PredRef>,
+    (phase, effects, tag): (Phase, Effects, &str),
+    failed: &Cell<bool>,
+    emit: &mut dyn FnMut(PredRef, &Tuple) -> EvalResult<bool>,
+) -> EvalResult<()> {
+    let mut delta_preds = upstream.clone();
+    let mut views = base_views.clone();
+    loop {
+        let mut next: HashMap<PredRef, Vec<Tuple>> = HashMap::new();
+        for rule in &scc.rules {
+            let h = rule.head.pred_ref();
+            for v in delta_variants(rule, &delta_preds, upstream, phase, effects) {
+                engine.check_budget()?;
+                eval_variant(engine, state, &views, &v.rule, &mut |t| {
+                    if emit(h, &t)? {
+                        next.entry(h).or_default().push(t);
+                    }
+                    Ok(())
+                })?;
+                if failed.get() {
+                    return Ok(());
+                }
+            }
+        }
+        if next.is_empty() {
+            return Ok(());
+        }
+        delta_preds = next.keys().copied().collect();
+        views = base_views.clone();
+        for (p, list) in next {
+            views.insert(sent(tag, p), View::List(Rc::new(list)));
+        }
+    }
+}
+
+/// The SCC's relations as sets (the debug oracle's before/after).
+fn scc_contents(state: &FixpointState, scc: &CompiledScc) -> HashMap<PredRef, HashSet<Tuple>> {
+    let scan = |p: &PredRef| state.locals().require(*p).scan().flatten().collect();
+    scc.preds.iter().map(|p| (*p, scan(p))).collect()
+}
+
 /// DRed repair of one recursive SCC: overdelete the cone of the
 /// upstream deletions, physically delete it, rederive survivors from
 /// the remaining database, then propagate upstream insertions
-/// semi-naively. `Ok(None)` = anomaly, caller stays stale.
+/// semi-naively. The net delta is recorded where each change happens:
+/// what is left of the cone after phase 3 was deleted, a phase-3 insert
+/// from outside the cone was inserted, and an overdeleted tuple that
+/// comes back in phase 2 or 3 cancels to nothing. `Ok(None)` = not
+/// repaired in place (an anomaly, or a cone past the gate); the caller
+/// stays stale.
 fn dred_scc(
     engine: &Engine,
     state: &FixpointState,
     cm: &CompiledModule,
     scc: &CompiledScc,
     changes: &Changes,
-    shadow: &mut HashMap<PredRef, HashSet<Tuple>>,
 ) -> EvalResult<Option<Changes>> {
-    let scc_preds: HashSet<PredRef> = scc.preds.iter().copied().collect();
-    let initial: HashMap<PredRef, HashSet<Tuple>> = scc
-        .preds
-        .iter()
-        .map(|p| (*p, shadow.get(p).expect("shadowed local").clone()))
-        .collect();
+    let rel_of = |p: PredRef| state.locals().require(p);
     let upstream: HashSet<PredRef> = changes.keys().copied().collect();
     let base_views = make_views(cm, changes);
+    let stored: usize = scc.preds.iter().map(|p| rel_of(*p).len()).sum();
+    // Debug builds check the recorded net delta against a before/after
+    // scan — bounded, so that large relations keep the repair's
+    // complexity there too.
+    let before =
+        (cfg!(debug_assertions) && stored <= DRED_MIN_CONE).then(|| scc_contents(state, scc));
+    let failed = Cell::new(false);
 
     // Phase 1 — overdeletion fixpoint against the OLD database. The
     // SCC's own relations are physically untouched here, so their
     // "cur" views *are* the old contents; upstream changed predicates
     // read their adjusted old views.
+    let cone_limit = DRED_MIN_CONE.max(stored / 2);
     let mut overdel: HashMap<PredRef, HashSet<Tuple>> =
         scc.preds.iter().map(|p| (*p, HashSet::new())).collect();
-    let mut round: HashMap<PredRef, Vec<Tuple>> = HashMap::new();
-    let mut tainted = false;
-    {
-        let emit_overdel = |h: PredRef,
-                            t: Tuple,
-                            overdel: &mut HashMap<PredRef, HashSet<Tuple>>,
-                            round: &mut HashMap<PredRef, Vec<Tuple>>,
-                            tainted: &mut bool| {
-            if !t.is_ground() {
-                *tainted = true;
-                return;
+    let mut n_overdel = 0usize;
+    delta_closure(
+        engine,
+        state,
+        scc,
+        &base_views,
+        &upstream,
+        (Phase::AllOld, Effects::Negative, "dd"),
+        &failed,
+        &mut |h, t| {
+            if failed.get() || !t.is_ground() {
+                failed.set(true);
+                return Ok(false);
             }
-            let present = shadow.get(&h).expect("shadowed local").contains(&t);
             let od = overdel.get_mut(&h).expect("scc pred");
-            if present && !od.contains(&t) {
-                od.insert(t.clone());
-                round.entry(h).or_default().push(t);
+            if !rel_of(h).contains_exact(t) || !od.insert(t.clone()) {
+                return Ok(false);
             }
-        };
-        for rule in &scc.rules {
-            let h = rule.head.pred_ref();
-            for v in delta_variants(rule, &upstream, &upstream, Phase::AllOld, Effects::Negative) {
-                engine.check_budget()?;
-                eval_variant(engine, state, &base_views, &v.rule, &mut |t| {
-                    emit_overdel(h, t, &mut overdel, &mut round, &mut tainted);
-                    Ok(())
-                })?;
+            n_overdel += 1;
+            if n_overdel > cone_limit {
+                failed.set(true);
             }
-        }
-        while !round.is_empty() && !tainted {
-            engine.check_budget()?;
-            let mut views = make_views(cm, changes);
-            for (p, list) in &round {
-                views.insert(sent("dd", *p), View::List(Rc::new(list.clone())));
-            }
-            let round_preds: HashSet<PredRef> = round.keys().copied().collect();
-            let mut next: HashMap<PredRef, Vec<Tuple>> = HashMap::new();
-            for rule in &scc.rules {
-                let h = rule.head.pred_ref();
-                for v in delta_variants(
-                    rule,
-                    &round_preds,
-                    &upstream,
-                    Phase::AllOld,
-                    Effects::Negative,
-                ) {
-                    eval_variant(engine, state, &views, &v.rule, &mut |t| {
-                        emit_overdel(h, t, &mut overdel, &mut next, &mut tainted);
-                        Ok(())
-                    })?;
-                }
-            }
-            round = next;
-        }
-    }
-    if tainted {
+            Ok(true)
+        },
+    )?;
+    if failed.get() {
         return Ok(None);
     }
 
@@ -1117,12 +1114,9 @@ fn dred_scc(
     // survivors: an overdeleted head tuple that is still derivable from
     // the remaining (current) database goes back in. Loop until no
     // progress, since each rederived tuple may support others.
-    let n_overdel: u64 = overdel.values().map(|s| s.len() as u64).sum();
     for (p, set) in &overdel {
-        let rel = Rc::clone(state.locals().require(*p));
-        let sh = shadow.get_mut(p).expect("shadowed local");
         for t in set {
-            if !(rel.delete(t)? && sh.remove(t)) {
+            if !rel_of(*p).delete(t)? {
                 return Ok(None);
             }
         }
@@ -1134,13 +1128,11 @@ fn dred_scc(
         let mut progress = false;
         for rule in &scc.rules {
             let h = rule.head.pred_ref();
-            let Some(rem) = remaining.get(&h) else {
-                continue;
-            };
+            let rem = remaining.get_mut(&h).expect("scc pred");
             if rem.is_empty() {
                 continue;
             }
-            let mut views = make_views(cm, changes);
+            let mut views = base_views.clone();
             views.insert(
                 sent("rd", h),
                 View::List(Rc::new(rem.iter().cloned().collect())),
@@ -1161,15 +1153,12 @@ fn dred_scc(
                 found.push(t);
                 Ok(())
             })?;
-            let rel = Rc::clone(state.locals().require(h));
-            let sh = shadow.get_mut(&h).expect("shadowed local");
-            let rem = remaining.get_mut(&h).expect("remaining");
             for t in found {
                 if !t.is_ground() {
                     return Ok(None);
                 }
                 if rem.remove(&t) {
-                    if !(rel.insert(t.clone())? && sh.insert(t)) {
+                    if !rel_of(h).insert(t)? {
                         return Ok(None);
                     }
                     rederived += 1;
@@ -1183,101 +1172,70 @@ fn dred_scc(
     }
     if n_overdel > 0 {
         engine.maintain_charge(|t| {
-            t.overdeleted += n_overdel;
+            t.overdeleted += n_overdel as u64;
             t.rederived += rederived;
         });
         crate::profile::bump(|c| {
-            c.maintain_overdeleted += n_overdel;
+            c.maintain_overdeleted += n_overdel as u64;
             c.maintain_rederived += rederived;
         });
     }
 
     // Phase 3 — insertion propagation, semi-naive over the current
-    // database (over-derivation is harmless under set semantics).
-    let mut round: HashMap<PredRef, Vec<Tuple>> = HashMap::new();
-    {
-        let mut commit_ins = |h: PredRef,
-                              t: Tuple,
-                              round: &mut HashMap<PredRef, Vec<Tuple>>,
-                              tainted: &mut bool|
-         -> EvalResult<bool> {
+    // database (over-derivation is harmless under set semantics). A
+    // tuple the relation already holds is no change; one that phase 2
+    // left deleted and this phase brings back cancels out of the delta.
+    let mut inserted: HashMap<PredRef, Vec<Tuple>> = HashMap::new();
+    delta_closure(
+        engine,
+        state,
+        scc,
+        &base_views,
+        &upstream,
+        (Phase::AllCur, Effects::Positive, "di"),
+        &failed,
+        &mut |h, t| {
             if !t.is_ground() {
-                *tainted = true;
-                return Ok(true);
-            }
-            let sh = shadow.get_mut(&h).expect("shadowed local");
-            if sh.contains(&t) {
-                return Ok(true);
-            }
-            let rel = Rc::clone(state.locals().require(h));
-            if !(rel.insert(t.clone())? && sh.insert(t.clone())) {
+                failed.set(true);
                 return Ok(false);
             }
-            round.entry(h).or_default().push(t);
+            if !rel_of(h).insert(t.clone())? {
+                return Ok(false);
+            }
+            if !remaining.get_mut(&h).expect("scc pred").remove(t) {
+                inserted.entry(h).or_default().push(t.clone());
+            }
             Ok(true)
-        };
-        let mut consistent = true;
-        for rule in &scc.rules {
-            let h = rule.head.pred_ref();
-            for v in delta_variants(rule, &upstream, &upstream, Phase::AllCur, Effects::Positive) {
-                engine.check_budget()?;
-                eval_variant(engine, state, &base_views, &v.rule, &mut |t| {
-                    if !commit_ins(h, t, &mut round, &mut tainted)? {
-                        consistent = false;
-                    }
-                    Ok(())
-                })?;
-            }
-        }
-        while !round.is_empty() && !tainted && consistent {
-            engine.check_budget()?;
-            let mut views = make_views(cm, changes);
-            for (p, list) in &round {
-                views.insert(sent("di", *p), View::List(Rc::new(list.clone())));
-            }
-            let round_preds: HashSet<PredRef> = round.keys().copied().collect();
-            let mut next: HashMap<PredRef, Vec<Tuple>> = HashMap::new();
-            for rule in &scc.rules {
-                let h = rule.head.pred_ref();
-                for v in delta_variants(
-                    rule,
-                    &round_preds,
-                    &upstream,
-                    Phase::AllCur,
-                    Effects::Positive,
-                ) {
-                    eval_variant(engine, state, &views, &v.rule, &mut |t| {
-                        if !commit_ins(h, t, &mut next, &mut tainted)? {
-                            consistent = false;
-                        }
-                        Ok(())
-                    })?;
-                }
-            }
-            round = next;
-        }
-        if !consistent {
-            return Ok(None);
-        }
-    }
-    if tainted {
+        },
+    )?;
+    if failed.get() {
         return Ok(None);
     }
 
     // Net presence transitions of this SCC feed the downstream SCCs.
     let mut out = Changes::new();
-    for p in &scc.preds {
-        let before = &initial[p];
-        let after = shadow.get(p).expect("shadowed local");
-        let d = Delta {
-            ins: after.difference(before).cloned().collect(),
-            del: before.difference(after).cloned().collect(),
-        };
-        if !d.ins.is_empty() || !d.del.is_empty() {
-            out.insert(*p, d);
+    for (p, rem) in remaining {
+        let d = Delta::new(
+            inserted.remove(&p).unwrap_or_default(),
+            rem.into_iter().collect(),
+        );
+        if !d.is_empty() {
+            out.insert(p, d);
         }
     }
-    let _ = scc_preds;
+    if let Some(before) = before {
+        let after = scc_contents(state, scc);
+        for p in &scc.preds {
+            let d = out.get(p).cloned().unwrap_or_default();
+            let set = |v: &[Tuple]| v.iter().cloned().collect::<HashSet<Tuple>>();
+            assert_eq!(set(&d.ins), &after[p] - &before[p], "{p}: recorded ins");
+            assert_eq!(set(&d.del), &before[p] - &after[p], "{p}: recorded del");
+            assert_eq!(
+                (d.ins.len(), d.del.len()),
+                (set(&d.ins).len(), set(&d.del).len())
+            );
+        }
+    }
     Ok(Some(out))
 }
 
@@ -1398,10 +1356,10 @@ impl MaintainedState {
         for p in &locals {
             put_str(&mut out, p.name.as_str().as_str());
             out.extend_from_slice(&(p.arity as u32).to_be_bytes());
-            let sh = self.shadow.get(p)?;
-            let mut tuples: Vec<Vec<u8>> = Vec::with_capacity(sh.len());
-            for t in sh {
-                tuples.push(coral_rel::encoding::encode_tuple_wire(t).ok()?);
+            let rel = self.state.locals().get(*p)?;
+            let mut tuples: Vec<Vec<u8>> = Vec::with_capacity(rel.len());
+            for t in rel.scan_owned() {
+                tuples.push(coral_rel::encoding::encode_tuple_wire(&t).ok()?);
             }
             tuples.sort();
             out.extend_from_slice(&(tuples.len() as u32).to_be_bytes());
@@ -1457,35 +1415,31 @@ impl MaintainedState {
             }
         }
         let state = FixpointState::new(Rc::clone(&cm), &mdef.setup).ok()?;
+        // Every local predicate exactly once, each a set of ground
+        // tuples (a repeated predicate or tuple fails its insert).
         let npreds = r.u32()? as usize;
-        let mut shadow: HashMap<PredRef, HashSet<Tuple>> = HashMap::new();
+        if npreds != cm.local_preds.len() {
+            return None;
+        }
         for _ in 0..npreds {
             let name = r.str()?;
             let arity = r.u32()? as usize;
             let p = PredRef::new(&name, arity);
-            if !cm.local_preds.contains(&p) {
+            let rel = state.locals().get(p)?;
+            if !rel.is_empty() {
                 return None;
             }
             let n = r.u32()? as usize;
-            let mut set = HashSet::with_capacity(n);
             for _ in 0..n {
                 let wire = r.blob()?;
                 let (t, used) = coral_rel::encoding::decode_tuple_wire(wire).ok()?;
-                if used != wire.len() {
+                if used != wire.len() || !rel.insert(t).ok()? {
                     return None;
                 }
-                if !state.insert_local(p, t.clone()).ok()? {
-                    return None;
-                }
-                set.insert(t);
             }
-            if set.len() != n {
+            if !rel.is_ground_set() {
                 return None;
             }
-            shadow.insert(p, set);
-        }
-        if shadow.len() != cm.local_preds.len() {
-            return None;
         }
         let ncount = r.u32()? as usize;
         let mut counts: HashMap<PredRef, CountStore> = HashMap::new();
@@ -1495,8 +1449,7 @@ impl MaintainedState {
             let p = PredRef::new(&name, arity);
             let store = CountStore::decode(r.blob()?)?;
             // The counted support must mirror the restored relation.
-            let sh = shadow.get(&p)?;
-            if store.len() != sh.len() || store.iter().any(|(t, _)| !sh.contains(t)) {
+            if !counts_mirror(&store, state.locals().get(p)?) {
                 return None;
             }
             counts.insert(p, store);
@@ -1512,12 +1465,11 @@ impl MaintainedState {
                 }
             }
         }
-        ensure_propagation_indexes(engine, &state, &cm);
         Some(MaintainedState {
             state,
             strategies,
             counts,
-            shadow,
+            indexed: false,
             base_deps,
             base_epochs,
             stale: false,
@@ -1573,7 +1525,7 @@ pub(crate) fn try_maintained_call(
     mdef: &Rc<ModuleDef>,
     pred: PredRef,
     pattern: &[Term],
-) -> EvalResult<Option<Vec<Tuple>>> {
+) -> EvalResult<Option<Box<dyn AnswerScan>>> {
     let c = &mdef.controls;
     // `@naive` is the reference evaluator: it always recomputes.
     if c.pipelined || c.ordered || c.save || c.lazy || c.fixpoint == FixpointKind::Naive {
@@ -1586,7 +1538,7 @@ pub(crate) fn try_maintained_call(
     let mut map = mdef.maintained.borrow_mut();
     let needs_build = match map.get(&pred) {
         Some(None) => return Ok(None),
-        Some(Some(st)) => st.stale() || !st.epochs_current(engine),
+        Some(Some(st)) => st.stale || !st.epochs_current(engine),
         None => true,
     };
     // `auto` must never trade a bound query's binding propagation
@@ -1620,7 +1572,7 @@ pub(crate) fn try_maintained_call(
         map.insert(pred, built);
     }
     match map.get(&pred) {
-        Some(Some(st)) => Ok(Some(st.answers(pattern)?)),
+        Some(Some(st)) => Ok(Some(crate::engine::answers_scan(&st.state, pattern))),
         _ => Ok(None),
     }
 }

@@ -358,7 +358,7 @@ pub fn evaluate(
             state.run(engine)?;
         }
     }
-    Ok(Box::new(answers_scan(&state, pattern)))
+    Ok(answers_scan(&state, pattern))
 }
 
 #[cfg(test)]

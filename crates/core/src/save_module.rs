@@ -26,7 +26,7 @@ use crate::scan::AnswerScan;
 use crate::seminaive::{FixpointState, Strategy};
 use coral_lang::{Adornment, PredRef};
 use coral_rel::Mark;
-use coral_term::{Term, Tuple, VarId};
+use coral_term::{Term, Tuple};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -65,7 +65,7 @@ pub fn call(
         state.run(engine)?;
         let scan = crate::engine::answers_scan(&state, pattern);
         mdef.saved.borrow_mut().insert(key, state);
-        Ok(Box::new(scan) as Box<dyn AnswerScan>)
+        Ok(scan)
     })();
     mdef.active.set(false);
     result
@@ -112,26 +112,13 @@ impl LazyScan {
         if cur <= self.consumed {
             return Ok(false);
         }
-        let dontcare = &self.state.compiled().rewritten.dontcare;
-        let full_arity = self.pattern.len();
-        let kept: Vec<usize> = (0..full_arity).filter(|j| !dontcare.contains(j)).collect();
+        let expand = crate::engine::expander(
+            self.pattern.len(),
+            &self.state.compiled().rewritten.dontcare,
+        );
         let mut any = false;
         for t in answers.scan_range(self.consumed, Some(cur)) {
-            let t = t?;
-            let full = if dontcare.is_empty() {
-                t
-            } else {
-                let mut args = vec![Term::var(0); full_arity];
-                let mut next_var = t.nvars();
-                for (k, &j) in kept.iter().enumerate() {
-                    args[j] = t.args()[k].clone();
-                }
-                for &j in dontcare {
-                    args[j] = Term::Var(VarId(next_var));
-                    next_var += 1;
-                }
-                Tuple::new(args)
-            };
+            let full = expand(t?);
             if unifies_with(&self.pattern, &full) {
                 self.buffer.push_back(full);
                 any = true;

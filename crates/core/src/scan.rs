@@ -20,23 +20,13 @@ pub trait AnswerScan {
     fn next_answer(&mut self) -> EvalResult<Option<Tuple>>;
 }
 
-/// An eager scan over a precomputed answer vector.
-pub struct VecScan {
-    items: std::vec::IntoIter<Tuple>,
-}
+/// A scan over any infallible tuple iterator: an owned relation cursor
+/// pulled lazily, a filtered index lookup, a precomputed vector.
+pub struct TupleScan<I>(pub I);
 
-impl VecScan {
-    /// Wrap a vector of answers.
-    pub fn new(items: Vec<Tuple>) -> VecScan {
-        VecScan {
-            items: items.into_iter(),
-        }
-    }
-}
-
-impl AnswerScan for VecScan {
+impl<I: Iterator<Item = Tuple>> AnswerScan for TupleScan<I> {
     fn next_answer(&mut self) -> EvalResult<Option<Tuple>> {
-        Ok(self.items.next())
+        Ok(self.0.next())
     }
 }
 
@@ -111,11 +101,12 @@ mod tests {
     use coral_term::Term;
 
     #[test]
-    fn vec_scan_yields_in_order() {
-        let mut s = VecScan::new(vec![
+    fn tuple_scan_yields_in_order() {
+        let items = vec![
             Tuple::new(vec![Term::int(1)]),
             Tuple::new(vec![Term::int(2)]),
-        ]);
+        ];
+        let mut s = TupleScan(items.into_iter());
         assert_eq!(s.next_answer().unwrap().unwrap().to_string(), "(1)");
         assert_eq!(s.next_answer().unwrap().unwrap().to_string(), "(2)");
         assert!(s.next_answer().unwrap().is_none());
@@ -124,7 +115,7 @@ mod tests {
 
     #[test]
     fn adapter_roundtrip() {
-        let scan = VecScan::new(vec![Tuple::new(vec![Term::int(7)])]);
+        let scan = TupleScan(vec![Tuple::new(vec![Term::int(7)])].into_iter());
         let mut iter = scan_to_iter(Box::new(scan));
         assert_eq!(iter.next().unwrap().unwrap().to_string(), "(7)");
         assert!(iter.next().is_none());

@@ -15,7 +15,7 @@
 //! [`Session::create_persistent`] registers a disk-resident base
 //! relation.
 
-use crate::engine::Engine;
+use crate::engine::{fast_unifies_with, Engine};
 use crate::error::{EvalError, EvalResult};
 use crate::scan::AnswerScan;
 use coral_lang::{parse_program, parse_query, ProgramItem, Query};
@@ -55,46 +55,21 @@ impl std::fmt::Display for Answer {
     }
 }
 
-/// Extract a ground answer's named bindings without binding
-/// environments: each query variable takes the tuple argument at its
-/// position (repeated occurrences checked for equality), ground query
-/// arguments are checked by term equality. `None` means the general
-/// unification path must run — a non-ground term on either side, or a
-/// named variable the literal never mentions.
-fn fast_bindings(query: &Query, tuple: &Tuple) -> Option<Vec<(String, Term)>> {
-    let mut map: Vec<Option<&Term>> = vec![None; query.nvars as usize];
-    for (q, t) in query.literal.args.iter().zip(tuple.args()) {
-        if !t.is_ground() {
-            return None;
-        }
-        match q {
-            Term::Var(v) => {
-                let slot = &mut map[v.0 as usize];
-                match slot {
-                    Some(prev) => {
-                        if *prev != t {
-                            return None;
-                        }
-                    }
-                    None => *slot = Some(t),
-                }
-            }
-            g if g.is_ground() => {
-                if g != t {
-                    return None;
-                }
-            }
-            _ => return None,
-        }
-    }
-    let mut bindings = Vec::new();
-    for (i, name) in query.var_names.iter().enumerate() {
-        if name.starts_with('_') {
-            continue;
-        }
-        bindings.push((name.clone(), (*map[i].as_ref()?).clone()));
-    }
-    Some(bindings)
+/// The binding plan of a query, worked out once at open: each named,
+/// non-anonymous variable with the first argument position it occurs
+/// at, in first-occurrence order — a ground answer's bindings are then
+/// read off its arguments. `None` (every answer takes the general
+/// unification path) when a named variable never occurs in the literal.
+fn binding_plan(query: &Query) -> Option<Vec<(String, usize)>> {
+    let named = query.var_names.iter().enumerate();
+    named
+        .filter(|(_, name)| !name.starts_with('_'))
+        .map(|(v, name)| {
+            let var = Term::var(v as u32);
+            let first = query.literal.args.iter().position(|a| *a == var)?;
+            Some((name.clone(), first))
+        })
+        .collect()
 }
 
 /// Parse `"edge(1, 2)"` (trailing `.` optional) into a predicate and a
@@ -113,6 +88,7 @@ fn parse_ground_fact(fact: &str) -> EvalResult<(coral_lang::PredRef, Tuple)> {
 /// A stream of answers for one query.
 pub struct Answers {
     query: Query,
+    plan: Option<Vec<(String, usize)>>,
     scan: Box<dyn AnswerScan>,
 }
 
@@ -123,10 +99,15 @@ impl Answers {
             return Ok(None);
         };
         // Ground fast path: when the whole answer tuple is ground and
-        // every query argument is a variable or itself ground, bindings
-        // fall out positionally — no binding environments, no unifier.
-        if let Some(bindings) = fast_bindings(&self.query, &tuple) {
-            return Ok(Some(Answer { tuple, bindings }));
+        // every query argument is a variable or itself ground, the
+        // frame-free matcher decides and bindings fall out positionally
+        // — no binding environments, no unifier, no scratch.
+        if let Some(plan) = &self.plan {
+            if fast_unifies_with(&self.query.literal.args, &tuple) == Some(true) {
+                let bind = |(name, i): &(String, usize)| (name.clone(), tuple.args()[*i].clone());
+                let bindings = plan.iter().map(bind).collect();
+                return Ok(Some(Answer { tuple, bindings }));
+            }
         }
         let mut envs = EnvSet::new();
         let qe = envs.push_frame(self.query.nvars as usize);
@@ -315,7 +296,12 @@ impl Session {
 
     fn run_query(&self, q: Query) -> EvalResult<Answers> {
         let scan = self.engine.query(&q)?;
-        Ok(Answers { query: q, scan })
+        let plan = binding_plan(&q);
+        Ok(Answers {
+            query: q,
+            plan,
+            scan,
+        })
     }
 
     /// Convenience: all answers of a query.

@@ -13,6 +13,10 @@
 //! over the same shared relation — and that both the incremental path
 //! (own writes propagated) and the discard path (foreign writes force
 //! rebuilds) demonstrably fire.
+//!
+//! A third test holds the repair to its cost claim: an edge update on a
+//! maintained closure costs what it changes, not what the relation
+//! holds.
 
 use coral_core::session::Session;
 use coral_storage::StorageClient;
@@ -150,4 +154,87 @@ fn foreign_write_visible_at_next_query() {
     foreign.delete_fact("edge(1, 2)").unwrap();
     let back = sorted_answers(&maintained, "back");
     assert_eq!(back, before, "foreign delete visible at next query");
+}
+
+/// `clusters` independent random DAGs of 80 nodes / 160 forward edges
+/// each (the benchmark's churn shape), as `(from, to)` pairs.
+fn cluster_dags(clusters: usize, rng: &mut TestRng) -> Vec<(usize, usize)> {
+    const NODES: usize = 80;
+    let mut edges = Vec::new();
+    for c in 0..clusters {
+        for _ in 0..2 * NODES {
+            let a = rng.gen_range(0, NODES - 1);
+            let b = rng.gen_range(a + 1, NODES);
+            edges.push((c * NODES + a, c * NODES + b));
+        }
+    }
+    edges.sort_unstable();
+    edges.dedup();
+    edges
+}
+
+/// Size independence: the same single-edge delete + insert on a closure
+/// ten times larger (disjoint clusters of the same shape, so the cone
+/// is the same) must not cost ten times more. Before the repair
+/// recorded its net delta in place it cloned and diffed a copy of the
+/// whole relation per update, and the ratio was the size ratio.
+#[test]
+fn update_cost_does_not_scale_with_the_relation() {
+    let mut rng = TestRng::new(0x51_2E);
+    let sessions: Vec<(Session, Vec<(usize, usize)>)> = [10, 100]
+        .into_iter()
+        .map(|clusters| {
+            let edges = cluster_dags(clusters, &mut rng);
+            let facts: String = edges
+                .iter()
+                .map(|(a, b)| format!("edge({a}, {b}).\n"))
+                .collect();
+            let s = Session::new();
+            s.consult_str(&facts).unwrap();
+            s.consult_str(
+                "module tc.\nexport path(ff).\n@maintain dred.\n\
+                 path(X, Y) :- edge(X, Y).\n\
+                 path(X, Y) :- path(X, Z), edge(Z, Y).\nend_module.\n",
+            )
+            .unwrap();
+            let mut answers = s.query("path(X, Y)").unwrap();
+            let mut n = 0usize;
+            while answers.next_answer().unwrap().is_some() {
+                n += 1;
+            }
+            assert!(n > 500 * clusters, "{clusters} clusters: closure of {n}");
+            (s, edges)
+        })
+        .collect();
+
+    // Alternate the two sessions so a noisy stretch hits both.
+    let mut times: [Vec<std::time::Duration>; 2] = [Vec::new(), Vec::new()];
+    for _ in 0..41 {
+        for (i, (s, edges)) in sessions.iter().enumerate() {
+            // Always from the first cluster: same shape on both sides.
+            let (a, b) = edges[rng.gen_range(0, 150)];
+            let fact = format!("edge({a}, {b})");
+            let t0 = std::time::Instant::now();
+            assert!(s.delete_fact(&fact).unwrap());
+            assert!(s.insert_fact(&fact).unwrap());
+            times[i].push(t0.elapsed());
+        }
+    }
+    for (s, _) in &sessions {
+        let t = s.maintain_totals();
+        assert_eq!(
+            (t.rebuilds, t.propagated),
+            (1, 82),
+            "every update repaired in place"
+        );
+    }
+    let median = |v: &mut Vec<std::time::Duration>| {
+        v.sort();
+        v[v.len() / 2]
+    };
+    let (small, large) = (median(&mut times[0]), median(&mut times[1]));
+    assert!(
+        large <= 4 * small,
+        "update on 100 clusters took {large:?}, on 10 clusters {small:?}"
+    );
 }

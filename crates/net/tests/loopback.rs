@@ -123,6 +123,61 @@ fn concurrent_clients_match_in_process_sessions() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Answers are a snapshot taken at open, through the wire too: a stream
+/// that has delivered its first batch delivers the rest of the closure
+/// as it stood, although another connection writes the shared base
+/// relation between the batches; the next query sees the write.
+#[test]
+fn streamed_answers_are_a_snapshot_across_batches() {
+    let dir = test_dir("snapshot");
+    {
+        let local = Session::new();
+        local.attach_storage(&dir, 64).unwrap();
+        local.create_persistent("pedge", 2).unwrap();
+        local
+            .consult_str("pedge(10, 20). pedge(20, 30). pedge(30, 40).")
+            .unwrap();
+        local.checkpoint().unwrap();
+    }
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 2,
+            data_dir: Some(dir.clone()),
+            frames: 64,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut reader = Client::connect(server.addr()).unwrap();
+    let mut writer = Client::connect(server.addr()).unwrap();
+    reader
+        .consult_str(
+            "module ptc.\nexport ppath(ff).\n@maintain dred.\n\
+             ppath(X, Y) :- pedge(X, Y).\n\
+             ppath(X, Y) :- pedge(X, Z), ppath(Z, Y).\nend_module.\n",
+        )
+        .unwrap();
+
+    let mut stream = reader.query_batched("?- ppath(X, Y).", 2).unwrap();
+    let mut streamed = vec![stream.next().unwrap().unwrap()];
+    writer.consult_str("pedge(40, 50).").unwrap();
+    for a in stream {
+        streamed.push(a.unwrap());
+    }
+    assert_eq!(
+        streamed.len(),
+        6,
+        "the closure of the 3-edge chain: {streamed:?}"
+    );
+    assert_eq!(reader.query_all("?- ppath(X, Y).").unwrap().len(), 10);
+
+    reader.quit().unwrap();
+    writer.quit().unwrap();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn oversized_frame_is_rejected_and_connection_closed() {
     let server = Server::start(

@@ -504,6 +504,39 @@ impl HashRelation {
         }
     }
 
+    /// An owned cursor over the current contents, in insertion order:
+    /// O(#subsidiaries) `Arc` clones at open, tuples cloned one at a time
+    /// as they are pulled, each subsidiary let go once it is behind the
+    /// cursor. Unlike a [`RelSnapshot`] it does not hold the duplicate
+    /// map, so a write while the cursor is open copies at most the
+    /// subsidiaries it touches; the cursor keeps seeing the contents as
+    /// of open. Counts one `full_scans`.
+    pub fn scan_owned(&self) -> impl Iterator<Item = Tuple> {
+        crate::profile::bump(|c| c.full_scans += 1);
+        let subs = self.inner.borrow().subs.clone();
+        subs.into_iter()
+            .flat_map(|s| (0..s.tuples.len()).filter_map(move |i| s.tuples[i].clone()))
+    }
+
+    /// Whether an exact variant of `tuple` is stored right now (the live
+    /// twin of [`RelSnapshot::contains_exact`]; always `false` for
+    /// multiset relations, whose duplicate map is not maintained).
+    pub fn contains_exact(&self, tuple: &Tuple) -> bool {
+        let inner = self.inner.borrow();
+        inner.dup != DupSemantics::Multiset && inner.seen.contains_key(tuple)
+    }
+
+    /// Whether the contents are exactly a set of ground tuples: set
+    /// semantics, no stored non-ground tuple, and the duplicate map
+    /// covering every live tuple. Then [`HashRelation::contains_exact`]
+    /// and the `bool` results of `insert`/`delete` decide membership.
+    pub fn is_ground_set(&self) -> bool {
+        let inner = self.inner.borrow();
+        inner.dup != DupSemantics::Multiset
+            && inner.nonground.is_empty()
+            && inner.seen.len() == inner.live
+    }
+
     /// The relation's duplicate semantics.
     pub fn dup_semantics(&self) -> DupSemantics {
         self.inner.borrow().dup
@@ -1398,6 +1431,32 @@ mod tests {
         let m = HashRelation::with_semantics(2, DupSemantics::Multiset);
         m.insert(t2(1, 1)).unwrap();
         assert!(!m.snapshot().contains_exact(&t2(1, 1)));
+    }
+
+    #[test]
+    fn owned_scan_frozen_while_open_then_writes_in_place() {
+        let r = HashRelation::new(2);
+        r.insert(t2(1, 10)).unwrap();
+        r.mark();
+        r.insert(t2(2, 20)).unwrap();
+        let mut scan = r.scan_owned();
+        assert_eq!(scan.next(), Some(t2(1, 10)));
+        // Every kind of write lands while the cursor is open.
+        r.delete(&t2(2, 20)).unwrap();
+        r.insert(t2(3, 30)).unwrap();
+        assert!(!r.contains_exact(&t2(2, 20)) && r.contains_exact(&t2(3, 30)));
+        assert_eq!(scan.collect::<Vec<_>>(), vec![t2(2, 20)], "frozen at open");
+        let live: Vec<Tuple> = r.scan_owned().collect();
+        assert_eq!(live, vec![t2(1, 10), t2(3, 30)]);
+        // The exhausted cursors released their subsidiaries: the next
+        // write mutates the touched one in place instead of copying it.
+        let strong = |i: usize| Arc::strong_count(&r.inner.borrow().subs[i]);
+        let open = r.scan_owned();
+        assert_eq!((strong(0), strong(1)), (2, 2));
+        drop(open);
+        r.delete(&t2(1, 10)).unwrap();
+        assert_eq!((strong(0), strong(1)), (1, 1));
+        assert!(r.is_ground_set());
     }
 
     #[cfg(feature = "profile")]

@@ -230,6 +230,56 @@ fn crash_beyond_workload_restores_cleanly() {
     assert!(restored, "clean run must restore from the catalog");
 }
 
+/// A restored state is the restored relations and nothing else: the
+/// propagation indexes wait for the first change after the restart, and
+/// that change is still repaired in place, correctly.
+#[test]
+fn restore_defers_propagation_indexes_to_first_change() {
+    let vfs = SimVfs::new(11);
+    assert_eq!(run_workload(&vfs), (BATCHES.len(), true));
+    vfs.power_cycle();
+    let m = Session::new();
+    m.attach_storage_client(open(&vfs).unwrap());
+    m.consult_str(PROGRAM).unwrap();
+    apply(&m, BATCHES, "restart");
+    let o = Session::new();
+    o.consult_str(&recompute_program()).unwrap();
+    apply(&o, BATCHES, "oracle");
+
+    let edge = m
+        .engine()
+        .db()
+        .get(coral_term::Symbol::intern("edge"), 2)
+        .unwrap();
+    for query in ["path(X, Y)", "hop(X, Y)"] {
+        assert_eq!(
+            sorted_answers(&m, query, "restored"),
+            sorted_answers(&o, query, "oracle")
+        );
+    }
+    assert_eq!(m.maintain_totals().rebuilds, 0, "both states restored");
+    let hash = edge.as_any().downcast_ref::<coral_rel::HashRelation>();
+    let indices = || hash.expect("in-memory base relation").index_specs().len();
+    assert_eq!(indices(), 0, "restore indexed the base relation");
+
+    let change = [&[(true, "edge(6, 7)"), (false, "edge(3, 4)")][..]];
+    apply(&m, &change, "restart");
+    apply(&o, &change, "oracle");
+    assert!(
+        indices() > 0,
+        "the first change builds the propagation indexes"
+    );
+    for query in ["path(X, Y)", "hop(X, Y)"] {
+        assert_eq!(
+            sorted_answers(&m, query, "repaired"),
+            sorted_answers(&o, query, "oracle")
+        );
+    }
+    let t = m.maintain_totals();
+    assert_eq!(t.rebuilds, 0, "repaired in place, not rebuilt");
+    assert!(t.propagated >= 2 && t.overdeleted > 0 && t.count_updates > 0);
+}
+
 /// `@maintain recompute` builds no maintained state, so the catalog file
 /// is never even written.
 #[test]
