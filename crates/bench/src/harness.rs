@@ -137,9 +137,9 @@ impl BenchmarkGroup<'_> {
             sample_size: self.sample_size,
             samples_ns: Vec::new(),
         };
-        let counters_before = profile_counters();
+        let counters_before = coral_core::profile::all_counters();
         f(&mut b, input);
-        let counters = counter_deltas(&counters_before, &profile_counters());
+        let counters = counter_deltas(&counters_before, &coral_core::profile::all_counters());
         let result = BenchResult {
             id: id.id,
             samples_ns: b.samples_ns,
@@ -223,13 +223,9 @@ pub struct Criterion {
 impl Criterion {
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         let name = name.into();
-        // Counter collection is on by default so BENCH_*.json carries
-        // deltas; set CORAL_BENCH_PROFILE=0 for counter-free timing runs
-        // (the counting overhead is a few percent on term-heavy loads).
-        #[cfg(feature = "profile")]
-        coral_core::profile::set_profiling(
-            !std::env::var("CORAL_BENCH_PROFILE").is_ok_and(|v| v == "0"),
-        );
+        // Counters always collect: the BENCH_*.json rows are kept for
+        // their counter deltas (the e2e benchmark is the clock).
+        coral_core::profile::set_profiling(true);
         BenchmarkGroup {
             criterion: self,
             name,
@@ -240,16 +236,6 @@ impl Criterion {
             finished: false,
         }
     }
-}
-
-/// Snapshot of all layers' profiling counters (empty when compiled out).
-fn profile_counters() -> Vec<(String, u64)> {
-    #[cfg(feature = "profile")]
-    {
-        return coral_core::profile::all_counters();
-    }
-    #[allow(unreachable_code)]
-    Vec::new()
 }
 
 fn counter_deltas(before: &[(String, u64)], after: &[(String, u64)]) -> Vec<(String, u64)> {

@@ -24,6 +24,7 @@ use coral_lang::{
     Adornment, AggFn, Annotation, Binding, FixpointKind, Literal, MaintainKind, Module, PredRef,
     Query, RewriteKind, Rule,
 };
+use coral_profile::Counter;
 use coral_rel::{
     AggSelKind, AggregateSelection, Database, DupSemantics, HashRelation, IndexSpec, Relation,
     TupleIter,
@@ -822,7 +823,7 @@ impl Engine {
             .module_of(pred)
             .ok_or_else(|| EvalError::UnknownPredicate(pred.to_string()))?;
         let want_profile = mdef.controls.profile || self.inner.profiling.get();
-        if !want_profile && !crate::profile::enabled() {
+        if !want_profile && !crate::profile::profiling() {
             return self.module_call_inner(&mdef, pred, pattern, dontcare);
         }
         // Outermost profiled call: diff all counters and gather per-SCC
@@ -1093,7 +1094,7 @@ impl ProfiledScan {
 impl AnswerScan for ProfiledScan {
     fn next_answer(&mut self) -> EvalResult<Option<Tuple>> {
         let r = self.inner.next_answer();
-        crate::profile::bump(|c| c.get_next_tuple += 1);
+        coral_profile::bump(Counter::GetNextTuple, 1);
         match &r {
             Ok(Some(_)) => self.answers += 1,
             // Exhausted or failed: the call is over either way.

@@ -18,6 +18,7 @@ use crate::arith::{compare_terms, eval_arith};
 use crate::compile::{BodyElem, CompiledRule, SnVersion};
 use crate::error::{EvalError, EvalResult};
 use coral_lang::{CmpOp, Literal, PredRef};
+use coral_profile::Counter;
 use coral_rel::joinhash::{JoinHashTable, Probe};
 use coral_rel::{ColumnarBatch, HashRelation, Mark, Relation, RowRef, TupleIter};
 use coral_term::bindenv::{EnvId, EnvSet, FrameMark, TrailMark};
@@ -247,10 +248,8 @@ impl HashJoinState {
             return None;
         }
         let table = Arc::new(JoinHashTable::build(key.cols.clone(), build()));
-        crate::profile::bump(|c| {
-            c.joinhash_tables_built += 1;
-            c.joinhash_build_rows += table.build_rows() as u64;
-        });
+        coral_profile::bump(Counter::JoinhashTablesBuilt, 1);
+        coral_profile::bump(Counter::JoinhashBuildRows, table.build_rows() as u64);
         self.cache.borrow_mut().insert(key, table.clone());
         Some(table)
     }
@@ -511,14 +510,12 @@ fn hash_probe_slot(
     let key: Vec<&Term> = key_cols.iter().map(|&c| &pattern[c]).collect();
     let bucket = match table.probe(JoinHashTable::key_hash(&key)) {
         Probe::Skip => {
-            crate::profile::bump(|c| {
-                c.joinhash_probes += 1;
-                c.joinhash_bloom_skips += 1;
-            });
+            coral_profile::bump(Counter::JoinhashProbes, 1);
+            coral_profile::bump(Counter::JoinhashBloomSkips, 1);
             Vec::new()
         }
         Probe::Rows(ids) => {
-            crate::profile::bump(|c| c.joinhash_probes += 1);
+            coral_profile::bump(Counter::JoinhashProbes, 1);
             ids.to_vec()
         }
     };
@@ -586,13 +583,14 @@ fn fast_match_ground(
         }
         Some(true)
     };
-    crate::profile::bump(|c| {
-        c.vectorized_probes += ops;
+    coral_profile::bump(Counter::VectorizedProbes, ops);
+    coral_profile::bump(
         match r {
-            Some(_) => c.batched_rows += 1,
-            None => c.fallback_rows += 1,
-        }
-    });
+            Some(_) => Counter::BatchedRows,
+            None => Counter::FallbackRows,
+        },
+        1,
+    );
     r
 }
 
@@ -626,13 +624,14 @@ fn fast_match_batch(
         }
         Some(true)
     };
-    crate::profile::bump(|c| {
-        c.vectorized_probes += ops;
+    coral_profile::bump(Counter::VectorizedProbes, ops);
+    coral_profile::bump(
         match r {
-            Some(_) => c.batched_rows += 1,
-            None => c.fallback_rows += 1,
-        }
-    });
+            Some(_) => Counter::BatchedRows,
+            None => Counter::FallbackRows,
+        },
+        1,
+    );
     r
 }
 
@@ -645,7 +644,7 @@ fn match_row(envs: &mut EnvSet, lit_args: &[Term], env: EnvId, t: &Tuple) -> boo
             return ok;
         }
     } else {
-        crate::profile::bump(|c| c.fallback_rows += 1);
+        coral_profile::bump(Counter::FallbackRows, 1);
     }
     unify_row(envs, lit_args, env, t)
 }
@@ -666,7 +665,7 @@ fn match_batch_row(
             None => unify_row(envs, lit_args, env, &batch.row_tuple(row)),
         },
         RowRef::Side(t) => {
-            crate::profile::bump(|c| c.fallback_rows += 1);
+            coral_profile::bump(Counter::FallbackRows, 1);
             unify_row(envs, lit_args, env, t)
         }
     }
@@ -821,7 +820,7 @@ pub fn eval_rule(
                 match iter.next() {
                     None => break,
                     Some(cand) => {
-                        crate::profile::bump(|c| c.join_probes += 1);
+                        coral_profile::bump(Counter::JoinProbes, 1);
                         let t: Tuple = cand?;
                         if match_row(envs, lit_args, env, &t) {
                             *matched = true;
@@ -843,7 +842,7 @@ pub fn eval_rule(
                 }
                 let r = *row;
                 *row += 1;
-                crate::profile::bump(|c| c.join_probes += 1);
+                coral_profile::bump(Counter::JoinProbes, 1);
                 if match_batch_row(envs, lit_args, env, batch, r) {
                     *matched = true;
                     advanced = true;
@@ -866,12 +865,12 @@ pub fn eval_rule(
                 } else if *side < table.side().len() {
                     let i = *side;
                     *side += 1;
-                    crate::profile::bump(|c| c.joinhash_fallback_probes += 1);
+                    coral_profile::bump(Counter::JoinhashFallbackProbes, 1);
                     table.side()[i].clone()
                 } else {
                     break;
                 };
-                crate::profile::bump(|c| c.join_probes += 1);
+                coral_profile::bump(Counter::JoinProbes, 1);
                 if match_row(envs, lit_args, env, &t) {
                     *matched = true;
                     advanced = true;

@@ -45,6 +45,7 @@ use crate::rewrite::rewrite_module;
 use crate::scan::AnswerScan;
 use crate::seminaive::{FixpointState, Strategy};
 use coral_lang::{Adornment, FixpointKind, Literal, MaintainKind, PredRef, RewriteKind};
+use coral_profile::Counter;
 use coral_rel::{CountChange, CountStore, HashRelation, IndexSpec, Relation, TupleIter};
 use coral_term::bindenv::EnvSet;
 use coral_term::{Term, Tuple, VarId};
@@ -909,7 +910,7 @@ impl MaintainedState {
             changes.extend(derived);
         }
         engine.maintain_charge(|t| t.propagated += 1);
-        crate::profile::bump(|c| c.maintain_propagated += 1);
+        coral_profile::bump(Counter::MaintainPropagated, 1);
         Ok(true)
     }
 }
@@ -980,7 +981,7 @@ fn counting_scc(
         }
         if updates > 0 {
             engine.maintain_charge(|tot| tot.count_updates += updates);
-            crate::profile::bump(|c| c.maintain_count_updates += updates);
+            coral_profile::bump(Counter::MaintainCountUpdates, updates);
         }
         let delta = Delta::new(ins, del);
         if !delta.is_empty() {
@@ -1175,10 +1176,8 @@ fn dred_scc(
             t.overdeleted += n_overdel as u64;
             t.rederived += rederived;
         });
-        crate::profile::bump(|c| {
-            c.maintain_overdeleted += n_overdel as u64;
-            c.maintain_rederived += rederived;
-        });
+        coral_profile::bump(Counter::MaintainOverdeleted, n_overdel as u64);
+        coral_profile::bump(Counter::MaintainRederived, rederived);
     }
 
     // Phase 3 — insertion propagation, semi-naive over the current

@@ -44,6 +44,7 @@ use crate::rewrite::{MagicSeed, Rewritten};
 use crate::scan::AnswerScan;
 use crate::seminaive::{FixpointState, Strategy};
 use coral_lang::{Adornment, BodyItem, Literal, Module, PredRef, Rule};
+use coral_profile::Counter;
 use coral_rel::Mark;
 use coral_term::{Symbol, Term, Tuple};
 use std::collections::HashMap;
@@ -240,10 +241,8 @@ pub fn evaluate(
         goals: vec![(seed.pred, root_goal.clone(), false)],
         released: false,
     }];
-    crate::profile::bump(|c| {
-        c.os_context_pushes += 1;
-        c.os_max_context_depth = c.os_max_context_depth.max(1);
-    });
+    coral_profile::bump(Counter::OsContextPushes, 1);
+    coral_profile::bump(Counter::OsMaxContextDepth, 1);
     let governor = engine.governor();
     governor.note_depth(1)?;
     let mut seen: Vec<(PredRef, Tuple)> = vec![(seed.pred, root_goal)];
@@ -336,10 +335,8 @@ pub fn evaluate(
                     released: false,
                 });
                 let depth = context.len() as u64;
-                crate::profile::bump(|c| {
-                    c.os_context_pushes += 1;
-                    c.os_max_context_depth = c.os_max_context_depth.max(depth);
-                });
+                coral_profile::bump(Counter::OsContextPushes, 1);
+                coral_profile::bump(Counter::OsMaxContextDepth, depth);
                 governor.note_depth(depth)?;
             }
             continue;

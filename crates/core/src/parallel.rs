@@ -129,21 +129,6 @@ const _: () = {
     assert_send_sync::<JobCtx>();
 };
 
-/// Per-layer counter deltas captured on a worker thread.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct WorkerCounters {
-    pub term: coral_term::profile::Counters,
-    pub rel: coral_rel::profile::Counters,
-    pub core: crate::profile::Counters,
-}
-
-/// Fold worker counter deltas into the coordinator thread's counters.
-pub(crate) fn fold_counters(d: WorkerCounters) {
-    coral_term::profile::add(d.term);
-    coral_rel::profile::add(d.rel);
-    crate::profile::add(d.core);
-}
-
 /// One chunk's evaluation result.
 pub(crate) struct ChunkOut {
     /// Resolved head facts in chunk-local derivation order. Ground facts
@@ -159,7 +144,7 @@ pub(crate) struct ChunkOut {
     /// Wall time this chunk spent evaluating.
     pub busy_ns: u64,
     /// Counter deltas, when profiling.
-    pub counters: Option<WorkerCounters>,
+    pub counters: Option<coral_profile::Snapshot>,
 }
 
 // ---------------------------------------------------------------------
@@ -265,8 +250,8 @@ impl RuleEnv for WorkerEnv<'_> {
 pub(crate) fn eval_chunk(ctx: &JobCtx, chunk: ColumnarBatch) -> EvalResult<ChunkOut> {
     let start = std::time::Instant::now();
     if ctx.profiling {
-        crate::profile::set_profiling(true);
-        crate::profile::reset_all();
+        coral_profile::set_enabled(true);
+        coral_profile::reset();
     }
     // Multiset: the chunk is a slice of a delta scan, never deduped.
     let chunk_rel = HashRelation::with_semantics(ctx.delta_pred.arity, DupSemantics::Multiset);
@@ -312,13 +297,9 @@ pub(crate) fn eval_chunk(ctx: &JobCtx, chunk: ColumnarBatch) -> EvalResult<Chunk
         Ok(())
     })?;
     let counters = if ctx.profiling {
-        let c = WorkerCounters {
-            term: coral_term::profile::snapshot(),
-            rel: coral_rel::profile::snapshot(),
-            core: crate::profile::snapshot(),
-        };
-        crate::profile::set_profiling(false);
-        crate::profile::reset_all();
+        let c = coral_profile::snapshot();
+        coral_profile::set_enabled(false);
+        coral_profile::reset();
         Some(c)
     } else {
         None

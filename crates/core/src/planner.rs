@@ -28,6 +28,7 @@
 
 use crate::compile::{BodyElem, CompiledModule, CompiledRule};
 use coral_lang::PredRef;
+use coral_profile::Counter;
 use coral_stats::RelStats;
 use coral_term::VarId;
 use std::collections::{HashMap, HashSet};
@@ -392,10 +393,8 @@ pub fn plan_module(
             }
         }
     }
-    crate::profile::bump(|c| {
-        c.plan_costed += summary.costed;
-        c.plan_reordered += summary.reordered;
-    });
+    coral_profile::bump(Counter::PlanCosted, summary.costed);
+    coral_profile::bump(Counter::PlanReordered, summary.reordered);
     if auto_index && summary.reordered > 0 {
         refresh_indexes(cm);
     }

@@ -31,11 +31,10 @@ use crate::join::{
     eval_rule, resolve_head, DeltaBatchSource, ExternalResolver, HashJoinState, JoinCtx, LocalRels,
     Ranges,
 };
-use crate::parallel::{
-    eval_chunk, fold_counters, run_tasks, JobCtx, LocalView, ParallelSource, MIN_CHUNK,
-};
+use crate::parallel::{eval_chunk, run_tasks, JobCtx, LocalView, ParallelSource, MIN_CHUNK};
 use crate::profile::ParallelStats;
 use coral_lang::{FixpointKind, PredRef};
+use coral_profile::Counter;
 use coral_rel::{AggregateSelection, DupSemantics, HashRelation, IndexSpec, Mark, Relation};
 use coral_term::bindenv::EnvSet;
 use coral_term::Tuple;
@@ -448,7 +447,7 @@ impl FixpointState {
                 self.stats.rule_firings += 1;
                 let collecting = crate::profile::collecting();
                 let probes_before = if collecting {
-                    crate::profile::snapshot().join_probes
+                    coral_profile::snapshot().get(Counter::JoinProbes)
                 } else {
                     0
                 };
@@ -519,8 +518,8 @@ impl FixpointState {
                 self.stats.facts_derived += derived;
                 self.stats.solutions += solutions;
                 if collecting {
-                    let probes = crate::profile::snapshot()
-                        .join_probes
+                    let probes = coral_profile::snapshot()
+                        .get(Counter::JoinProbes)
                         .saturating_sub(probes_before);
                     crate::profile::scc_rule(
                         self.profile_id,
@@ -712,7 +711,7 @@ impl FixpointState {
             locals: locals_map,
             externals,
             head_pred,
-            profiling: crate::profile::enabled(),
+            profiling: crate::profile::profiling(),
             hash_tables,
             brake: external.parallel_brake(),
         });
@@ -738,8 +737,8 @@ impl FixpointState {
             match r {
                 Ok(out) => {
                     busy_ns += out.busy_ns;
-                    if let Some(c) = out.counters {
-                        fold_counters(c);
+                    if let Some(c) = &out.counters {
+                        coral_profile::add(c);
                     }
                     outs.push(out);
                 }
@@ -912,7 +911,7 @@ impl FixpointState {
             }
         }
         for (key, pv) in updates {
-            crate::profile::bump(|c| c.plan_replans += 1);
+            coral_profile::bump(Counter::PlanReplans, 1);
             match pv {
                 Some(pv) => {
                     crate::profile::plan_note(&format!("replan: {}", order_label(&pv.rule)));

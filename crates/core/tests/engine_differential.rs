@@ -1,6 +1,7 @@
 //! The engine differential: over the shared 5-family × 20-seed program
-//! generators, the default engine at `k=1` and at `k=4` must answer
-//! exactly like the *reference evaluator* — the same program under
+//! generators, the default engine at `k=1` and at `k=4`, and the `@bsn`
+//! and `@psn` strategies of §3.2, must answer exactly like the
+//! *reference evaluator* — the same program under
 //! `@naive. @rewrite none.`, which joins in source order over
 //! index/scan candidates with none of the optimised machinery (no hash
 //! tables, no delta batches, no planner, no worker pool, no maintained
@@ -9,17 +10,19 @@
 //! Answer lists are compared sorted but *not* deduplicated, so
 //! multiplicity differences fail too. `k=1` vs `k=4` must match exactly
 //! on every family (the parallel merge replays the serial insertion
-//! order). Default vs reference is exact on the ground families; on
-//! `nonground` it is modulo subsumption, because the planner and hash
-//! buckets legitimately change derivation order and `SetSubsuming`
-//! relations keep an already-stored specific tuple when a more general
-//! one lands later — the stored representation of the same answer set
-//! depends on arrival order.
+//! order). Every other leg vs the reference is exact on the ground
+//! families; on `nonground` it is modulo subsumption, because the
+//! planner and hash buckets legitimately change derivation order and
+//! `SetSubsuming` relations keep an already-stored specific tuple when a
+//! more general one lands later — the stored representation of the same
+//! answer set depends on arrival order.
 //!
-//! Two kinds of profile assertions (gated on the `profile` feature)
-//! keep the differential honest: every optimisation must demonstrably
-//! engage on the default side ([`ENGAGED`]), and the reference side must
-//! demonstrably touch none of them ([`reference_is_independent`]).
+//! Profile assertions (gated on the `profile` feature) keep the
+//! differential honest: every optimisation must demonstrably engage on
+//! the default side ([`ENGAGED`]), the reference side must demonstrably
+//! touch none of them ([`reference_is_independent`]), and naive
+//! evaluation must pull strictly more join candidates than semi-naive
+//! on every family — the work the strategies differ in.
 
 #[path = "common/families.rs"]
 mod families;
@@ -27,6 +30,10 @@ mod families;
 use coral_core::profile::EngineProfile;
 use coral_core::session::Session;
 use families::{Case, Family, FAMILIES, REFERENCE, SEEDS};
+
+/// The semi-naive strategies run as legs of their own (`@bsn` is also
+/// the default's strategy; the annotation must not change answers).
+const STRATEGIES: [&str; 2] = ["@bsn.\n", "@psn.\n"];
 
 /// Where a default-side counter must be nonzero.
 #[derive(Clone, Copy, PartialEq)]
@@ -39,29 +46,30 @@ enum Scope {
     Family(&'static str),
 }
 
-/// Counters that must be nonzero on the default side.
+/// The one engaged figure that is not a registry counter.
+const PARALLEL_FIRINGS: &str = "parallel.parallel_firings";
+
+/// Counters (by `all_counters()` name) that must be nonzero on the
+/// default side.
 const ENGAGED: [(&str, Scope); 7] = [
-    ("columnar.batched_rows", Scope::EveryFamily),
+    ("core.batched_rows", Scope::EveryFamily),
     // Side-table rows must take the unify fallback, or the sparse
     // boundary of the batch goes untested.
-    ("columnar.fallback_rows", Scope::Family("nonground")),
-    ("joinhash.tables_built", Scope::Suite),
-    ("joinhash.bloom_skips", Scope::Suite),
-    ("planner.reordered", Scope::Suite),
-    ("planner.replans", Scope::Suite),
-    ("parallel.parallel_firings", Scope::Suite),
+    ("core.fallback_rows", Scope::Family("nonground")),
+    ("core.joinhash_tables_built", Scope::Suite),
+    ("core.joinhash_bloom_skips", Scope::Suite),
+    ("core.plan_reordered", Scope::Suite),
+    ("core.plan_replans", Scope::Suite),
+    (PARALLEL_FIRINGS, Scope::Suite),
 ];
 
-fn engaged(p: &EngineProfile) -> [u64; ENGAGED.len()] {
-    [
-        p.columnar.batched_rows,
-        p.columnar.fallback_rows,
-        p.joinhash.tables_built,
-        p.joinhash.bloom_skips,
-        p.planner.reordered,
-        p.planner.replans,
-        p.sccs.iter().map(|s| s.parallel.parallel_firings).sum(),
-    ]
+fn counter(p: &EngineProfile, name: &str) -> u64 {
+    if name == PARALLEL_FIRINGS {
+        return p.sccs.iter().map(|s| s.parallel.parallel_firings).sum();
+    }
+    let counters = p.counters();
+    let found = counters.iter().find(|(k, _)| k == name);
+    found.unwrap_or_else(|| panic!("no counter {name}")).1
 }
 
 /// Consult `program`, run `query`, and return the sorted answers (not
@@ -94,30 +102,18 @@ fn reference_is_independent(s: &Session, label: &str) {
         return;
     }
     let p = s.last_profile().expect("reference run was profiled");
-    let (jh, pl, mt) = (&p.joinhash, &p.planner, &p.maintain);
-    let par = p.sccs.iter().fold((0, 0), |(f, s), sec| {
-        (
-            f + sec.parallel.parallel_firings,
-            s + sec.parallel.serial_fallbacks,
-        )
-    });
-    for (name, v) in [
-        ("joinhash.tables_built", jh.tables_built),
-        ("joinhash.build_rows", jh.build_rows),
-        ("joinhash.probes", jh.probes),
-        ("joinhash.bloom_skips", jh.bloom_skips),
-        ("joinhash.fallback_probes", jh.fallback_probes),
-        ("planner.costed", pl.costed),
-        ("planner.reordered", pl.reordered),
-        ("planner.replans", pl.replans),
-        ("parallel.parallel_firings", par.0),
-        ("parallel.serial_fallbacks", par.1),
-        ("maintain.propagated", mt.propagated),
-        ("maintain.overdeleted", mt.overdeleted),
-        ("maintain.rederived", mt.rederived),
-        ("maintain.count_updates", mt.count_updates),
-    ] {
-        assert_eq!(v, 0, "{label}: reference run counted {name}");
+    let optimised = ["core.joinhash_", "core.plan_", "core.maintain_"];
+    for (name, v) in p.counters() {
+        if optimised.iter().any(|prefix| name.starts_with(prefix)) {
+            assert_eq!(v, 0, "{label}: reference run counted {name}");
+        }
+    }
+    for sec in &p.sccs {
+        assert_eq!(
+            (sec.parallel.parallel_firings, sec.parallel.serial_fallbacks),
+            (0, 0),
+            "{label}: reference run considered the worker pool"
+        );
     }
 }
 
@@ -187,10 +183,40 @@ fn modulo_subsumption(answers: &[String]) -> Vec<String> {
         .collect()
 }
 
-/// One family across its seed range; returns the default side's
-/// accumulated [`ENGAGED`] counters (`k=1` and `k=4` runs summed).
-fn run_family(&(name, gen, base): &Family) -> [u64; ENGAGED.len()] {
-    let mut totals = [0u64; ENGAGED.len()];
+/// A family's default-side [`ENGAGED`] counters (`k=1` and `k=4` runs
+/// summed) and the join candidates the `@naive` reference and the
+/// `@bsn` leg pulled.
+#[derive(Default)]
+struct Totals {
+    engaged: [u64; ENGAGED.len()],
+    naive_probes: u64,
+    bsn_probes: u64,
+}
+
+/// `answers` must equal the reference's (modulo subsumption on
+/// `nonground`).
+fn assert_matches(family: &str, answers: &[String], reference: &[String], what: &str) {
+    if family == "nonground" {
+        assert_eq!(
+            modulo_subsumption(answers),
+            modulo_subsumption(reference),
+            "{what} answers differ from the reference modulo subsumption"
+        );
+    } else {
+        assert_eq!(
+            answers, reference,
+            "{what} answers differ from the reference"
+        );
+    }
+}
+
+/// One family across its seed range.
+fn run_family(&(name, gen, base): &Family) -> Totals {
+    let mut totals = Totals::default();
+    let probes = |s: &Session| {
+        s.last_profile()
+            .map_or(0, |p| counter(&p, "core.join_probes"))
+    };
     for seed in base..base + SEEDS {
         let case: Case = gen(seed);
         let label = format!("{name} seed {seed}");
@@ -199,21 +225,15 @@ fn run_family(&(name, gen, base): &Family) -> [u64; ENGAGED.len()] {
         let (reference, rs) = run(4, &case.program(REFERENCE), case.query, &label);
         assert!(!reference.is_empty(), "{label}: query has answers");
         reference_is_independent(&rs, &label);
+        totals.naive_probes += probes(&rs);
 
         let (serial, s1) = run(1, &program, case.query, &label);
-        if name == "nonground" {
-            assert_eq!(
-                modulo_subsumption(&serial),
-                modulo_subsumption(&reference),
-                "{label}: default (k=1) answers differ from the reference \
-                 modulo subsumption on:\n{program}"
-            );
-        } else {
-            assert_eq!(
-                serial, reference,
-                "{label}: default (k=1) answers differ from the reference on:\n{program}"
-            );
-        }
+        assert_matches(
+            name,
+            &serial,
+            &reference,
+            &format!("{label}: default (k=1) on:\n{program}\n"),
+        );
         let (parallel, s4) = run(4, &program, case.query, &label);
         assert_eq!(
             parallel, serial,
@@ -221,9 +241,22 @@ fn run_family(&(name, gen, base): &Family) -> [u64; ENGAGED.len()] {
         );
         for s in [s1, s4] {
             if let Some(p) = s.last_profile() {
-                for (t, v) in totals.iter_mut().zip(engaged(&p)) {
-                    *t += v;
+                for (t, (c, _)) in totals.engaged.iter_mut().zip(ENGAGED) {
+                    *t += counter(&p, c);
                 }
+            }
+        }
+        for strategy in STRATEGIES {
+            let program = case.program(strategy);
+            let (answers, s) = run(1, &program, case.query, &label);
+            assert_matches(
+                name,
+                &answers,
+                &reference,
+                &format!("{label}: {} on:\n{program}\n", strategy.trim()),
+            );
+            if strategy == STRATEGIES[0] {
+                totals.bsn_probes += probes(&s);
             }
         }
     }
@@ -233,7 +266,7 @@ fn run_family(&(name, gen, base): &Family) -> [u64; ENGAGED.len()] {
 #[test]
 fn default_engine_matches_the_reference_on_all_families() {
     // Families are independent; run them side by side.
-    let per_family: Vec<[u64; ENGAGED.len()]> = std::thread::scope(|scope| {
+    let per_family: Vec<Totals> = std::thread::scope(|scope| {
         let handles: Vec<_> = FAMILIES
             .iter()
             .map(|f| scope.spawn(move || run_family(f)))
@@ -249,13 +282,20 @@ fn default_engine_matches_the_reference_on_all_families() {
     let mut suite = [0u64; ENGAGED.len()];
     for ((name, ..), totals) in FAMILIES.iter().zip(&per_family) {
         for (i, (counter, scope)) in ENGAGED.iter().enumerate() {
-            suite[i] += totals[i];
+            suite[i] += totals.engaged[i];
             let required = *scope == Scope::EveryFamily || *scope == Scope::Family(name);
             assert!(
-                !required || totals[i] > 0,
+                !required || totals.engaged[i] > 0,
                 "{name}: no default run ever counted {counter} — differential vacuous"
             );
         }
+        // Naive re-derives old facts every round; semi-naive must not.
+        assert!(
+            totals.naive_probes > totals.bsn_probes,
+            "{name}: @naive pulled {} join candidates, @bsn {} — naive must redo work",
+            totals.naive_probes,
+            totals.bsn_probes
+        );
     }
     for ((counter, _), total) in ENGAGED.iter().zip(suite) {
         assert!(

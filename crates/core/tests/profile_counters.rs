@@ -197,3 +197,38 @@ fn nested_module_calls_keep_outer_profile() {
         p.query
     );
 }
+
+/// The Ordered Search high-water mark is the call's own: a later
+/// profiled call that never pushes a context reports depth 0, not the
+/// thread's all-time mark.
+#[test]
+fn context_depth_does_not_leak_into_the_next_profile() {
+    if !profile::AVAILABLE {
+        return;
+    }
+    let s = Session::new();
+    s.set_profiling(true);
+    s.consult_str(
+        "move(a, b). move(b, c). move(c, d). move(d, e). move(e, f). move(f, g).\n\
+         module game.\n\
+         export win(b).\n\
+         @ordered_search.\n\
+         win(X) :- move(X, Y), not win(Y).\n\
+         end_module.\n",
+    )
+    .unwrap();
+    s.consult_str(TC_PROGRAM).unwrap();
+    s.query_all("win(a)").unwrap();
+    let os = s.last_profile().expect("profile collected");
+    assert!(total(&os, "core.os_max_context_depth") > 1, "{os:?}");
+    s.query_all("path(1, Y)").unwrap();
+    let p = s.last_profile().expect("profile collected");
+    assert_eq!(total(&p, "core.os_context_pushes"), 0, "{p:?}");
+    assert_eq!(total(&p, "core.os_max_context_depth"), 0, "{p:?}");
+    // The thread's totals still remember the deepest stack.
+    let depth = profile::all_counters()
+        .into_iter()
+        .find(|(k, _)| k == "core.os_max_context_depth")
+        .map(|(_, v)| v);
+    assert_eq!(depth, Some(total(&os, "core.os_max_context_depth")));
+}

@@ -17,7 +17,8 @@
 //!   bignums, variables and nested functor terms all cross the wire.
 //! * [`Server`] — bounded worker pool, per-request timeouts, frame
 //!   size limits, graceful shutdown, and per-server [`NetStats`]
-//!   counters in the style of coral-profile.
+//!   counters (process-wide atomics, outside the thread-local
+//!   `coral-profile` registry).
 //! * [`Client`] — a blocking client whose typed methods mirror the
 //!   `Session` API; [`RemoteAnswers`] streams answers in batches, so
 //!   the §5.6 get-next-tuple laziness of pipelined evaluation is

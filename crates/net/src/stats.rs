@@ -1,7 +1,8 @@
-//! Per-server counters, following the coral-profile pattern of cheap
-//! always-on counters with an explicit snapshot type — but using
-//! atomics rather than thread-local cells, since connections are
-//! served from many worker threads.
+//! Per-server counters: cheap, always on, read through an explicit
+//! snapshot type. They sit outside the engine's counter registry
+//! (`coral-profile`), whose counters are thread-local cells, because
+//! connections are served from many worker threads: these are
+//! process-wide atomics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -28,6 +28,7 @@
 
 use crate::error::{RelError, RelResult};
 use crate::relation::{iter_from_vec, DupSemantics, IndexSpec, Relation, TupleIter};
+use coral_profile::Counter;
 use coral_term::bindenv::EnvSet;
 use coral_term::term::VarId;
 use coral_term::{match_args, unify, Term, Tuple};
@@ -366,7 +367,7 @@ impl HashRelation {
         if inner.subs.last().map(|s| s.tuples.is_empty()) == Some(true) {
             return Mark(inner.subs.len() - 1);
         }
-        crate::profile::bump(|c| c.mark_advances += 1);
+        coral_profile::bump(Counter::MarkAdvances, 1);
         let ndefs = inner.defs.len();
         inner.subs.push(Arc::new(Subsidiary {
             tuples: Vec::new(),
@@ -512,7 +513,7 @@ impl HashRelation {
     /// subsidiaries it touches; the cursor keeps seeing the contents as
     /// of open. Counts one `full_scans`.
     pub fn scan_owned(&self) -> impl Iterator<Item = Tuple> {
-        crate::profile::bump(|c| c.full_scans += 1);
+        coral_profile::bump(Counter::FullScans, 1);
         let subs = self.inner.borrow().subs.clone();
         subs.into_iter()
             .flat_map(|s| (0..s.tuples.len()).filter_map(move |i| s.tuples[i].clone()))
@@ -594,13 +595,14 @@ fn lookup_slice(
             }
         }
     }
-    crate::profile::bump(|c| {
+    coral_profile::bump(
         if best.is_some() {
-            c.index_probes += 1;
+            Counter::IndexProbes
         } else {
-            c.full_scans += 1;
-        }
-    });
+            Counter::FullScans
+        },
+        1,
+    );
     let mut out = Vec::new();
     match best {
         Some((idx, components)) => {
@@ -1459,31 +1461,27 @@ mod tests {
         assert!(r.is_ground_set());
     }
 
-    #[cfg(feature = "profile")]
     #[test]
     fn snapshot_lookup_counts_one_probe() {
+        if !coral_profile::AVAILABLE {
+            return;
+        }
         let r = HashRelation::new(2);
         r.make_index(IndexSpec::Args(vec![0])).unwrap();
         r.insert(t2(1, 10)).unwrap();
         let snap = r.snapshot();
-        crate::profile::set_enabled(true);
-        crate::profile::reset();
+        coral_profile::set_enabled(true);
+        coral_profile::reset();
+        let probes = || {
+            let c = coral_profile::snapshot();
+            (c.get(Counter::IndexProbes), c.get(Counter::FullScans))
+        };
         snap.lookup(&[Term::int(1), Term::var(0)]);
-        let c = crate::profile::snapshot();
-        assert_eq!((c.index_probes, c.full_scans), (1, 0));
+        assert_eq!(probes(), (1, 0));
         snap.lookup(&[Term::var(0), Term::var(1)]);
-        let c = crate::profile::snapshot();
-        assert_eq!((c.index_probes, c.full_scans), (1, 1));
-        // Folding a worker delta adds on top.
-        crate::profile::add(crate::profile::Counters {
-            index_probes: 5,
-            full_scans: 2,
-            mark_advances: 0,
-        });
-        let c = crate::profile::snapshot();
-        assert_eq!((c.index_probes, c.full_scans), (6, 3));
-        crate::profile::set_enabled(false);
-        crate::profile::reset();
+        assert_eq!(probes(), (1, 1));
+        coral_profile::set_enabled(false);
+        coral_profile::reset();
     }
 
     #[test]

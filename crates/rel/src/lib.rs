@@ -34,7 +34,6 @@ pub mod joinhash;
 pub mod list_rel;
 pub mod meter;
 pub mod persistent;
-pub mod profile;
 pub mod relation;
 
 pub use columnar::{ColVal, ColumnarBatch, RowRef};

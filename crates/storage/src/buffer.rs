@@ -46,6 +46,7 @@ use crate::error::{StorageError, StorageResult};
 use crate::file::{FileId, PageFile, PageId};
 use crate::page::PAGE_SIZE;
 use crate::tx::{LockTable, MvccState, PageKey, TxStats, TxnState, View};
+use coral_profile::Counter;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -225,12 +226,12 @@ impl BufferPool {
     ) -> StorageResult<usize> {
         if let Some(&idx) = inner.map.get(&(fid, pid)) {
             inner.stats.hits += 1;
-            crate::profile::bump(|c| c.pool_hits += 1);
+            coral_profile::bump(Counter::PoolHits, 1);
             inner.frames[idx].referenced = true;
             return Ok(idx);
         }
         inner.stats.misses += 1;
-        crate::profile::bump(|c| c.pool_misses += 1);
+        coral_profile::bump(Counter::PoolMisses, 1);
         // CLOCK sweep for a victim (unpinned frame; clear ref bits as we
         // pass). Two full sweeps guarantee progress unless all pinned.
         let cap = inner.frames.len();
@@ -271,7 +272,7 @@ impl BufferPool {
             }
             inner.map.remove(&(efid, epid));
             inner.stats.evictions += 1;
-            crate::profile::bump(|c| c.pool_evictions += 1);
+            coral_profile::bump(Counter::PoolEvictions, 1);
         }
         if load {
             let mut data = std::mem::take(&mut inner.frames[idx].data);
@@ -344,7 +345,7 @@ impl BufferPool {
             if let Some(list) = inner.mvcc.versions.get(&(fid, pid)) {
                 return Ok(match list.iter().rposition(|&(ts, _)| ts <= s) {
                     Some(i) => {
-                        crate::profile::bump(|c| c.pool_hits += 1);
+                        coral_profile::bump(Counter::PoolHits, 1);
                         body(&list[i].1)
                     }
                     // Versions exist but all postdate the snapshot: the

@@ -35,7 +35,6 @@ pub mod error;
 pub mod file;
 pub mod heap;
 pub mod page;
-pub mod profile;
 pub mod server;
 pub mod tx;
 pub mod vfs;

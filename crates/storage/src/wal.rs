@@ -37,6 +37,7 @@ use crate::error::{StorageError, StorageResult};
 use crate::file::PageId;
 use crate::page::PAGE_SIZE;
 use crate::vfs::{StdVfs, StorageFile, Vfs};
+use coral_profile::Counter;
 use std::path::{Path, PathBuf};
 
 const KIND_COMMIT: u8 = 1;
@@ -108,7 +109,7 @@ impl Wal {
                     .into(),
             ));
         }
-        crate::profile::bump(|c| c.wal_appends += 1);
+        coral_profile::bump(Counter::WalAppends, 1);
         let len = 1 + payload.len();
         let mut buf = Vec::with_capacity(4 + len + 8);
         buf.extend_from_slice(&(len as u32).to_le_bytes());
@@ -157,7 +158,7 @@ impl Wal {
         }
         let mut buf = Vec::new();
         for (txn, pages) in batch {
-            crate::profile::bump(|c| c.wal_appends += 1);
+            coral_profile::bump(Counter::WalAppends, 1);
             let mut payload = Vec::with_capacity(12 + pages.len() * (12 + PAGE_SIZE));
             payload.extend_from_slice(&txn.to_le_bytes());
             payload.extend_from_slice(&(pages.len() as u32).to_le_bytes());

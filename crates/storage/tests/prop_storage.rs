@@ -1,128 +1,101 @@
-#![cfg(feature = "proptest")]
-
-//! Property tests: the B+-tree and heap file against in-memory models.
+//! Property tests over seeded [`TestRng`] inputs: the B+-tree and heap
+//! file against in-memory models.
 
 use coral_storage::btree::BTree;
 use coral_storage::buffer::BufferPool;
 use coral_storage::file::{FileId, PageFile};
 use coral_storage::heap::HeapFile;
-use proptest::prelude::*;
+use coral_term::testutil::TestRng;
 use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-static COUNTER: AtomicU64 = AtomicU64::new(0);
+const CASES: u64 = 48;
 
-fn fresh_file(prefix: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("coral-prop-storage-{}", std::process::id()));
-    std::fs::create_dir_all(&d).unwrap();
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let p = d.join(format!("{prefix}-{n}"));
-    let _ = std::fs::remove_file(&p);
-    p
+static FILES: AtomicU64 = AtomicU64::new(0);
+
+fn dir(prefix: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("coral-prop-{prefix}-{}", std::process::id()))
 }
 
-fn fresh_tree(frames: usize) -> BTree {
+fn fresh_pool(prefix: &str, frames: usize) -> Arc<BufferPool> {
+    std::fs::create_dir_all(dir(prefix)).unwrap();
+    let p = dir(prefix).join(FILES.fetch_add(1, Ordering::Relaxed).to_string());
     let pool = Arc::new(BufferPool::new(frames));
-    pool.register_file(FileId(0), PageFile::open(&fresh_file("bt")).unwrap());
-    BTree::open(pool, FileId(0)).unwrap()
+    pool.register_file(FileId(0), PageFile::open(&p).unwrap());
+    pool
 }
 
-fn fresh_heap(frames: usize) -> HeapFile {
-    let pool = Arc::new(BufferPool::new(frames));
-    pool.register_file(FileId(0), PageFile::open(&fresh_file("heap")).unwrap());
-    HeapFile::new(pool, FileId(0))
+/// 1–5 bytes over a small alphabet, so keys collide often.
+fn item(rng: &mut TestRng) -> Vec<u8> {
+    (0..rng.gen_range(1, 6))
+        .map(|_| rng.gen_range(0, 8) as u8)
+        .collect()
 }
 
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(Vec<u8>),
-    Delete(Vec<u8>),
-    Contains(Vec<u8>),
-}
-
-fn item_strategy() -> impl Strategy<Value = Vec<u8>> {
-    proptest::collection::vec(0u8..8, 1..6)
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        3 => item_strategy().prop_map(Op::Insert),
-        1 => item_strategy().prop_map(Op::Delete),
-        1 => item_strategy().prop_map(Op::Contains),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn btree_matches_btreeset_model(ops in proptest::collection::vec(op_strategy(), 1..120)) {
-        let tree = fresh_tree(8); // tiny pool to exercise eviction
+#[test]
+fn btree_matches_btreeset_model() {
+    let mut rng = TestRng::new(1);
+    for case in 0..CASES {
+        let tree = BTree::open(fresh_pool("bt", 8), FileId(0)).unwrap(); // tiny pool: evictions
         let mut model: BTreeSet<Vec<u8>> = BTreeSet::new();
-        for op in &ops {
-            match op {
-                Op::Insert(item) => {
-                    let fresh = tree.insert(item).unwrap();
-                    prop_assert_eq!(fresh, model.insert(item.clone()));
-                }
-                Op::Delete(item) => {
-                    let was = tree.delete(item).unwrap();
-                    prop_assert_eq!(was, model.remove(item));
-                }
-                Op::Contains(item) => {
-                    prop_assert_eq!(tree.contains(item).unwrap(), model.contains(item));
-                }
+        for _ in 0..rng.gen_range(1, 120) {
+            let x = item(&mut rng);
+            match rng.gen_range(0, 5) {
+                0..=2 => assert_eq!(tree.insert(&x).unwrap(), model.insert(x.clone())),
+                3 => assert_eq!(tree.delete(&x).unwrap(), model.remove(&x)),
+                _ => assert_eq!(tree.contains(&x).unwrap(), model.contains(&x)),
             }
         }
-        prop_assert_eq!(tree.len().unwrap(), model.len() as u64);
+        assert_eq!(tree.len().unwrap(), model.len() as u64, "case {case}");
         let scanned: Vec<Vec<u8>> = tree.scan_all().unwrap().map(|r| r.unwrap()).collect();
-        let expect: Vec<Vec<u8>> = model.iter().cloned().collect();
-        prop_assert_eq!(scanned, expect);
+        assert_eq!(
+            scanned,
+            model.iter().cloned().collect::<Vec<_>>(),
+            "case {case}"
+        );
+        let (a, b) = (item(&mut rng), item(&mut rng));
+        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+        let got: Vec<Vec<u8>> = tree
+            .range(&lo, Some(&hi))
+            .unwrap()
+            .map(|r| r.unwrap())
+            .collect();
+        let expect: Vec<Vec<u8>> = model.range(lo.clone()..hi.clone()).cloned().collect();
+        assert_eq!(got, expect, "case {case}: range {lo:?}..{hi:?}");
     }
+    let _ = std::fs::remove_dir_all(dir("bt"));
+}
 
-    #[test]
-    fn btree_range_matches_model(
-        items in proptest::collection::btree_set(item_strategy(), 0..80),
-        lo in item_strategy(),
-        hi in item_strategy(),
-    ) {
-        let tree = fresh_tree(8);
-        for item in &items {
-            tree.insert(item).unwrap();
-        }
-        let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
-        let got: Vec<Vec<u8>> = tree.range(&lo, Some(&hi)).unwrap().map(|r| r.unwrap()).collect();
-        let expect: Vec<Vec<u8>> = items.range(lo.clone()..hi.clone()).cloned().collect();
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn heap_matches_map_model(
-        records in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..300), 1..60),
-        delete_mask in proptest::collection::vec(any::<bool>(), 60),
-    ) {
-        let heap = fresh_heap(4);
-        let mut model: HashMap<_, Vec<u8>> = HashMap::new();
+#[test]
+fn heap_matches_map_model() {
+    let mut rng = TestRng::new(2);
+    for case in 0..CASES {
+        let heap = HeapFile::new(fresh_pool("heap", 4), FileId(0));
+        let mut model = HashMap::new();
         let mut rids = Vec::new();
-        for rec in &records {
-            let rid = heap.insert(rec).unwrap();
-            model.insert(rid, rec.clone());
+        for _ in 0..rng.gen_range(1, 60) {
+            let rec: Vec<u8> = (0..rng.gen_range(0, 300))
+                .map(|_| rng.next_u64() as u8)
+                .collect();
+            let rid = heap.insert(&rec).unwrap();
+            model.insert(rid, rec);
             rids.push(rid);
         }
-        for (rid, del) in rids.iter().zip(&delete_mask) {
-            if *del && model.remove(rid).is_some() {
-                heap.delete(*rid).unwrap();
+        for rid in rids {
+            if rng.gen_bool(0.5) && model.remove(&rid).is_some() {
+                heap.delete(rid).unwrap();
             }
         }
         for (rid, rec) in &model {
-            prop_assert_eq!(&heap.get(*rid).unwrap(), rec);
+            assert_eq!(&heap.get(*rid).unwrap(), rec, "case {case}");
         }
-        let mut scanned: Vec<(_, Vec<u8>)> = heap.scan().map(|r| r.unwrap()).collect();
+        let mut scanned: Vec<_> = heap.scan().map(|r| r.unwrap()).collect();
         scanned.sort();
-        let mut expect: Vec<(_, Vec<u8>)> = model.into_iter().collect();
+        let mut expect: Vec<_> = model.into_iter().collect();
         expect.sort();
-        prop_assert_eq!(scanned, expect);
+        assert_eq!(scanned, expect, "case {case}");
     }
+    let _ = std::fs::remove_dir_all(dir("heap"));
 }

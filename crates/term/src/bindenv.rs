@@ -17,6 +17,7 @@
 //! loop" (§5.3). [`EnvSet::mark`]/[`EnvSet::undo`] implement that trail.
 
 use crate::term::{Term, VarId};
+use coral_profile::Counter;
 
 /// Identifies one frame (one binding environment) in an [`EnvSet`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -50,7 +51,7 @@ impl EnvSet {
 
     /// Allocate a fresh frame with `nvars` unbound variables.
     pub fn push_frame(&mut self, nvars: usize) -> EnvId {
-        crate::profile::bump(|c| c.bindenv_allocs += 1);
+        coral_profile::bump(Counter::BindenvAllocs, 1);
         let id = EnvId(u32::try_from(self.frames.len()).expect("env overflow"));
         self.frames.push(Frame {
             slots: vec![None; nvars],

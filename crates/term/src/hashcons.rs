@@ -23,6 +23,7 @@
 //! comparison.
 
 use crate::term::{App, Term};
+use coral_profile::Counter;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering::{Acquire, Release};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -112,20 +113,20 @@ fn intern_key(key: HcKey) -> HcId {
     {
         let t = table().read().unwrap();
         if let Some(&id) = t.map.get(&key) {
-            crate::profile::bump(|c| c.hashcons_hits += 1);
+            coral_profile::bump(Counter::HashconsHits, 1);
             return id;
         }
     }
     let mut t = table().write().unwrap();
     if let Some(&id) = t.map.get(&key) {
-        crate::profile::bump(|c| c.hashcons_hits += 1);
+        coral_profile::bump(Counter::HashconsHits, 1);
         return id;
     }
     let id = HcId(t.next);
     t.next += 1;
     crate::meter::add_term_bytes(key_bytes(&key));
     t.map.insert(key, id);
-    crate::profile::bump(|c| c.hashcons_misses += 1);
+    coral_profile::bump(Counter::HashconsMisses, 1);
     id
 }
 
@@ -143,7 +144,7 @@ pub fn intern(term: &Term) -> Option<HcId> {
         Term::Adt(_) => None,
         Term::App(app) => {
             if let Some(id) = cached_id(app) {
-                crate::profile::bump(|c| c.hashcons_hits += 1);
+                coral_profile::bump(Counter::HashconsHits, 1);
                 return Some(id);
             }
             if !app_is_ground(app) {

@@ -29,7 +29,6 @@ pub mod bignum;
 pub mod bindenv;
 pub mod hashcons;
 pub mod meter;
-pub mod profile;
 pub mod symbol;
 pub mod term;
 pub mod testutil;

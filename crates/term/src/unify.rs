@@ -18,6 +18,7 @@
 use crate::bindenv::{EnvId, EnvSet};
 use crate::hashcons;
 use crate::term::{Term, VarId};
+use coral_profile::Counter;
 
 /// Unify `(t1, e1)` with `(t2, e2)`, binding variables in `envs`.
 ///
@@ -26,12 +27,8 @@ use crate::term::{Term, VarId};
 /// is what the nested-loops join does for every candidate tuple.
 pub fn unify(envs: &mut EnvSet, t1: &Term, e1: EnvId, t2: &Term, e2: EnvId) -> bool {
     let ok = unify_inner(envs, t1, e1, t2, e2);
-    crate::profile::bump(|c| {
-        c.unify_attempts += 1;
-        if !ok {
-            c.unify_failures += 1;
-        }
-    });
+    coral_profile::bump(Counter::UnifyAttempts, 1);
+    coral_profile::bump(Counter::UnifyFailures, u64::from(!ok));
     ok
 }
 

@@ -1,211 +1,123 @@
-#![cfg(feature = "proptest")]
-
-//! Property-based tests for the term layer: bignum arithmetic laws,
-//! unification invariants, hash-consing soundness, tuple normalization.
+//! Property tests for the term layer over seeded [`TestRng`] inputs:
+//! bignum algebra, unification symmetry and trail restore, and
+//! hash-consing ids agreeing with structural equality.
 
 use coral_term::bignum::BigInt;
 use coral_term::bindenv::EnvSet;
 use coral_term::term::Term;
-use coral_term::tuple::Tuple;
-use coral_term::{hashcons, match_one_way, subsumes, unify, variant};
-use proptest::prelude::*;
+use coral_term::testutil::TestRng;
+use coral_term::{hashcons, unify};
 
-fn bigint_strategy() -> impl Strategy<Value = BigInt> {
-    proptest::collection::vec(any::<u32>(), 0..6).prop_flat_map(|limbs| {
-        any::<bool>().prop_map(move |neg| {
-            let mut b = BigInt::zero();
-            for l in &limbs {
-                b = &(&b * &BigInt::from_i64(1i64 << 32)) + &BigInt::from_i64(*l as i64);
-            }
-            if neg {
-                -b
-            } else {
-                b
-            }
-        })
-    })
-}
+const CASES: u64 = 256;
 
-proptest! {
-    #[test]
-    fn bignum_add_commutes(a in bigint_strategy(), b in bigint_strategy()) {
-        prop_assert_eq!(&a + &b, &b + &a);
+/// Up to five random 32-bit limbs, random sign.
+fn bigint(rng: &mut TestRng) -> BigInt {
+    let mut b = BigInt::zero();
+    for _ in 0..rng.gen_range(0, 6) {
+        let limb = BigInt::from_i64((rng.next_u64() >> 32) as i64);
+        b = &(&b * &BigInt::from_i64(1i64 << 32)) + &limb;
     }
-
-    #[test]
-    fn bignum_add_sub_roundtrip(a in bigint_strategy(), b in bigint_strategy()) {
-        prop_assert_eq!(&(&a + &b) - &b, a);
-    }
-
-    #[test]
-    fn bignum_mul_distributes(a in bigint_strategy(), b in bigint_strategy(), c in bigint_strategy()) {
-        prop_assert_eq!(&a * &(&b + &c), &(&a * &b) + &(&a * &c));
-    }
-
-    #[test]
-    fn bignum_divmod_identity(a in bigint_strategy(), b in bigint_strategy()) {
-        prop_assume!(!b.is_zero());
-        let (q, r) = a.divmod(&b);
-        prop_assert_eq!(&(&q * &b) + &r, a.clone());
-        // |r| < |b|
-        prop_assert!(r.abs() < b.abs());
-    }
-
-    #[test]
-    fn bignum_parse_print_roundtrip(a in bigint_strategy()) {
-        let s = a.to_string();
-        let back: BigInt = s.parse().unwrap();
-        prop_assert_eq!(back, a);
-    }
-
-    #[test]
-    fn bignum_i64_arith_agrees(a in any::<i32>(), b in any::<i32>()) {
-        let (ba, bb) = (BigInt::from_i64(a as i64), BigInt::from_i64(b as i64));
-        prop_assert_eq!((&ba + &bb).to_i64(), Some(a as i64 + b as i64));
-        prop_assert_eq!((&ba * &bb).to_i64(), Some(a as i64 * b as i64));
-        prop_assert_eq!((&ba - &bb).to_i64(), Some(a as i64 - b as i64));
-        prop_assert_eq!(ba.cmp(&bb), (a as i64).cmp(&(b as i64)));
+    if rng.gen_bool(0.5) {
+        -b
+    } else {
+        b
     }
 }
 
-/// A strategy over terms with variables drawn from 0..4.
-fn term_strategy() -> impl Strategy<Value = Term> {
-    let leaf = prop_oneof![
-        (-50i64..50).prop_map(Term::int),
-        (0u32..4).prop_map(Term::var),
-        prop_oneof![Just("a"), Just("b"), Just("c")].prop_map(Term::str),
-        (-5.0f64..5.0).prop_map(Term::double),
-    ];
-    leaf.prop_recursive(3, 24, 3, |inner| {
-        (
-            prop_oneof![Just("f"), Just("g"), Just("h")],
-            proptest::collection::vec(inner, 0..3),
-        )
-            .prop_map(|(name, args)| Term::apps(name, args))
-    })
+/// A term of depth ≤ `depth` over ints, strings, doubles, `f/g/h`
+/// applications and (when `vars`) variables 0..4.
+fn term(rng: &mut TestRng, depth: u32, vars: bool) -> Term {
+    if depth > 0 && rng.gen_bool(0.4) {
+        let name = ["f", "g", "h"][rng.gen_range(0, 3)];
+        let args = (0..rng.gen_range(0, 3))
+            .map(|_| term(rng, depth - 1, vars))
+            .collect();
+        return Term::apps(name, args);
+    }
+    match rng.gen_range(0, if vars { 4 } else { 3 }) {
+        0 => Term::int(rng.gen_range(0, 6) as i64 - 3),
+        1 => Term::str(["a", "b", "c"][rng.gen_range(0, 3)]),
+        2 => Term::double(rng.gen_range(0, 4) as f64 / 2.0),
+        _ => Term::var(rng.gen_range(0, 4) as u32),
+    }
 }
 
-fn ground_term_strategy() -> impl Strategy<Value = Term> {
-    let leaf = prop_oneof![
-        (-50i64..50).prop_map(Term::int),
-        prop_oneof![Just("a"), Just("b"), Just("c")].prop_map(Term::str),
-    ];
-    leaf.prop_recursive(3, 24, 3, |inner| {
-        (
-            prop_oneof![Just("f"), Just("g")],
-            proptest::collection::vec(inner, 0..3),
-        )
-            .prop_map(|(name, args)| Term::apps(name, args))
-    })
+#[test]
+fn bignum_algebra() {
+    let mut rng = TestRng::new(1);
+    for case in 0..CASES {
+        let (a, b, c) = (bigint(&mut rng), bigint(&mut rng), bigint(&mut rng));
+        assert_eq!(&a + &b, &b + &a, "case {case}: + commutes");
+        assert_eq!(&(&a + &b) - &b, a, "case {case}: - undoes +");
+        assert_eq!(
+            &a * &(&b + &c),
+            &(&a * &b) + &(&a * &c),
+            "case {case}: * distributes"
+        );
+        if !b.is_zero() {
+            let (q, r) = a.divmod(&b);
+            assert_eq!(&(&q * &b) + &r, a, "case {case}: q*b + r = a");
+            assert!(r.abs() < b.abs(), "case {case}: |r| < |b|");
+        }
+        let back: BigInt = a.to_string().parse().unwrap();
+        assert_eq!(back, a, "case {case}: print/parse round trip");
+        let (x, y) = (rng.next_u64() as i32 as i64, rng.next_u64() as i32 as i64);
+        let (bx, by) = (BigInt::from_i64(x), BigInt::from_i64(y));
+        assert_eq!((&bx + &by).to_i64(), Some(x + y));
+        assert_eq!((&bx - &by).to_i64(), Some(x - y));
+        assert_eq!((&bx * &by).to_i64(), Some(x * y));
+        assert_eq!(bx.cmp(&by), x.cmp(&y));
+    }
 }
 
-proptest! {
-    #[test]
-    fn unify_term_with_itself_succeeds(t in term_strategy()) {
+#[test]
+fn unify_is_symmetric() {
+    let mut rng = TestRng::new(2);
+    for _ in 0..CASES {
+        let (a, b) = (term(&mut rng, 3, true), term(&mut rng, 3, true));
+        let mut fwd = EnvSet::new();
+        let (ea, eb) = (fwd.push_frame(4), fwd.push_frame(4));
+        let mut bwd = EnvSet::new();
+        let (ea2, eb2) = (bwd.push_frame(4), bwd.push_frame(4));
+        assert_eq!(
+            unify(&mut fwd, &a, ea, &b, eb),
+            unify(&mut bwd, &b, eb2, &a, ea2),
+            "{a} vs {b}"
+        );
+    }
+}
+
+#[test]
+fn unify_failure_restores_trail() {
+    let mut rng = TestRng::new(3);
+    for _ in 0..CASES {
+        let (a, b) = (term(&mut rng, 3, true), term(&mut rng, 3, true));
         let mut envs = EnvSet::new();
-        let e = envs.push_frame(4);
-        prop_assert!(unify(&mut envs, &t, e, &t, e));
-    }
-
-    #[test]
-    fn unify_renamed_copies_succeeds(t in term_strategy()) {
-        // A term and a variable-renamed copy always unify (distinct frames).
-        let mut envs = EnvSet::new();
-        let e1 = envs.push_frame(4);
-        let e2 = envs.push_frame(4);
-        prop_assert!(unify(&mut envs, &t, e1, &t, e2));
-    }
-
-    #[test]
-    fn unify_is_symmetric(a in term_strategy(), b in term_strategy()) {
-        let mut envs1 = EnvSet::new();
-        let ea1 = envs1.push_frame(4);
-        let eb1 = envs1.push_frame(4);
-        let fwd = unify(&mut envs1, &a, ea1, &b, eb1);
-        let mut envs2 = EnvSet::new();
-        let ea2 = envs2.push_frame(4);
-        let eb2 = envs2.push_frame(4);
-        let bwd = unify(&mut envs2, &b, eb2, &a, ea2);
-        prop_assert_eq!(fwd, bwd);
-    }
-
-    #[test]
-    fn unify_ground_agrees_with_equality(a in ground_term_strategy(), b in ground_term_strategy()) {
-        let mut envs = EnvSet::new();
-        let e = envs.push_frame(0);
-        prop_assert_eq!(unify(&mut envs, &a, e, &b, e), a == b);
-    }
-
-    #[test]
-    fn hashcons_ids_agree_with_equality(a in ground_term_strategy(), b in ground_term_strategy()) {
-        let ia = hashcons::intern(&a).unwrap();
-        let ib = hashcons::intern(&b).unwrap();
-        prop_assert_eq!(ia == ib, a == b);
-    }
-
-    #[test]
-    fn unify_failure_restores_trail(a in term_strategy(), b in term_strategy()) {
-        let mut envs = EnvSet::new();
-        let ea = envs.push_frame(4);
-        let eb = envs.push_frame(4);
+        let (ea, eb) = (envs.push_frame(4), envs.push_frame(4));
         let m = envs.mark();
         if !unify(&mut envs, &a, ea, &b, eb) {
             envs.undo(m);
-            prop_assert_eq!(envs.mark(), m);
-            // After undo the same unification attempt behaves identically.
-            prop_assert!(!unify(&mut envs, &a, ea, &b, eb));
+            assert_eq!(envs.mark(), m, "{a} vs {b}");
+            // After undo the same attempt behaves identically.
+            assert!(!unify(&mut envs, &a, ea, &b, eb), "{a} vs {b}");
         }
     }
+}
 
-    #[test]
-    fn match_implies_unify(p in term_strategy(), t in ground_term_strategy()) {
-        if match_one_way(&p, &t).is_some() {
-            let mut envs = EnvSet::new();
-            let ep = envs.push_frame(4);
-            let et = envs.push_frame(0);
-            prop_assert!(unify(&mut envs, &p, ep, &t, et));
-        }
-    }
-
-    #[test]
-    fn variant_is_reflexive_and_symmetric(a in term_strategy(), b in term_strategy()) {
-        prop_assert!(variant(&a, &a));
-        prop_assert_eq!(variant(&a, &b), variant(&b, &a));
-    }
-
-    #[test]
-    fn resolved_term_is_variant_of_itself(t in term_strategy()) {
-        let mut envs = EnvSet::new();
-        let e = envs.push_frame(4);
-        let r = envs.resolve(&t, e);
-        prop_assert!(variant(&t, &r));
-    }
-
-    #[test]
-    fn subsumption_is_reflexive_and_transitive_on_samples(
-        a in proptest::collection::vec(term_strategy(), 1..3),
-    ) {
-        prop_assert!(subsumes(&a, &a));
-        // A fully general tuple subsumes everything of the same arity.
-        let gen: Vec<Term> = (0..a.len() as u32).map(Term::var).collect();
-        prop_assert!(subsumes(&gen, &a));
-    }
-
-    #[test]
-    fn tuple_normalization_idempotent(a in proptest::collection::vec(term_strategy(), 0..4)) {
-        let t1 = Tuple::new(a);
-        let t2 = Tuple::new(t1.args().to_vec());
-        prop_assert_eq!(t1, t2);
-    }
-
-    #[test]
-    fn order_cmp_total_and_antisymmetric(a in term_strategy(), b in term_strategy()) {
-        use std::cmp::Ordering;
-        let ab = a.order_cmp(&b);
-        let ba = b.order_cmp(&a);
-        prop_assert_eq!(ab.reverse(), ba);
-        if ab == Ordering::Equal {
-            prop_assert_eq!(a.order_cmp(&a), Ordering::Equal);
-        }
+#[test]
+fn hashcons_ids_agree_with_equality() {
+    let mut rng = TestRng::new(4);
+    for _ in 0..CASES {
+        // A third of the pairs rebuild `a` from the same stream: equal
+        // terms in separate allocations.
+        let twin = rng.clone();
+        let a = term(&mut rng, 2, false);
+        let b = if rng.gen_bool(0.33) {
+            term(&mut twin.clone(), 2, false)
+        } else {
+            term(&mut rng, 2, false)
+        };
+        let (ia, ib) = (hashcons::intern(&a).unwrap(), hashcons::intern(&b).unwrap());
+        assert_eq!(ia == ib, a == b, "{a} vs {b}");
     }
 }
