@@ -1,11 +1,11 @@
 //! Recorded workloads and the crash matrix.
 //!
-//! A workload is generated from a seed: a sequence of transactions
-//! (inserts and deletes of distinct integer keys on one persistent
-//! relation), an index build, and checkpoints. [`run_crash_point`] runs
-//! it over a [`SimVfs`] armed to crash at mutating I/O operation N,
-//! power-cycles, reopens the server (replaying the WAL) and asserts the
-//! recovery oracle:
+//! A workload is generated from a seed and a [`Shape`]: a sequence of
+//! transactions (inserts and deletes of distinct integer keys on one
+//! persistent relation), an index build, and checkpoints.
+//! [`run_crash_point`] runs it over a [`SimVfs`] armed to crash at
+//! mutating I/O operation N, power-cycles, reopens the server (replaying
+//! the WAL) and asserts the recovery oracle:
 //!
 //! * every tuple of the last committed state is present;
 //! * no tuple outside it is present — except that a crash *inside the
@@ -15,8 +15,8 @@
 //!   relation's heap and indices agree ([`PersistentRelation::check`]).
 //!
 //! [`run_crash_matrix`] runs every crash point. Failures are reported
-//! with the seed and crash index, so
-//! `run_crash_point(seed, n)` replays the exact failing schedule.
+//! with the shape, seed and crash index, so
+//! `run_crash_point(shape, seed, n)` replays the exact failing schedule.
 
 use crate::simfs::SimVfs;
 use coral_rel::{IndexSpec, PersistentRelation, Relation};
@@ -31,9 +31,12 @@ use std::sync::Arc;
 const DIR: &str = "/simdb";
 /// Relation under test.
 const REL: &str = "simrel";
-/// Buffer pool frames: small enough to force eviction traffic, large
-/// enough that one transaction's pinned pages always fit.
+/// Buffer pool frames of the [`Shape::Mixed`] runs: small enough to
+/// force eviction traffic, large enough that one transaction's pinned
+/// pages always fit.
 const FRAMES: usize = 24;
+/// Commits between checkpoints in a [`Shape::SingleRow`] workload.
+const SINGLE_ROW_CHECKPOINT_EVERY: usize = 6;
 
 /// One mutation inside a transaction.
 #[derive(Debug, Clone)]
@@ -55,6 +58,36 @@ pub enum Step {
 
 fn tuple_for(k: i64) -> Tuple {
     Tuple::ground(vec![Term::int(k), Term::str(&format!("v{k}"))])
+}
+
+/// Which recorded workload a seed expands to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Shape {
+    /// [`gen_workload`]: multi-op transactions, one index build
+    /// somewhere in the middle, occasional checkpoints; 24 frames.
+    Mixed,
+    /// [`gen_single_row_workload`]: the shape of the `persistent_mix`
+    /// benchmark — single-row transactions and a checkpoint every few
+    /// commits at 16 frames, so crash points land between a page's first
+    /// full image in the log and its later deltas, and inside the
+    /// checkpoint flushes.
+    SingleRow,
+}
+
+impl Shape {
+    fn steps(self, seed: u64) -> Vec<Step> {
+        match self {
+            Shape::Mixed => gen_workload(seed),
+            Shape::SingleRow => gen_single_row_workload(seed),
+        }
+    }
+
+    fn frames(self) -> usize {
+        match self {
+            Shape::Mixed => FRAMES,
+            Shape::SingleRow => 16,
+        }
+    }
 }
 
 /// Generate the deterministic workload for `seed`: 8–12 steps mixing
@@ -102,6 +135,29 @@ pub fn gen_workload(seed: u64) -> Vec<Step> {
     steps
 }
 
+/// Generate the [`Shape::SingleRow`] workload for `seed`: an index
+/// build, then 36 one-row transactions (three inserts to one delete of a
+/// live key, in seeded order) with a checkpoint after every
+/// [`SINGLE_ROW_CHECKPOINT_EVERY`] commits.
+pub fn gen_single_row_workload(seed: u64) -> Vec<Step> {
+    let mut rng = TestRng::new(seed ^ 0x51c0_2e40_57a1_0001);
+    let mut live: Vec<i64> = Vec::new();
+    let mut steps = vec![Step::MakeIndex];
+    for commit in 0..36 {
+        let op = if live.len() > 2 && rng.gen_range(0, 4) == 0 {
+            Op::Delete(live.swap_remove(rng.gen_range(0, live.len())))
+        } else {
+            live.push(commit);
+            Op::Insert(commit)
+        };
+        steps.push(Step::Txn(vec![op]));
+        if (commit as usize + 1).is_multiple_of(SINGLE_ROW_CHECKPOINT_EVERY) {
+            steps.push(Step::Checkpoint);
+        }
+    }
+    steps
+}
+
 /// How a workload run ended.
 pub enum Outcome {
     /// Ran to the end (including a final checkpoint); this is the
@@ -116,7 +172,7 @@ pub enum Outcome {
 /// which post-recovery states are legitimate. A final checkpoint is part
 /// of the workload, so the matrix also covers crash points inside
 /// checkpointing.
-pub fn run_workload(vfs: &SimVfs, steps: &[Step]) -> Outcome {
+pub fn run_workload(vfs: &SimVfs, steps: &[Step], frames: usize) -> Outcome {
     let mut committed: BTreeSet<i64> = BTreeSet::new();
     macro_rules! crashed {
         () => {
@@ -125,7 +181,7 @@ pub fn run_workload(vfs: &SimVfs, steps: &[Step]) -> Outcome {
             }
         };
     }
-    let srv: StorageClient = match StorageServer::open_with_vfs(Path::new(DIR), FRAMES, {
+    let srv: StorageClient = match StorageServer::open_with_vfs(Path::new(DIR), frames, {
         let v: Arc<dyn coral_storage::Vfs> = Arc::new(vfs.clone());
         v
     }) {
@@ -210,9 +266,14 @@ pub fn run_workload(vfs: &SimVfs, steps: &[Step]) -> Outcome {
 
 /// Reopen after a power cycle and assert the oracle. `acceptable` lists
 /// the legitimate key sets; `ctx` prefixes every failure message.
-fn verify_recovery(vfs: &SimVfs, acceptable: &[BTreeSet<i64>], ctx: &str) -> Result<(), String> {
+fn verify_recovery(
+    vfs: &SimVfs,
+    frames: usize,
+    acceptable: &[BTreeSet<i64>],
+    ctx: &str,
+) -> Result<(), String> {
     vfs.power_cycle();
-    let srv = StorageServer::open_with_vfs(Path::new(DIR), FRAMES, {
+    let srv = StorageServer::open_with_vfs(Path::new(DIR), frames, {
         let v: Arc<dyn coral_storage::Vfs> = Arc::new(vfs.clone());
         v
     })
@@ -263,42 +324,42 @@ fn verify_recovery(vfs: &SimVfs, acceptable: &[BTreeSet<i64>], ctx: &str) -> Res
 
 /// Total mutating I/O operations the seed's workload performs when
 /// nothing is injected — i.e. the number of crash points in its matrix.
-pub fn count_ops(seed: u64) -> Result<u64, String> {
-    let steps = gen_workload(seed);
+pub fn count_ops(shape: Shape, seed: u64) -> Result<u64, String> {
     let vfs = SimVfs::new(seed);
-    match run_workload(&vfs, &steps) {
+    match run_workload(&vfs, &shape.steps(seed), shape.frames()) {
         Outcome::Completed(_) => Ok(vfs.ops()),
         Outcome::Crashed { .. } => Err(format!(
-            "seed={seed}: fault-free workload run failed (harness bug)"
+            "{shape:?} seed={seed}: fault-free workload run failed (harness bug)"
         )),
     }
 }
 
 /// Run the seed's workload with a crash at mutating operation
 /// `crash_at`, recover, and assert the oracle. This is the repro entry
-/// point: a matrix failure names the seed and crash index to pass here.
-pub fn run_crash_point(seed: u64, crash_at: u64) -> Result<(), String> {
-    let ctx = format!("seed={seed} crash_at={crash_at}");
-    let steps = gen_workload(seed);
+/// point: a matrix failure names the shape, seed and crash index to pass
+/// here.
+pub fn run_crash_point(shape: Shape, seed: u64, crash_at: u64) -> Result<(), String> {
+    let ctx = format!("{shape:?} seed={seed} crash_at={crash_at}");
     let vfs = SimVfs::new(seed);
     vfs.set_crash_at(crash_at);
-    match run_workload(&vfs, &steps) {
+    let frames = shape.frames();
+    match run_workload(&vfs, &shape.steps(seed), frames) {
         Outcome::Completed(state) => {
             // The crash point lies beyond the workload: a plain run,
             // fully checkpointed — a power cycle must change nothing.
             vfs.clear_schedules();
-            verify_recovery(&vfs, &[state], &ctx)
+            verify_recovery(&vfs, frames, &[state], &ctx)
         }
-        Outcome::Crashed { acceptable } => verify_recovery(&vfs, &acceptable, &ctx),
+        Outcome::Crashed { acceptable } => verify_recovery(&vfs, frames, &acceptable, &ctx),
     }
 }
 
 /// The full matrix for one seed: crash at every mutating operation, one
 /// run per crash point. Returns the number of points on success.
-pub fn run_crash_matrix(seed: u64) -> Result<u64, String> {
-    let total = count_ops(seed)?;
+pub fn run_crash_matrix(shape: Shape, seed: u64) -> Result<u64, String> {
+    let total = count_ops(shape, seed)?;
     for crash_at in 0..total {
-        run_crash_point(seed, crash_at)?;
+        run_crash_point(shape, seed, crash_at)?;
     }
     Ok(total)
 }
@@ -375,7 +436,7 @@ pub fn run_overload_point(seed: u64, kill_at: u64) -> Result<u64, String> {
     drop(srv);
     // The governor kill is graceful, so recovery has exactly one
     // legitimate state — no commit-point ambiguity.
-    verify_recovery(&vfs, &[committed], &ctx)?;
+    verify_recovery(&vfs, FRAMES, &[committed], &ctx)?;
     Ok(killed)
 }
 
@@ -417,7 +478,7 @@ pub fn run_with_recovery_crashes(seed: u64, crash_at: u64) -> Result<u64, String
     let steps = gen_workload(seed);
     let vfs = SimVfs::new(seed);
     vfs.set_crash_at(crash_at);
-    let acceptable = match run_workload(&vfs, &steps) {
+    let acceptable = match run_workload(&vfs, &steps, FRAMES) {
         Outcome::Completed(state) => vec![state],
         Outcome::Crashed { acceptable } => acceptable,
     };
@@ -437,7 +498,7 @@ pub fn run_with_recovery_crashes(seed: u64, crash_at: u64) -> Result<u64, String
                 vfs.clear_schedules();
                 // Re-verify through the common path (fresh reopen).
                 vfs.power_cycle();
-                verify_recovery(&vfs, &acceptable, &ctx)?;
+                verify_recovery(&vfs, FRAMES, &acceptable, &ctx)?;
                 return Ok(aborted);
             }
             Err(_) => {

@@ -2,13 +2,13 @@
 //! I/O operation, power-cycle, recover, and assert the oracle — no
 //! committed tuple lost, no uncommitted tuple visible, all structures
 //! structurally sound. Entirely in-memory and seed-deterministic; a
-//! failure names the seed and crash index for replay with
-//! `coral_sim::run_crash_point(seed, n)`.
+//! failure names the shape, seed and crash index for replay with
+//! `coral_sim::run_crash_point(shape, seed, n)`.
 
 use coral_sim::harness::{
     count_mutations, run_overload_matrix, run_overload_point, run_with_recovery_crashes,
 };
-use coral_sim::{count_ops, run_crash_matrix, run_crash_point};
+use coral_sim::{count_ops, run_crash_matrix, run_crash_point, Shape};
 
 /// Fixed seed set: small enough for CI (each seed's matrix is a few
 /// hundred full runs), varied enough to hit different workload shapes
@@ -18,9 +18,24 @@ const SEEDS: [u64; 4] = [1, 2026, 0xC04A1, 77];
 #[test]
 fn crash_matrix_holds_for_fixed_seeds() {
     for &seed in &SEEDS {
-        let points = run_crash_matrix(seed).unwrap_or_else(|e| panic!("{e}"));
+        let points = run_crash_matrix(Shape::Mixed, seed).unwrap_or_else(|e| panic!("{e}"));
         assert!(
             points > 40,
+            "seed={seed}: suspiciously small matrix ({points} ops)"
+        );
+    }
+}
+
+/// The `persistent_mix` shape: single-row transactions at 16 frames
+/// with a checkpoint every six commits. Each page's first commit after a
+/// checkpoint logs a full image and the later ones log deltas, so crash
+/// points fall between the two and inside every checkpoint's flush.
+#[test]
+fn single_row_crash_matrix_holds_for_fixed_seeds() {
+    for &seed in &SEEDS {
+        let points = run_crash_matrix(Shape::SingleRow, seed).unwrap_or_else(|e| panic!("{e}"));
+        assert!(
+            points > 100,
             "seed={seed}: suspiciously small matrix ({points} ops)"
         );
     }
@@ -55,8 +70,8 @@ fn governor_kill_beyond_workload_is_a_clean_run() {
 #[test]
 fn crash_beyond_workload_is_a_clean_run() {
     let seed = SEEDS[0];
-    let total = count_ops(seed).unwrap();
-    run_crash_point(seed, total + 1000).unwrap_or_else(|e| panic!("{e}"));
+    let total = count_ops(Shape::Mixed, seed).unwrap();
+    run_crash_point(Shape::Mixed, seed, total + 1000).unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]
@@ -66,7 +81,7 @@ fn recovery_survives_crashes_during_recovery() {
     // prefix of replayed pages the next replay must converge over
     // (double-replay idempotence).
     let seed = SEEDS[0];
-    let total = count_ops(seed).unwrap();
+    let total = count_ops(Shape::Mixed, seed).unwrap();
     // A handful of workload crash points spread over the run, including
     // late ones (most WAL content to replay).
     for frac in [3, 5, 7, 9] {

@@ -28,6 +28,10 @@ pub enum StorageError {
     /// A transaction id that is not currently active (never begun,
     /// already committed, or already aborted).
     UnknownTxn(u64),
+    /// Every buffer frame is pinned. Transactions pin each page they
+    /// dirty until they end (no-steal), so one that touches more pages
+    /// than the pool holds cannot commit at this pool size; abort it.
+    PoolExhausted { frames: usize },
 }
 
 /// Result alias for storage operations.
@@ -47,6 +51,9 @@ impl fmt::Display for StorageError {
             StorageError::Corrupt(m) => write!(f, "corrupt storage: {m}"),
             StorageError::TxnConflict(m) => write!(f, "transaction conflict (retryable): {m}"),
             StorageError::UnknownTxn(id) => write!(f, "unknown transaction id {id}"),
+            StorageError::PoolExhausted { frames } => {
+                write!(f, "buffer pool exhausted: all {frames} frames pinned")
+            }
         }
     }
 }
