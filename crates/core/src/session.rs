@@ -25,27 +25,89 @@ use coral_term::{EnvSet, Term, Tuple};
 use std::cell::RefCell;
 use std::path::Path;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Storage-server file holding the incremental-maintenance catalog.
 const MAINTAIN_CATALOG: &str = "maintain.cat";
 
 /// One answer to a query: the full answer tuple plus the bindings of the
 /// query's named variables.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// An answer owns its tuple and shares the variable names with every
+/// other answer of its query. A ground answer reads its binding values
+/// off `tuple`; an answer the unifier had to resolve (non-ground, or a
+/// functor in the query pattern) or one built by [`Answer::new`]
+/// carries values of its own.
+#[derive(Clone)]
 pub struct Answer {
     /// The answer fact (same arity as the query literal).
     pub tuple: Tuple,
+    bindings: Bindings,
+}
+
+/// Where an answer's binding values live.
+#[derive(Clone)]
+enum Bindings {
+    /// The query's binding plan: each name's value is the tuple
+    /// argument at its position.
+    Positional(Arc<[(String, usize)]>),
+    /// One resolved value per name.
+    Resolved(Arc<[String]>, Vec<Term>),
+}
+
+impl Answer {
+    /// An answer binding `names[i]` to `values[i]`. Answers of one query
+    /// can share `names`.
+    ///
+    /// # Panics
+    ///
+    /// If `names` and `values` differ in length.
+    pub fn new(tuple: Tuple, names: Arc<[String]>, values: Vec<Term>) -> Answer {
+        assert_eq!(names.len(), values.len(), "one value per binding name");
+        Answer {
+            tuple,
+            bindings: Bindings::Resolved(names, values),
+        }
+    }
+
     /// `(variable name, bound term)` for each named, non-anonymous query
     /// variable, in first-occurrence order.
-    pub bindings: Vec<(String, Term)>,
+    pub fn bindings(&self) -> impl ExactSizeIterator<Item = (&str, &Term)> {
+        let len = match &self.bindings {
+            Bindings::Positional(plan) => plan.len(),
+            Bindings::Resolved(names, _) => names.len(),
+        };
+        (0..len).map(move |i| match &self.bindings {
+            Bindings::Positional(plan) => (plan[i].0.as_str(), &self.tuple.args()[plan[i].1]),
+            Bindings::Resolved(names, values) => (names[i].as_str(), &values[i]),
+        })
+    }
+}
+
+/// Equal tuples and equal bindings, however each side stores them.
+impl PartialEq for Answer {
+    fn eq(&self, other: &Answer) -> bool {
+        self.tuple == other.tuple && self.bindings().eq(other.bindings())
+    }
+}
+
+impl std::fmt::Debug for Answer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut s = f.debug_struct("Answer");
+        s.field("tuple", &self.tuple);
+        for (name, term) in self.bindings() {
+            s.field(name, term);
+        }
+        s.finish()
+    }
 }
 
 impl std::fmt::Display for Answer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.bindings.is_empty() {
+        if self.bindings().len() == 0 {
             return f.write_str("yes");
         }
-        for (i, (name, term)) in self.bindings.iter().enumerate() {
+        for (i, (name, term)) in self.bindings().enumerate() {
             if i > 0 {
                 f.write_str(", ")?;
             }
@@ -60,7 +122,7 @@ impl std::fmt::Display for Answer {
 /// at, in first-occurrence order — a ground answer's bindings are then
 /// read off its arguments. `None` (every answer takes the general
 /// unification path) when a named variable never occurs in the literal.
-fn binding_plan(query: &Query) -> Option<Vec<(String, usize)>> {
+fn binding_plan(query: &Query) -> Option<Arc<[(String, usize)]>> {
     let named = query.var_names.iter().enumerate();
     named
         .filter(|(_, name)| !name.starts_with('_'))
@@ -88,24 +150,50 @@ fn parse_ground_fact(fact: &str) -> EvalResult<(coral_lang::PredRef, Tuple)> {
 /// A stream of answers for one query.
 pub struct Answers {
     query: Query,
-    plan: Option<Vec<(String, usize)>>,
+    /// The named variables, shared by every answer the unifier resolves.
+    names: Arc<[String]>,
+    plan: Option<Arc<[(String, usize)]>>,
+    /// The pattern is distinct variables only, so any ground tuple fits
+    /// it without a per-argument match.
+    all_distinct: bool,
     scan: Box<dyn AnswerScan>,
 }
 
 impl Answers {
+    fn new(query: Query, scan: Box<dyn AnswerScan>) -> Answers {
+        let args = &query.literal.args;
+        let all_distinct = args
+            .iter()
+            .enumerate()
+            .all(|(i, a)| matches!(a, Term::Var(_)) && !args[..i].contains(a));
+        let names = query.var_names.iter().filter(|n| !n.starts_with('_'));
+        Answers {
+            names: names.cloned().collect(),
+            plan: binding_plan(&query),
+            all_distinct,
+            query,
+            scan,
+        }
+    }
+
     /// The next answer, or `None` when exhausted.
     pub fn next_answer(&mut self) -> EvalResult<Option<Answer>> {
         let Some(tuple) = self.scan.next_answer()? else {
             return Ok(None);
         };
-        // Ground fast path: when the whole answer tuple is ground and
-        // every query argument is a variable or itself ground, the
-        // frame-free matcher decides and bindings fall out positionally
-        // — no binding environments, no unifier, no scratch.
+        // Ground fast path: a ground answer tuple that fits the pattern
+        // shares the plan — no binding environments, no unifier, no
+        // allocation. A pattern of distinct variables fits any ground
+        // tuple; otherwise, when every query argument is a variable or
+        // itself ground, the frame-free matcher decides.
         if let Some(plan) = &self.plan {
-            if fast_unifies_with(&self.query.literal.args, &tuple) == Some(true) {
-                let bind = |(name, i): &(String, usize)| (name.clone(), tuple.args()[*i].clone());
-                let bindings = plan.iter().map(bind).collect();
+            let fits = if self.all_distinct {
+                tuple.is_ground()
+            } else {
+                fast_unifies_with(&self.query.literal.args, &tuple) == Some(true)
+            };
+            if fits {
+                let bindings = Bindings::Positional(Arc::clone(plan));
                 return Ok(Some(Answer { tuple, bindings }));
             }
         }
@@ -120,14 +208,12 @@ impl Answers {
             .zip(tuple.args())
             .all(|(q, t)| coral_term::unify(&mut envs, q, qe, t, te));
         debug_assert!(ok, "answers unify with their query");
-        let mut bindings = Vec::new();
-        for (i, name) in self.query.var_names.iter().enumerate() {
-            if name.starts_with('_') {
-                continue;
-            }
-            let val = envs.resolve(&Term::var(i as u32), qe);
-            bindings.push((name.clone(), val));
-        }
+        let named = self.query.var_names.iter().enumerate();
+        let values = named
+            .filter(|(_, name)| !name.starts_with('_'))
+            .map(|(i, _)| envs.resolve(&Term::var(i as u32), qe))
+            .collect();
+        let bindings = Bindings::Resolved(Arc::clone(&self.names), values);
         Ok(Some(Answer { tuple, bindings }))
     }
 
@@ -296,12 +382,7 @@ impl Session {
 
     fn run_query(&self, q: Query) -> EvalResult<Answers> {
         let scan = self.engine.query(&q)?;
-        let plan = binding_plan(&q);
-        Ok(Answers {
-            query: q,
-            plan,
-            scan,
-        })
+        Ok(Answers::new(q, scan))
     }
 
     /// Convenience: all answers of a query.

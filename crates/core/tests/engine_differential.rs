@@ -17,6 +17,11 @@
 //! more general one lands later — the stored representation of the same
 //! answer set depends on arrival order.
 //!
+//! On the default `k=1` session, seeded query patterns mixing constants,
+//! repeated named variables and `_` must bind every answer exactly as
+//! unifying the pattern with the answer tuple resolves it — the binding
+//! plan that reads ground answers off the tuple against the unifier.
+//!
 //! Profile assertions (gated on the `profile` feature) keep the
 //! differential honest: every optimisation must demonstrably engage on
 //! the default side ([`ENGAGED`]), the reference side must demonstrably
@@ -29,6 +34,9 @@ mod families;
 
 use coral_core::profile::EngineProfile;
 use coral_core::session::Session;
+use coral_lang::{parse_query, Query};
+use coral_term::testutil::TestRng;
+use coral_term::{unify, EnvSet, Term, Tuple};
 use families::{Case, Family, FAMILIES, REFERENCE, SEEDS};
 
 /// The semi-naive strategies run as legs of their own (`@bsn` is also
@@ -183,6 +191,66 @@ fn modulo_subsumption(answers: &[String]) -> Vec<String> {
         .collect()
 }
 
+/// Query patterns per seed in the bindings check.
+const PATTERNS: usize = 8;
+
+/// A seeded pattern over binary `pred`: each argument a fresh named
+/// variable, the first named variable again, a constant, or `_`.
+fn pattern(pred: &str, rng: &mut TestRng) -> String {
+    let arg = |i: usize, rng: &mut TestRng| match rng.gen_range(0, 4) {
+        0 => format!("A{i}"),
+        1 => "A0".to_string(),
+        2 => rng.gen_range(0, 16).to_string(),
+        _ => "_".to_string(),
+    };
+    let (a, b) = (arg(0, rng), arg(1, rng));
+    format!("{pred}({a}, {b})")
+}
+
+/// The eager resolution every answer once carried: unify the pattern
+/// with the answer tuple and resolve each named variable.
+fn unifier_bindings(query: &Query, tuple: &Tuple) -> Vec<(String, Term)> {
+    let mut envs = EnvSet::new();
+    let qe = envs.push_frame(query.nvars as usize);
+    let te = envs.push_frame(tuple.nvars() as usize);
+    let mut args = query.literal.args.iter().zip(tuple.args());
+    assert!(
+        args.all(|(q, t)| unify(&mut envs, q, qe, t, te)),
+        "answer {tuple} does not unify with its query"
+    );
+    let named = query.var_names.iter().enumerate();
+    named
+        .filter(|(_, name)| !name.starts_with('_'))
+        .map(|(v, name)| (name.clone(), envs.resolve(&Term::var(v as u32), qe)))
+        .collect()
+}
+
+/// Every answer to seeded patterns over `case`'s predicate binds what
+/// the unifier resolves. Returns (answers checked, non-ground ones).
+fn bindings_match_the_unifier(s: &Session, case: &Case, seed: u64, label: &str) -> (usize, usize) {
+    let pred = case.query.split('(').next().unwrap();
+    let mut rng = TestRng::new(seed);
+    let (mut checked, mut nonground) = (0, 0);
+    for _ in 0..PATTERNS {
+        let text = pattern(pred, &mut rng);
+        let query = parse_query(&text).unwrap();
+        let answers = s
+            .query_all(&text)
+            .unwrap_or_else(|e| panic!("{label}: query {text} failed: {e}"));
+        for a in answers {
+            let got: Vec<(String, Term)> = a
+                .bindings()
+                .map(|(name, term)| (name.to_string(), term.clone()))
+                .collect();
+            let want = unifier_bindings(&query, &a.tuple);
+            assert_eq!(got, want, "{label}: {text}: answer {}", a.tuple);
+            checked += 1;
+            nonground += usize::from(!a.tuple.is_ground());
+        }
+    }
+    (checked, nonground)
+}
+
 /// A family's default-side [`ENGAGED`] counters (`k=1` and `k=4` runs
 /// summed) and the join candidates the `@naive` reference and the
 /// `@bsn` leg pulled.
@@ -217,6 +285,7 @@ fn run_family(&(name, gen, base): &Family) -> Totals {
         s.last_profile()
             .map_or(0, |p| counter(&p, "core.join_probes"))
     };
+    let (mut bound, mut bound_nonground) = (0, 0);
     for seed in base..base + SEEDS {
         let case: Case = gen(seed);
         let label = format!("{name} seed {seed}");
@@ -234,6 +303,9 @@ fn run_family(&(name, gen, base): &Family) -> Totals {
             &reference,
             &format!("{label}: default (k=1) on:\n{program}\n"),
         );
+        let (checked, nonground) = bindings_match_the_unifier(&s1, &case, seed, &label);
+        bound += checked;
+        bound_nonground += nonground;
         let (parallel, s4) = run(4, &program, case.query, &label);
         assert_eq!(
             parallel, serial,
@@ -260,6 +332,11 @@ fn run_family(&(name, gen, base): &Family) -> Totals {
             }
         }
     }
+    assert!(bound > 0, "{name}: no pattern had answers to check");
+    assert!(
+        name != "nonground" || bound_nonground > 0,
+        "{name}: no non-ground answer reached the bindings check"
+    );
     totals
 }
 

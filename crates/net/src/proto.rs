@@ -46,6 +46,7 @@ use coral_rel::encoding::{
     decode_term_wire, decode_tuple_wire, encode_term_wire, encode_tuple_wire,
 };
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 /// Default cap on a single frame's payload (16 MiB). Guards the server
 /// against a misbehaving client allocating unbounded memory; raise it
@@ -186,9 +187,14 @@ impl<'a> Cursor<'a> {
     }
 
     fn str(&mut self) -> NetResult<String> {
+        self.str_ref().map(str::to_owned)
+    }
+
+    /// A string borrowed from the payload.
+    fn str_ref(&mut self) -> NetResult<&'a str> {
         let len = self.u32()? as usize;
         let b = self.take(len)?;
-        String::from_utf8(b.to_vec()).map_err(|_| NetError::Protocol("invalid UTF-8".into()))
+        std::str::from_utf8(b).map_err(|_| NetError::Protocol("invalid UTF-8".into()))
     }
 
     /// Decode one wire term starting at the cursor.
@@ -219,24 +225,13 @@ impl<'a> Cursor<'a> {
 fn push_answer(out: &mut Vec<u8>, a: &Answer) -> NetResult<()> {
     let enc = |e: coral_rel::RelError| NetError::Protocol(format!("unencodable answer: {e}"));
     out.extend_from_slice(&encode_tuple_wire(&a.tuple).map_err(enc)?);
-    push_u32(out, a.bindings.len() as u32);
-    for (name, term) in &a.bindings {
+    let bindings = a.bindings();
+    push_u32(out, bindings.len() as u32);
+    for (name, term) in bindings {
         push_str(out, name);
         encode_term_wire(out, term).map_err(enc)?;
     }
     Ok(())
-}
-
-fn read_answer(c: &mut Cursor<'_>) -> NetResult<Answer> {
-    let tuple = c.tuple()?;
-    let n = c.u32()? as usize;
-    let mut bindings = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let name = c.str()?;
-        let term = c.term()?;
-        bindings.push((name, term));
-    }
-    Ok(Answer { tuple, bindings })
 }
 
 fn push_answers(out: &mut Vec<u8>, answers: &[Answer]) -> NetResult<()> {
@@ -250,8 +245,23 @@ fn push_answers(out: &mut Vec<u8>, answers: &[Answer]) -> NetResult<()> {
 fn read_answers(c: &mut Cursor<'_>) -> NetResult<Vec<Answer>> {
     let n = c.u32()? as usize;
     let mut out = Vec::with_capacity(n.min(1024));
+    // Answers of one query repeat their names: the list is allocated
+    // once and shared for as long as the wire repeats it.
+    let mut names: Arc<[String]> = Arc::new([]);
+    let mut wire_names = Vec::new();
     for _ in 0..n {
-        out.push(read_answer(c)?);
+        let tuple = c.tuple()?;
+        let k = c.u32()? as usize;
+        let mut values = Vec::with_capacity(k.min(1024));
+        wire_names.clear();
+        for _ in 0..k {
+            wire_names.push(c.str_ref()?);
+            values.push(c.term()?);
+        }
+        if names.iter().ne(&wire_names) {
+            names = wire_names.iter().map(|s| s.to_string()).collect();
+        }
+        out.push(Answer::new(tuple, Arc::clone(&names), values));
     }
     Ok(out)
 }
@@ -496,20 +506,15 @@ mod tests {
             code: ErrorCode::UnknownPredicate as u16,
             msg: "unknown predicate q/1".into(),
         });
-        let a = Answer {
-            tuple: Tuple::new(vec![
+        let a = Answer::new(
+            Tuple::new(vec![
                 Term::int(1),
                 Term::app("f".into(), vec![Term::var(0)]),
             ]),
-            bindings: vec![
-                ("X".into(), Term::int(1)),
-                ("Y".into(), Term::app("f".into(), vec![Term::var(0)])),
-            ],
-        };
-        let b = Answer {
-            tuple: Tuple::new(vec![]),
-            bindings: vec![],
-        };
+            vec!["X".into(), "Y".into()].into(),
+            vec![Term::int(1), Term::app("f".into(), vec![Term::var(0)])],
+        );
+        let b = Answer::new(Tuple::new(vec![]), Arc::new([]), vec![]);
         rt_resp(Response::Batch {
             answers: vec![a.clone(), b.clone()],
             done: false,
@@ -528,6 +533,41 @@ mod tests {
         rt_resp(Response::Retry { after_ms: 0 });
         rt_resp(Response::Retry { after_ms: 250 });
         rt_resp(Response::ConsultOk(vec![vec![a], vec![], vec![b]]));
+    }
+
+    /// An answer read off its tuple by the query's binding plan and one
+    /// that owns the same bindings are the same answer on the wire.
+    #[test]
+    fn positional_and_owned_answers_encode_alike() {
+        let s = coral_core::Session::new();
+        s.consult_str("e(1, 2, 2). e(1, 3, 3). e(2, 4, 4). e(1, 5, 6).")
+            .unwrap();
+        let positional = s.query_all("e(1, X, X)").unwrap();
+        assert_eq!(positional.len(), 2);
+        let owned: Vec<Answer> = positional
+            .iter()
+            .map(|a| {
+                let (names, values): (Vec<String>, Vec<Term>) = a
+                    .bindings()
+                    .map(|(n, t)| (n.to_string(), t.clone()))
+                    .unzip();
+                Answer::new(a.tuple.clone(), names.into(), values)
+            })
+            .collect();
+        let batch = |answers: &[Answer]| Response::Batch {
+            answers: answers.to_vec(),
+            done: false,
+            truncated: None,
+        };
+        let bytes = batch(&positional).encode().unwrap();
+        assert_eq!(bytes, batch(&owned).encode().unwrap());
+        match Response::decode(&bytes).unwrap() {
+            Response::Batch { answers, .. } => {
+                assert_eq!(answers, positional);
+                assert_eq!(answers, owned);
+            }
+            other => panic!("expected a batch, got {other:?}"),
+        }
     }
 
     #[test]

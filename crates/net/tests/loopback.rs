@@ -278,6 +278,40 @@ fn graceful_shutdown_with_active_connections() {
     assert!(Client::connect(addr).is_err());
 }
 
+/// Remote answers are the embedded answers, bindings included: equal
+/// under `==` and rendered alike, for patterns with a constant, a
+/// repeated variable and `_` over a program whose answers include
+/// non-ground ones.
+#[test]
+fn remote_answers_equal_embedded_answers_with_bindings() {
+    const PROGRAM: &str = "t(1, 2, 2, a). t(1, 3, 4, b). t(2, 5, 5, c).\n\
+         t(1, W, W, d). t(1, f(V), f(V), V).\n\
+         module m.\n\
+         export q(ffff).\n\
+         q(K, X, Y, L) :- t(K, X, Y, L).\n\
+         end_module.\n";
+    let local = Session::new();
+    local.consult_str(PROGRAM).unwrap();
+    let server = Server::start("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.consult_str(PROGRAM).unwrap();
+    for text in ["q(1, X, X, _)", "q(K, X, Y, L)", "t(1, X, X, _)"] {
+        let remote = client.query_all(text).unwrap();
+        let embedded = local.query_all(text).unwrap();
+        assert!(
+            embedded.iter().any(|a| !a.tuple.is_ground()),
+            "{text}: a non-ground answer"
+        );
+        assert_eq!(remote, embedded, "{text}");
+        let shown = |answers: &[coral_core::Answer]| -> Vec<String> {
+            answers.iter().map(|a| a.to_string()).collect()
+        };
+        assert_eq!(shown(&remote), shown(&embedded), "{text}");
+    }
+    client.quit().unwrap();
+    server.shutdown();
+}
+
 /// Profiling round trip: the remote flag reaches the engine and the
 /// profile JSON comes back parseable. Runs in both feature configs —
 /// with counters compiled out the server reports whatever the local

@@ -26,6 +26,9 @@
 //!     .unwrap();
 //! let answers = session.query_all("path(1, X)").unwrap();
 //! assert_eq!(answers.len(), 3);
+//! assert_eq!(answers[0].to_string(), "X = 2");
+//! let (name, value) = answers[0].bindings().next().unwrap();
+//! assert_eq!((name, value), ("X", &coral::Term::int(2)));
 //! ```
 //!
 //! ## Crate map (Figure 1 of the paper)
