@@ -184,8 +184,9 @@ mod tests {
     use super::*;
     use crate::compile::BodyElem;
     use crate::join::{ExternalResolver, LocalRels, Ranges};
+    use crate::scan::Candidates;
     use coral_lang::{Literal, PredRef};
-    use coral_rel::{HashRelation, Relation, TupleIter};
+    use coral_rel::{HashRelation, Relation};
     use coral_term::Symbol;
     use std::rc::Rc;
 
@@ -195,9 +196,9 @@ mod tests {
     }
 
     impl ExternalResolver for OneRel {
-        fn candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<TupleIter> {
+        fn candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<Candidates> {
             assert_eq!(lit.pred_ref(), self.pred);
-            Ok(self.rel.lookup(pattern))
+            Ok(self.rel.lookup(pattern).into())
         }
     }
 
@@ -241,7 +242,6 @@ mod tests {
             locals: &locals,
             external: &resolver,
             ranges: &ranges,
-            delta_batch: None,
             hashjoin: None,
         };
         let mut envs = EnvSet::new();

@@ -18,7 +18,7 @@ use crate::error::{EvalError, EvalResult};
 use crate::join::ExternalResolver;
 use crate::planner::StatsSource;
 use crate::rewrite::rewrite_module;
-use crate::scan::{scan_to_iter, AnswerScan, IterScan, TupleScan};
+use crate::scan::{AnswerScan, Candidates, TupleScan};
 use crate::seminaive::{FixpointState, LocalSetup, Strategy};
 use coral_lang::{
     Adornment, AggFn, Annotation, Binding, FixpointKind, Literal, MaintainKind, Module, PredRef,
@@ -27,7 +27,6 @@ use coral_lang::{
 use coral_profile::Counter;
 use coral_rel::{
     AggSelKind, AggregateSelection, Database, DupSemantics, HashRelation, IndexSpec, Relation,
-    TupleIter,
 };
 use coral_term::{Term, Tuple, VarId};
 use std::cell::{Cell, RefCell};
@@ -953,7 +952,7 @@ impl Engine {
             // Base relation or builtin: filtered lookup.
             let iter = self.candidates(&q.literal, pattern.args())?;
             Ok(Box::new(FilterScan {
-                inner: Box::new(IterScan::new(iter)),
+                inner: Box::new(iter),
                 pattern: pattern.args().to_vec(),
             }))
         }
@@ -1130,21 +1129,20 @@ impl ExternalResolver for Engine {
         ))
     }
 
-    fn candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<TupleIter> {
+    fn candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<Candidates> {
         let pred = lit.pred_ref();
         // 1. Module exports take precedence (a module may redefine a
         //    builtin name).
         if self.module_of(pred).is_some() {
-            let scan = self.module_call(pred, pattern, &[])?;
-            return Ok(scan_to_iter(scan));
+            return Ok(Candidates::Answers(self.module_call(pred, pattern, &[])?));
         }
         // 2. Base relations.
         if let Some(rel) = self.inner.db.get(pred.name, pred.arity) {
-            return Ok(rel.lookup(pattern));
+            return Ok(rel.lookup(pattern).into());
         }
         // 3. Builtins.
         if let Some(tuples) = builtins::eval(pred, pattern)? {
-            return Ok(Box::new(tuples.into_iter().map(Ok)));
+            return Ok(Candidates::Rel(Box::new(tuples.into_iter().map(Ok))));
         }
         Err(EvalError::UnknownPredicate(format!(
             "{pred} is neither a base relation, an exported predicate, nor a builtin"

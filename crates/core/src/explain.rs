@@ -182,7 +182,6 @@ impl Explainer<'_> {
                 locals: self.state.locals(),
                 external: self.engine,
                 ranges: &ranges,
-                delta_batch: None,
                 hashjoin: None,
             };
             let mut envs = EnvSet::new();
@@ -253,7 +252,6 @@ impl Explainer<'_> {
             locals: self.state.locals(),
             external: self.engine,
             ranges: &ranges,
-            delta_batch: None,
             hashjoin: None,
         };
         let mut envs = EnvSet::new();

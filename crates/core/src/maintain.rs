@@ -42,11 +42,11 @@ use crate::engine::{Engine, ModuleDef};
 use crate::error::EvalResult;
 use crate::join::{eval_rule, resolve_head, ExternalResolver, JoinCtx, Ranges};
 use crate::rewrite::rewrite_module;
-use crate::scan::AnswerScan;
+use crate::scan::{AnswerScan, Candidates};
 use crate::seminaive::{FixpointState, Strategy};
 use coral_lang::{Adornment, FixpointKind, Literal, MaintainKind, PredRef, RewriteKind};
 use coral_profile::Counter;
-use coral_rel::{CountChange, CountStore, HashRelation, IndexSpec, Relation, TupleIter};
+use coral_rel::{CountChange, CountStore, HashRelation, IndexSpec, Relation};
 use coral_term::bindenv::EnvSet;
 use coral_term::{Term, Tuple, VarId};
 use std::cell::Cell;
@@ -473,9 +473,9 @@ struct MaintainResolver<'a> {
 }
 
 impl MaintainResolver<'_> {
-    fn current(&self, orig: PredRef, pattern: &[Term]) -> EvalResult<TupleIter> {
+    fn current(&self, orig: PredRef, pattern: &[Term]) -> EvalResult<Candidates> {
         if let Some(rel) = self.state.locals().get(orig) {
-            return Ok(rel.lookup(pattern));
+            return Ok(rel.lookup(pattern).into());
         }
         let lit = Literal {
             pred: orig.name,
@@ -498,7 +498,7 @@ impl ExternalResolver for MaintainResolver<'_> {
         self.engine.charge_iteration()
     }
 
-    fn candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<TupleIter> {
+    fn candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<Candidates> {
         let pred = lit.pred_ref();
         let Some(view) = self.views.get(&pred) else {
             return self.engine.candidates(lit, pattern);
@@ -506,14 +506,16 @@ impl ExternalResolver for MaintainResolver<'_> {
         match view {
             View::List(v) => {
                 let v = Rc::clone(v);
-                Ok(Box::new((0..v.len()).map(move |i| Ok(v[i].clone()))))
+                Ok(Candidates::Rel(Box::new(
+                    (0..v.len()).map(move |i| Ok(v[i].clone())),
+                )))
             }
             View::Witness(v) => {
                 let first = v
                     .iter()
                     .find(|t| crate::engine::unifies_with(pattern, t))
                     .cloned();
-                Ok(Box::new(first.into_iter().map(Ok)))
+                Ok(Candidates::Rel(Box::new(first.into_iter().map(Ok))))
             }
             View::Old { orig, ins, del } => {
                 let mut out = Vec::new();
@@ -528,7 +530,7 @@ impl ExternalResolver for MaintainResolver<'_> {
                         out.push(t.clone());
                     }
                 }
-                Ok(Box::new(out.into_iter().map(Ok)))
+                Ok(Candidates::Rel(Box::new(out.into_iter().map(Ok))))
             }
             View::Cur { orig } => self.current(*orig, pattern),
         }
@@ -554,7 +556,6 @@ fn eval_variant(
         locals: state.locals(),
         external: &resolver,
         ranges: &ranges,
-        delta_batch: None,
         hashjoin: None,
     };
     let mut envs = EnvSet::new();

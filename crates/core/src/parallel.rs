@@ -35,12 +35,11 @@
 use crate::compile::{CompiledRule, SnVersion};
 use crate::error::{EvalError, EvalResult};
 use crate::join::{eval_rule, resolve_head, RuleEnv};
+use crate::scan::Candidates;
 use coral_lang::{Literal, PredRef};
 use coral_rel::joinhash::JoinHashTable;
 use coral_rel::relation::iter_from_vec;
-use coral_rel::{
-    ColumnarBatch, DupSemantics, HashRelation, IndexSpec, Mark, RelSnapshot, Relation, TupleIter,
-};
+use coral_rel::{DupSemantics, HashRelation, IndexSpec, Mark, RelSnapshot, Relation, TupleIter};
 use coral_term::bindenv::EnvSet;
 use coral_term::{Term, Tuple};
 use std::collections::HashMap;
@@ -51,6 +50,20 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// Deltas smaller than `2 * MIN_CHUNK` are not worth dispatching.
 pub const MIN_CHUNK: usize = 16;
+
+/// Split the driving delta into at most `k` contiguous chunks, row order
+/// preserved across the concatenation. `k` is clamped so there are at
+/// most `ceil(n / MIN_CHUNK)` chunks; sizes differ by at most one, and
+/// earlier chunks take the remainder.
+pub(crate) fn partition(rows: Vec<Tuple>, k: usize) -> Vec<Vec<Tuple>> {
+    let n = rows.len();
+    let k = k.clamp(1, n.div_ceil(MIN_CHUNK).max(1));
+    let (base, extra) = (n / k, n % k);
+    let mut rows = rows.into_iter();
+    (0..k)
+        .map(|i| rows.by_ref().take(base + usize::from(i < extra)).collect())
+        .collect()
+}
 
 /// Hard cap on pool size regardless of the requested thread count.
 const MAX_WORKERS: usize = 64;
@@ -158,16 +171,9 @@ struct WorkerEnv<'a> {
     /// The chunk, replicated into a private relation carrying the
     /// driving relation's indexes.
     chunk: HashRelation,
-    /// The chunk in columnar form, handed to the join's batch drive for
-    /// open patterns at the delta slot.
-    chunk_batch: Arc<ColumnarBatch>,
 }
 
 impl RuleEnv for WorkerEnv<'_> {
-    fn delta_batch(&self, pos: usize) -> Option<Arc<ColumnarBatch>> {
-        (pos == self.ctx.delta_pos).then(|| Arc::clone(&self.chunk_batch))
-    }
-
     fn local_candidates(
         &self,
         pred: PredRef,
@@ -198,14 +204,14 @@ impl RuleEnv for WorkerEnv<'_> {
         }))
     }
 
-    fn external_candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<TupleIter> {
+    fn external_candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<Candidates> {
         let pred = lit.pred_ref();
         match self.ctx.externals.get(&pred) {
-            Some(ParallelSource::Snapshot(snap)) => Ok(iter_from_vec(snap.lookup(pattern))),
+            Some(ParallelSource::Snapshot(snap)) => Ok(iter_from_vec(snap.lookup(pattern)).into()),
             Some(ParallelSource::Builtin) => {
                 let tuples = crate::engine::builtins::eval(pred, pattern)?
                     .ok_or_else(|| EvalError::UnknownPredicate(pred.to_string()))?;
-                Ok(iter_from_vec(tuples))
+                Ok(iter_from_vec(tuples).into())
             }
             // Eligibility classified every external literal before
             // dispatch, so this is unreachable in practice.
@@ -244,10 +250,7 @@ impl RuleEnv for WorkerEnv<'_> {
 }
 
 /// Evaluate one chunk of the driving delta. Runs on a worker thread.
-/// Chunks travel as [`ColumnarBatch`]es: the flat columns are shared
-/// column storage, the side table carries the non-ground rows, and the
-/// replicated chunk relation below preserves batch row order.
-pub(crate) fn eval_chunk(ctx: &JobCtx, chunk: ColumnarBatch) -> EvalResult<ChunkOut> {
+pub(crate) fn eval_chunk(ctx: &JobCtx, chunk: Vec<Tuple>) -> EvalResult<ChunkOut> {
     let start = std::time::Instant::now();
     if ctx.profiling {
         coral_profile::set_enabled(true);
@@ -259,15 +262,12 @@ pub(crate) fn eval_chunk(ctx: &JobCtx, chunk: ColumnarBatch) -> EvalResult<Chunk
         // Index specs came off a live HashRelation, so they re-apply.
         chunk_rel.make_index(spec.clone()).map_err(EvalError::Rel)?;
     }
-    for row in 0..chunk.len() {
-        chunk_rel
-            .insert(chunk.row_tuple(row))
-            .map_err(EvalError::Rel)?;
+    for t in chunk {
+        chunk_rel.insert(t).map_err(EvalError::Rel)?;
     }
     let env = WorkerEnv {
         ctx,
         chunk: chunk_rel,
-        chunk_batch: Arc::new(chunk),
     };
     let head_view = &ctx.locals[&ctx.head_pred];
     let head = ctx.rule.head.clone();
@@ -428,31 +428,47 @@ pub fn resolve_threads(explicit: Option<usize>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coral_term::testutil::TestRng;
+
+    fn ints(n: i64) -> Vec<Tuple> {
+        (0..n).map(|i| Tuple::ground(vec![Term::int(i)])).collect()
+    }
 
     #[test]
     fn chunk_partitioning_preserves_order_and_balance() {
-        // Chunks now travel as columnar batches; the partition contract
-        // (order, balance, the MIN_CHUNK floor on chunk count) lives on
-        // [`ColumnarBatch::partition`] and is pinned here against this
-        // module's MIN_CHUNK so the dispatch math cannot drift.
-        let tuples: Vec<Tuple> = (0..100)
-            .map(|i| Tuple::ground(vec![Term::int(i)]))
-            .collect();
-        let batch = ColumnarBatch::from_tuples(1, tuples.clone());
-        let chunks = batch.partition(4, MIN_CHUNK);
-        assert_eq!(chunks.len(), 4);
-        let sizes: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
+        let tuples = ints(100);
+        let chunks = partition(tuples.clone(), 4);
+        let sizes: Vec<usize> = chunks.iter().map(Vec::len).collect();
         assert_eq!(sizes, vec![25, 25, 25, 25]);
-        let flat: Vec<Tuple> = chunks.iter().flat_map(|c| c.to_tuples()).collect();
-        assert_eq!(flat, tuples);
+        assert_eq!(chunks.concat(), tuples);
         // 40 tuples at MIN_CHUNK=16 supports at most ceil(40/16)=3 chunks.
-        let small = ColumnarBatch::from_tuples(
-            1,
-            (0..40)
-                .map(|i| Tuple::ground(vec![Term::int(i)]))
-                .collect::<Vec<_>>(),
-        );
-        assert_eq!(small.partition(8, MIN_CHUNK).len(), 3);
+        assert_eq!(partition(ints(40), 8).len(), 3);
+        // An empty delta is one empty chunk.
+        assert_eq!(partition(Vec::new(), 4), vec![Vec::<Tuple>::new()]);
+    }
+
+    #[test]
+    fn partition_preserves_order_and_respects_min_chunk() {
+        for seed in 100..115u64 {
+            let mut rng = TestRng::new(seed);
+            let n = rng.gen_range(0, 120) as i64;
+            let rows = ints(n);
+            for k in [1usize, 2, 4, 7] {
+                let chunks = partition(rows.clone(), k);
+                assert!(chunks.len() <= k);
+                assert_eq!(chunks.concat(), rows, "seed {seed} k {k}");
+                // The clamp bounds the chunk *count*, which keeps every
+                // chunk within one row of n/k (possibly just under the
+                // minimum when n is not a multiple of it).
+                assert!(
+                    chunks.len() <= (n as usize).div_ceil(MIN_CHUNK).max(1),
+                    "seed {seed} k {k}"
+                );
+                let sizes: Vec<usize> = chunks.iter().map(Vec::len).collect();
+                let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                assert!(max - min <= 1, "balanced: {sizes:?}");
+            }
+        }
     }
 
     #[test]

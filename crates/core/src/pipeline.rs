@@ -24,9 +24,8 @@
 use crate::arith::{compare_terms, eval_arith};
 use crate::engine::{rules_of, Engine, ModuleDef};
 use crate::error::{EvalError, EvalResult};
-use crate::scan::AnswerScan;
+use crate::scan::{AnswerScan, Candidates};
 use coral_lang::{BodyItem, CmpOp, Literal, PredRef, Rule};
-use coral_rel::TupleIter;
 use coral_term::bindenv::{EnvId, EnvSet, FrameMark, TrailMark};
 use coral_term::{unify, unify_all, Term, Tuple};
 use std::rc::Rc;
@@ -202,7 +201,7 @@ enum ItemState {
     Goal(Box<GoalNode>),
     /// Candidates for an external literal.
     Scan {
-        iter: TupleIter,
+        iter: Candidates,
         trail: TrailMark,
         frames: FrameMark,
     },
@@ -500,7 +499,7 @@ impl RuleAttempt {
 impl Engine {
     /// Candidate lookup used by the pipelined machine (same dispatch as
     /// [`crate::join::ExternalResolver`], exposed for this module).
-    pub(crate) fn candidates_for(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<TupleIter> {
+    pub(crate) fn candidates_for(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<Candidates> {
         use crate::join::ExternalResolver;
         self.candidates(lit, pattern)
     }

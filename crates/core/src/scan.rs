@@ -10,7 +10,7 @@
 //! through it, which is what lets modules with different evaluation
 //! strategies interact transparently.
 
-use crate::error::EvalResult;
+use crate::error::{EvalError, EvalResult};
 use coral_rel::TupleIter;
 use coral_term::Tuple;
 
@@ -30,60 +30,39 @@ impl<I: Iterator<Item = Tuple>> AnswerScan for TupleScan<I> {
     }
 }
 
-/// A scan over a relation-layer tuple iterator.
-pub struct IterScan {
-    iter: TupleIter,
+/// Candidate tuples for one body literal, pulled one at a time: a
+/// relation cursor or a called module's answer scan. Joins read both
+/// through this one type, so an error a module raises mid-pull — a
+/// cancellation, a budget kill, an unsafe comparison — reaches the
+/// caller as the same [`EvalError`] variant.
+pub enum Candidates {
+    /// A relation lookup: base, local or builtin rows.
+    Rel(TupleIter),
+    /// A module call's answers.
+    Answers(Box<dyn AnswerScan>),
 }
 
-impl IterScan {
-    /// Wrap a relation iterator.
-    pub fn new(iter: TupleIter) -> IterScan {
-        IterScan { iter }
+impl From<TupleIter> for Candidates {
+    fn from(iter: TupleIter) -> Candidates {
+        Candidates::Rel(iter)
     }
 }
 
-impl AnswerScan for IterScan {
+impl Iterator for Candidates {
+    type Item = EvalResult<Tuple>;
+
+    fn next(&mut self) -> Option<EvalResult<Tuple>> {
+        match self {
+            Candidates::Rel(iter) => iter.next().map(|r| r.map_err(EvalError::from)),
+            Candidates::Answers(scan) => scan.next_answer().transpose(),
+        }
+    }
+}
+
+impl AnswerScan for Candidates {
     fn next_answer(&mut self) -> EvalResult<Option<Tuple>> {
-        match self.iter.next() {
-            Some(Ok(t)) => Ok(Some(t)),
-            Some(Err(e)) => Err(e.into()),
-            None => Ok(None),
-        }
+        self.next().transpose()
     }
-}
-
-/// Adapt an [`AnswerScan`] into a relation-layer [`TupleIter`], so module
-/// answers flow into joins exactly like base-relation candidates (§5.6's
-/// uniform interface).
-pub fn scan_to_iter(scan: Box<dyn AnswerScan>) -> TupleIter {
-    struct Adapter {
-        scan: Box<dyn AnswerScan>,
-        failed: bool,
-    }
-    impl Iterator for Adapter {
-        type Item = coral_rel::RelResult<Tuple>;
-        fn next(&mut self) -> Option<Self::Item> {
-            if self.failed {
-                return None;
-            }
-            match self.scan.next_answer() {
-                Ok(Some(t)) => Some(Ok(t)),
-                Ok(None) => None,
-                Err(e) => {
-                    self.failed = true;
-                    // Squeeze the engine error through the relation error
-                    // channel; the consumer surfaces it as-is.
-                    Some(Err(coral_rel::RelError::BadIndex(format!(
-                        "nested evaluation failed: {e}"
-                    ))))
-                }
-            }
-        }
-    }
-    Box::new(Adapter {
-        scan,
-        failed: false,
-    })
 }
 
 /// Drain a scan into a vector (tests and small callers).
@@ -115,9 +94,25 @@ mod tests {
 
     #[test]
     fn adapter_roundtrip() {
-        let scan = TupleScan(vec![Tuple::new(vec![Term::int(7)])].into_iter());
-        let mut iter = scan_to_iter(Box::new(scan));
-        assert_eq!(iter.next().unwrap().unwrap().to_string(), "(7)");
-        assert!(iter.next().is_none());
+        // `Candidates` adapts a module's answer scan and a relation
+        // iterator to one candidate stream; the scan's error keeps its
+        // type.
+        /// One answer, then a failure mid-pull.
+        struct FailsSecond(bool);
+        impl AnswerScan for FailsSecond {
+            fn next_answer(&mut self) -> EvalResult<Option<Tuple>> {
+                if std::mem::replace(&mut self.0, true) {
+                    return Err(EvalError::Cancelled);
+                }
+                Ok(Some(Tuple::new(vec![Term::int(7)])))
+            }
+        }
+        let mut c = Candidates::Answers(Box::new(FailsSecond(false)));
+        assert_eq!(c.next().unwrap().unwrap().to_string(), "(7)");
+        assert!(matches!(c.next(), Some(Err(EvalError::Cancelled))));
+        let rows = vec![Ok(Tuple::new(vec![Term::int(1)]))];
+        let mut c = Candidates::from(Box::new(rows.into_iter()) as TupleIter);
+        assert_eq!(c.next_answer().unwrap().unwrap().to_string(), "(1)");
+        assert!(c.next_answer().unwrap().is_none());
     }
 }

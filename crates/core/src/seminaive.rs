@@ -28,10 +28,11 @@ use crate::aggregate::eval_agg_rule;
 use crate::compile::{BodyElem, CompiledModule, CompiledRule, CompiledScc, SnVersion};
 use crate::error::{EvalError, EvalResult};
 use crate::join::{
-    eval_rule, resolve_head, DeltaBatchSource, ExternalResolver, HashJoinState, JoinCtx, LocalRels,
-    Ranges,
+    eval_rule, resolve_head, ExternalResolver, HashJoinState, JoinCtx, LocalRels, Ranges,
 };
-use crate::parallel::{eval_chunk, run_tasks, JobCtx, LocalView, ParallelSource, MIN_CHUNK};
+use crate::parallel::{
+    eval_chunk, partition, run_tasks, JobCtx, LocalView, ParallelSource, MIN_CHUNK,
+};
 use crate::profile::ParallelStats;
 use coral_lang::{FixpointKind, PredRef};
 use coral_profile::Counter;
@@ -388,8 +389,8 @@ impl FixpointState {
         naive: bool,
     ) -> EvalResult<()> {
         // `@naive` is the reference evaluator: source-order joins over
-        // index/scan candidates only — no hash tables, no delta batches,
-        // no plan overrides, no parallel dispatch.
+        // index/scan candidates only — no hash tables, no plan
+        // overrides, no parallel dispatch.
         if !naive {
             // Recursive predicates' delta boundaries moved since the
             // last sweep: evict their tables so the cost gate re-decides
@@ -463,40 +464,10 @@ impl FixpointState {
                     derived = par_derived;
                 } else {
                     let head_rel = Rc::clone(self.locals.require(rule.head.pred_ref()));
-                    // Offer the join a columnar view of the driving
-                    // delta range so open delta patterns scan flat
-                    // columns instead of tuple storage. Mid-rule head
-                    // inserts land beyond `cur` (marks freeze an open
-                    // subsidiary boundary), so the batch may be built
-                    // once — unless aggregate selections on the head's
-                    // own relation can evict inside the frozen range,
-                    // in which case it is rebuilt per slot open.
-                    let delta_batch = if !naive {
-                        version.delta_idx.and_then(|d| match &rule.body[d] {
-                            BodyElem::Local {
-                                lit,
-                                recursive: true,
-                            } => {
-                                let p = lit.pred_ref();
-                                let rel = Rc::clone(self.locals.require(p));
-                                let (prev, cur) = ranges
-                                    .get(&p)
-                                    .copied()
-                                    .unwrap_or((Mark(0), rel.current_mark()));
-                                let cacheable = !(p == rule.head.pred_ref()
-                                    && head_rel.has_aggregate_selections());
-                                Some((d, DeltaBatchSource::new(rel, prev, cur, cacheable)))
-                            }
-                            _ => None,
-                        })
-                    } else {
-                        None
-                    };
                     let ctx = JoinCtx {
                         locals: &self.locals,
                         external,
                         ranges,
-                        delta_batch,
                         hashjoin: (!naive).then_some(&self.hj),
                     };
                     let head = rule.head.clone();
@@ -640,15 +611,12 @@ impl FixpointState {
                 },
             );
         }
-        // Materialize the driving delta from its frozen view (insertion
-        // order — the order a serial delta scan would visit) as one
-        // columnar batch; workers receive contiguous batch chunks
-        // instead of `Vec<Tuple>`, sharing the bignum pool.
-        let delta = locals_map[&delta_pred]
-            .snap
-            .scan_range_columnar(prev, Some(cur));
+        // Materialize the driving delta from its frozen view, in
+        // insertion order (the order a serial delta scan would visit),
+        // and hand workers contiguous chunks of it.
+        let delta = locals_map[&delta_pred].snap.scan_range(prev, Some(cur));
         let delta_tuples = delta.len() as u64;
-        let chunks = delta.partition(self.threads, MIN_CHUNK);
+        let chunks = partition(delta, self.threads);
         let nchunks = chunks.len();
         if nchunks < 2 {
             return Ok(None);
@@ -668,7 +636,6 @@ impl FixpointState {
                 locals: &self.locals,
                 external,
                 ranges,
-                delta_batch: None,
                 hashjoin: Some(&self.hj),
             };
             let mut bound: std::collections::HashSet<coral_term::VarId> =
@@ -1017,7 +984,6 @@ impl FixpointState {
                 locals: &self.locals,
                 external,
                 ranges: &ranges,
-                delta_batch: None,
                 hashjoin: None,
             };
             let mut derived = 0u64;

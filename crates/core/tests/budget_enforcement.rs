@@ -193,6 +193,67 @@ fn pipelined_stream_yields_partial_answers_then_budget_error() {
     assert!(pulled > 0, "no partial answers before the budget error");
 }
 
+/// Open `query` and drain it, returning the first error.
+fn drain_err(s: &Session, query: &str) -> EvalError {
+    let mut answers = match s.query(query) {
+        Ok(a) => a,
+        Err(e) => return e,
+    };
+    loop {
+        match answers.next_answer() {
+            Ok(Some(_)) => {}
+            Ok(None) => panic!("{query}: drained without the callee's error"),
+            Err(e) => return e,
+        }
+    }
+}
+
+#[test]
+fn nested_pipelined_failure_keeps_its_error_type() {
+    // A materialized rule pulls a pipelined export whose evaluation
+    // fails mid-pull. The caller must see the callee's own error, not a
+    // relation-layer error wrapping its text.
+    const CALLER: &str = "module caller.\n\
+         export first(f).\n\
+         first(X) :- pnat(X).\n\
+         end_module.\n";
+    let s = session_with(Budget {
+        deadline_ms: Some(80),
+        ..Budget::default()
+    });
+    s.consult_str(INF_PIPELINED).unwrap();
+    s.consult_str(CALLER).unwrap();
+    let err = drain_err(&s, "first(X)");
+    assert!(
+        matches!(
+            err,
+            EvalError::BudgetExceeded {
+                resource: BudgetResource::Deadline,
+                ..
+            }
+        ),
+        "got: {err:?}"
+    );
+
+    // The same for an arithmetic failure: two answers, then 10 / 0.
+    let s = Session::new();
+    s.consult_str(
+        "num(1). num(2). num(0).\n\
+         module inv.\n\
+         export inv(ff).\n\
+         @pipelining.\n\
+         inv(X, Y) :- num(X), Y = 10 / X.\n\
+         end_module.\n\
+         module caller.\n\
+         export r(ff).\n\
+         r(X, Y) :- inv(X, Y).\n\
+         end_module.\n",
+    )
+    .unwrap();
+    let err = drain_err(&s, "r(X, Y)");
+    assert!(matches!(err, EvalError::Arith(_)), "got: {err:?}");
+}
+
 #[test]
 fn budget_kill_during_consult_rolls_back_module_catalog() {
     // An embedded `?-` query that blows its budget must unwind through
@@ -274,7 +335,7 @@ fn random_edges(rng: &mut TestRng, nodes: usize, edges: usize) -> String {
 #[test]
 fn budget_kill_is_deterministic_across_worker_counts() {
     // Right-linear (an `edge` scan drives, `path`'s delta is hash
-    // probed) and left-linear (the delta batch drives): in both, facts
+    // probed) and left-linear (the delta scan drives): in both, facts
     // must reach the coordinator's tuple meter in the serial order, so
     // a tuple limit fires at the same count at k=1 and k=4.
     for body in ["edge(X, Z), path(Z, Y)", "path(X, Z), edge(Z, Y)"] {

@@ -4,8 +4,7 @@
 //! *reference evaluator* — the same program under
 //! `@naive. @rewrite none.`, which joins in source order over
 //! index/scan candidates with none of the optimised machinery (no hash
-//! tables, no delta batches, no planner, no worker pool, no maintained
-//! state).
+//! tables, no planner, no worker pool, no maintained state).
 //!
 //! Answer lists are compared sorted but *not* deduplicated, so
 //! multiplicity differences fail too. `k=1` vs `k=4` must match exactly
@@ -24,7 +23,9 @@
 //!
 //! Profile assertions (gated on the `profile` feature) keep the
 //! differential honest: every optimisation must demonstrably engage on
-//! the default side ([`ENGAGED`]), the reference side must demonstrably
+//! the default side ([`ENGAGED`]), the ground matcher must decide every
+//! candidate of an all-ground family without the unifier
+//! ([`ZERO_ON_GROUND`]), the reference side must demonstrably
 //! touch none of them ([`reference_is_independent`]), and naive
 //! evaluation must pull strictly more join candidates than semi-naive
 //! on every family — the work the strategies differ in.
@@ -61,8 +62,8 @@ const PARALLEL_FIRINGS: &str = "parallel.parallel_firings";
 /// default side.
 const ENGAGED: [(&str, Scope); 7] = [
     ("core.batched_rows", Scope::EveryFamily),
-    // Side-table rows must take the unify fallback, or the sparse
-    // boundary of the batch goes untested.
+    // Non-ground candidates must take the unify fallback, or the ground
+    // matcher's boundary goes untested.
     ("core.fallback_rows", Scope::Family("nonground")),
     ("core.joinhash_tables_built", Scope::Suite),
     ("core.joinhash_bloom_skips", Scope::Suite),
@@ -70,6 +71,11 @@ const ENGAGED: [(&str, Scope); 7] = [
     ("core.plan_replans", Scope::Suite),
     (PARALLEL_FIRINGS, Scope::Suite),
 ];
+
+/// Counters that must stay zero on every default-side query of every
+/// all-ground family (all but `nonground`): a ground candidate is
+/// decided by the frame-free ground matcher, never by the unifier.
+const ZERO_ON_GROUND: [&str; 2] = ["term.unify_attempts", "core.fallback_rows"];
 
 fn counter(p: &EngineProfile, name: &str) -> u64 {
     if name == PARALLEL_FIRINGS {
@@ -257,6 +263,8 @@ fn bindings_match_the_unifier(s: &Session, case: &Case, seed: u64, label: &str) 
 #[derive(Default)]
 struct Totals {
     engaged: [u64; ENGAGED.len()],
+    /// [`ZERO_ON_GROUND`] summed over the default-side queries.
+    zero_on_ground: [u64; ZERO_ON_GROUND.len()],
     naive_probes: u64,
     bsn_probes: u64,
 }
@@ -285,6 +293,13 @@ fn run_family(&(name, gen, base): &Family) -> Totals {
         s.last_profile()
             .map_or(0, |p| counter(&p, "core.join_probes"))
     };
+    let add_zero_on_ground = |totals: &mut Totals, s: &Session| {
+        if let Some(p) = s.last_profile() {
+            for (t, c) in totals.zero_on_ground.iter_mut().zip(ZERO_ON_GROUND) {
+                *t += counter(&p, c);
+            }
+        }
+    };
     let (mut bound, mut bound_nonground) = (0, 0);
     for seed in base..base + SEEDS {
         let case: Case = gen(seed);
@@ -297,6 +312,7 @@ fn run_family(&(name, gen, base): &Family) -> Totals {
         totals.naive_probes += probes(&rs);
 
         let (serial, s1) = run(1, &program, case.query, &label);
+        add_zero_on_ground(&mut totals, &s1);
         assert_matches(
             name,
             &serial,
@@ -307,6 +323,7 @@ fn run_family(&(name, gen, base): &Family) -> Totals {
         bound += checked;
         bound_nonground += nonground;
         let (parallel, s4) = run(4, &program, case.query, &label);
+        add_zero_on_ground(&mut totals, &s4);
         assert_eq!(
             parallel, serial,
             "{label}: default k=4 answers differ from k=1 on:\n{program}"
@@ -365,6 +382,14 @@ fn default_engine_matches_the_reference_on_all_families() {
                 !required || totals.engaged[i] > 0,
                 "{name}: no default run ever counted {counter} — differential vacuous"
             );
+        }
+        if *name != "nonground" {
+            for (counter, total) in ZERO_ON_GROUND.iter().zip(totals.zero_on_ground) {
+                assert_eq!(
+                    total, 0,
+                    "{name}: default runs counted {counter} on all-ground programs"
+                );
+            }
         }
         // Naive re-derives old facts every round; semi-naive must not.
         assert!(

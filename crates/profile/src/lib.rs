@@ -117,12 +117,13 @@ registry! {
     OsContextPushes: "core.os_context_pushes", "core", "os_context_pushes", Sum;
     /// Ordered Search context-stack high-water mark.
     OsMaxContextDepth: "core.os_max_context_depth", "core", "os_max_context_depth", Max;
-    /// Candidate rows fully decided by columnar column operations.
+    /// Candidate rows fully decided by the frame-free ground matcher.
+    /// The name and the `columnar` section are kept as an output format.
     BatchedRows: "core.batched_rows", "columnar", "batched_rows", Sum;
-    /// Rows routed through general unification while the columnar path
-    /// was on (side-table rows, non-ground candidates, mixed columns).
+    /// Candidate rows decided by general unification instead: non-ground
+    /// candidates, and ground ones whose pattern has a non-ground functor.
     FallbackRows: "core.fallback_rows", "columnar", "fallback_rows", Sum;
-    /// Column compare/bind operations of the columnar fast path.
+    /// Per-argument compare/bind operations of the ground matcher.
     VectorizedProbes: "core.vectorized_probes", "columnar", "vectorized_probes", Sum;
     /// Rules whose candidate join orders the cost-based planner costed.
     PlanCosted: "core.plan_costed", "planner", "costed", Sum;

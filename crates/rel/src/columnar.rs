@@ -1,23 +1,19 @@
-//! Columnar delta batches for the semi-naive hot path.
+//! A columnar copy of a run of tuples.
 //!
-//! Semi-naive joins are driven by delta relations whose rows are, in the
-//! overwhelmingly common case, fully ground tuples of primitive
-//! constants. Scanning those deltas tuple-at-a-time and unifying every
-//! argument pays allocation and dispatch costs that a batch can avoid: a
-//! [`ColumnarBatch`] stores the ground primitive rows *flat*, one
-//! [`ColVal`] vector per column, and keeps the exceptional rows — tuples
-//! containing variables, functor terms or ADT values — in a sparse
-//! side-table keyed by row index. Consumers (the join driver in
-//! `coral-core` and the parallel fixpoint workers) iterate rows in the
-//! exact order the serial tuple scan would produce, taking column
-//! equality/bind fast paths for flat rows and falling back to general
-//! unification only for side-table rows.
+//! [`ColumnarBatch::from_tuples`] stores ground primitive rows *flat*,
+//! one [`ColVal`] vector per column, and keeps the exceptional rows —
+//! tuples containing variables, functor terms or ADT values — in a
+//! sparse side-table keyed by row index. Bignums go to a per-batch pool
+//! so columns stay one machine word wide.
 //!
-//! Bignums are interned into a per-batch pool shared (via `Arc`) with
-//! every chunk produced by [`ColumnarBatch::partition`], so columns stay
-//! one machine word wide.
+//! No engine path reads a batch any more: the semi-naive join reads
+//! every candidate as a stored tuple, and the parallel fixpoint hands
+//! its workers tuple chunks. `from_tuples` and the storage it fills
+//! stay only because the end-to-end benchmark replays it as a per-layer
+//! cost; they go once that replay is retired. A columnar layout pays
+//! off only when relations are stored column-major end to end, not as a
+//! copy of each delta.
 
-use crate::relation::{iter_from_vec, TupleIter};
 use coral_term::bignum::BigInt;
 use coral_term::{OrderedF64, Symbol, Term, Tuple};
 use std::sync::Arc;
@@ -35,27 +31,21 @@ pub enum ColVal {
     Big(u32),
 }
 
-/// How one batch row is stored.
-pub enum RowRef<'a> {
-    /// Flat row: index into the column vectors.
-    Fast(usize),
-    /// Side-table row: the original tuple (contains a variable, functor
-    /// term or ADT value).
-    Side(&'a Tuple),
-}
-
-/// A columnar view of a contiguous run of delta rows, in insertion order.
+/// A columnar copy of a run of tuples, in order.
 #[derive(Clone, Debug)]
 pub struct ColumnarBatch {
-    arity: usize,
     nrows: usize,
     /// `arity` columns; each holds one entry per *fast* row, in row order.
+    /// Written for the benchmark's `from_tuples` replay and read by no
+    /// engine path (see the module doc), hence the `dead_code` allowance
+    /// here and on `bigs`.
+    #[allow(dead_code)]
     cols: Vec<Vec<ColVal>>,
     /// `(row index, tuple)` for non-flat rows, sorted by row index.
     side: Vec<(u32, Tuple)>,
-    /// Bignum pool referenced by `ColVal::Big` handles; shared across
-    /// chunks of the same parent batch.
-    bigs: Arc<Vec<Arc<BigInt>>>,
+    /// Bignum pool referenced by `ColVal::Big` handles.
+    #[allow(dead_code)]
+    bigs: Vec<Arc<BigInt>>,
 }
 
 impl ColumnarBatch {
@@ -89,11 +79,10 @@ impl ColumnarBatch {
             nrows += 1;
         }
         ColumnarBatch {
-            arity,
             nrows,
             cols,
             side,
-            bigs: Arc::new(bigs),
+            bigs,
         }
     }
 
@@ -107,11 +96,6 @@ impl ColumnarBatch {
         self.nrows == 0
     }
 
-    /// Number of columns.
-    pub fn arity(&self) -> usize {
-        self.arity
-    }
-
     /// Rows stored flat in the columns.
     pub fn fast_rows(&self) -> usize {
         self.nrows - self.side.len()
@@ -120,104 +104,6 @@ impl ColumnarBatch {
     /// Rows in the sparse side-table.
     pub fn side_rows(&self) -> usize {
         self.side.len()
-    }
-
-    /// Number of side-table rows preceding `row`.
-    fn side_before(&self, row: usize) -> usize {
-        self.side.partition_point(|(i, _)| (*i as usize) < row)
-    }
-
-    /// Resolve a row index to its storage.
-    pub fn row_ref(&self, row: usize) -> RowRef<'_> {
-        debug_assert!(row < self.nrows);
-        let s = self.side_before(row);
-        match self.side.get(s) {
-            Some((i, t)) if *i as usize == row => RowRef::Side(t),
-            _ => RowRef::Fast(row - s),
-        }
-    }
-
-    /// The term at `(fast_idx, col)` of the flat columns.
-    pub fn fast_term(&self, fast_idx: usize, col: usize) -> Term {
-        match self.cols[col][fast_idx] {
-            ColVal::Int(v) => Term::Int(v),
-            ColVal::Dbl(v) => Term::Double(v),
-            ColVal::Sym(s) => Term::Str(s),
-            ColVal::Big(h) => Term::Big(Arc::clone(&self.bigs[h as usize])),
-        }
-    }
-
-    /// Whether the flat entry at `(fast_idx, col)` equals `t`, with
-    /// exactly the semantics of `Term::eq` (and therefore of unifying two
-    /// ground terms): same-variant value equality, `false` across
-    /// variants — `Int(3)` does *not* match a bignum 3.
-    pub fn fast_matches(&self, fast_idx: usize, col: usize, t: &Term) -> bool {
-        match (self.cols[col][fast_idx], t) {
-            (ColVal::Int(a), Term::Int(b)) => a == *b,
-            (ColVal::Dbl(a), Term::Double(b)) => a == *b,
-            (ColVal::Sym(a), Term::Str(b)) => a == *b,
-            (ColVal::Big(h), Term::Big(b)) => *self.bigs[h as usize] == **b,
-            _ => false,
-        }
-    }
-
-    /// Reconstruct the tuple at `row`.
-    pub fn row_tuple(&self, row: usize) -> Tuple {
-        match self.row_ref(row) {
-            RowRef::Side(t) => t.clone(),
-            RowRef::Fast(fi) => {
-                Tuple::ground((0..self.arity).map(|c| self.fast_term(fi, c)).collect())
-            }
-        }
-    }
-
-    /// All rows, in order, as tuples.
-    pub fn to_tuples(&self) -> Vec<Tuple> {
-        (0..self.nrows).map(|r| self.row_tuple(r)).collect()
-    }
-
-    /// All rows, in order, as a scan iterator.
-    pub fn iter_tuples(&self) -> TupleIter {
-        iter_from_vec(self.to_tuples())
-    }
-
-    /// Split into at most `k` contiguous chunks of at least `min_chunk`
-    /// rows each (except possibly when the batch itself is smaller), row
-    /// order preserved across the concatenation. Mirrors the tuple
-    /// partitioner in `coral-core`: `k` is clamped, sizes differ by at
-    /// most one, earlier chunks take the remainder. The bignum pool is
-    /// shared, not copied.
-    pub fn partition(&self, k: usize, min_chunk: usize) -> Vec<ColumnarBatch> {
-        let n = self.nrows;
-        let k = k.clamp(1, n.div_ceil(min_chunk.max(1)).max(1));
-        let base = n / k;
-        let extra = n % k;
-        let mut out = Vec::with_capacity(k);
-        let mut lo = 0usize;
-        for i in 0..k {
-            let take = base + usize::from(i < extra);
-            let hi = lo + take;
-            let flo = lo - self.side_before(lo);
-            let fhi = hi - self.side_before(hi);
-            let cols = self
-                .cols
-                .iter()
-                .map(|c| c[flo..fhi].to_vec())
-                .collect::<Vec<_>>();
-            let side = self.side[self.side_before(lo)..self.side_before(hi)]
-                .iter()
-                .map(|(i, t)| ((*i as usize - lo) as u32, t.clone()))
-                .collect();
-            out.push(ColumnarBatch {
-                arity: self.arity,
-                nrows: take,
-                cols,
-                side,
-                bigs: Arc::clone(&self.bigs),
-            });
-            lo = hi;
-        }
-        out
     }
 }
 
@@ -228,6 +114,29 @@ mod tests {
 
     fn big(s: &str) -> Term {
         Term::big(s.parse().unwrap())
+    }
+
+    /// The rows a batch stores, rebuilt in order from its columns, its
+    /// bignum pool and its side-table.
+    fn rows(b: &ColumnarBatch) -> Vec<Tuple> {
+        let mut side = b.side.iter().peekable();
+        let mut fast = 0;
+        (0..b.nrows)
+            .map(|r| match side.next_if(|(i, _)| *i as usize == r) {
+                Some((_, t)) => t.clone(),
+                None => {
+                    let args = b.cols.iter().map(|c| match c[fast] {
+                        ColVal::Int(v) => Term::Int(v),
+                        ColVal::Dbl(v) => Term::Double(v),
+                        ColVal::Sym(s) => Term::Str(s),
+                        ColVal::Big(h) => Term::Big(Arc::clone(&b.bigs[h as usize])),
+                    });
+                    let t = Tuple::ground(args.collect());
+                    fast += 1;
+                    t
+                }
+            })
+            .collect()
     }
 
     /// A random tuple; ~60% all-primitive, the rest mix in variables,
@@ -251,19 +160,17 @@ mod tests {
     fn empty_and_single_row_batches() {
         let b = ColumnarBatch::from_tuples(2, Vec::new());
         assert!(b.is_empty());
-        assert_eq!(b.to_tuples(), Vec::new());
-        assert_eq!(b.partition(4, 16).len(), 1);
-        assert!(b.partition(4, 16)[0].is_empty());
+        assert_eq!(rows(&b), Vec::new());
 
         let g = Tuple::new(vec![Term::int(1), Term::str("x")]);
         let b = ColumnarBatch::from_tuples(2, vec![g.clone()]);
         assert_eq!((b.len(), b.fast_rows(), b.side_rows()), (1, 1, 0));
-        assert_eq!(b.to_tuples(), vec![g]);
+        assert_eq!(rows(&b), vec![g]);
 
         let nv = Tuple::new(vec![Term::var(0), Term::int(2)]);
         let b = ColumnarBatch::from_tuples(2, vec![nv.clone()]);
         assert_eq!((b.len(), b.fast_rows(), b.side_rows()), (1, 0, 1));
-        assert_eq!(b.to_tuples(), vec![nv]);
+        assert_eq!(rows(&b), vec![nv]);
     }
 
     #[test]
@@ -271,46 +178,23 @@ mod tests {
         let t = Tuple::new(Vec::new());
         let b = ColumnarBatch::from_tuples(0, vec![t.clone(), t.clone(), t.clone()]);
         assert_eq!((b.len(), b.fast_rows(), b.side_rows()), (3, 3, 0));
-        assert_eq!(b.to_tuples(), vec![t.clone(), t.clone(), t]);
+        assert_eq!(rows(&b), vec![t.clone(), t.clone(), t]);
     }
 
     #[test]
     fn functor_and_bignum_rows_go_to_the_side_table_or_pool() {
-        let rows = vec![
+        let input = vec![
             Tuple::new(vec![Term::int(1), big("123456789012345678901")]),
             Tuple::new(vec![Term::apps("f", vec![Term::int(2)]), Term::int(3)]),
             Tuple::new(vec![Term::int(4), Term::var(0)]),
             Tuple::new(vec![Term::int(5), Term::str("s")]),
         ];
-        let b = ColumnarBatch::from_tuples(2, rows.clone());
+        let b = ColumnarBatch::from_tuples(2, input.clone());
         // Bignums are flat (pooled); functors and variables are side rows.
         assert_eq!((b.fast_rows(), b.side_rows()), (2, 2));
-        assert_eq!(b.to_tuples(), rows);
-        // Flat columns are uncorrupted by the interleaved side rows.
-        assert!(matches!(b.row_ref(0), RowRef::Fast(0)));
-        assert!(matches!(b.row_ref(3), RowRef::Fast(1)));
-        assert!(b.fast_matches(0, 1, &big("123456789012345678901")));
-        assert!(b.fast_matches(1, 0, &Term::int(5)));
-    }
-
-    #[test]
-    fn fast_matches_mirrors_term_equality_across_variants() {
-        let b = ColumnarBatch::from_tuples(
-            1,
-            vec![
-                Tuple::new(vec![Term::int(3)]),
-                Tuple::new(vec![big("3")]),
-                Tuple::new(vec![Term::double(3.0)]),
-            ],
-        );
-        // Int(3), Big(3) and Double(3.0) are pairwise unequal as terms;
-        // the column probe agrees.
-        assert!(b.fast_matches(0, 0, &Term::int(3)));
-        assert!(!b.fast_matches(0, 0, &big("3")));
-        assert!(!b.fast_matches(1, 0, &Term::int(3)));
-        assert!(b.fast_matches(1, 0, &big("3")));
-        assert!(!b.fast_matches(2, 0, &Term::int(3)));
-        assert!(b.fast_matches(2, 0, &Term::double(3.0)));
+        assert_eq!(b.bigs.len(), 1);
+        assert_eq!(b.cols[0], vec![ColVal::Int(1), ColVal::Int(5)]);
+        assert_eq!(rows(&b), input);
     }
 
     #[test]
@@ -319,43 +203,11 @@ mod tests {
             let mut rng = TestRng::new(seed);
             let arity = rng.gen_range(1, 5);
             let n = rng.gen_range(0, 60);
-            let rows: Vec<Tuple> = (0..n).map(|_| random_tuple(&mut rng, arity)).collect();
-            let b = ColumnarBatch::from_tuples(arity, rows.clone());
-            assert_eq!(b.len(), rows.len());
+            let input: Vec<Tuple> = (0..n).map(|_| random_tuple(&mut rng, arity)).collect();
+            let b = ColumnarBatch::from_tuples(arity, input.clone());
+            assert_eq!(b.len(), input.len());
             assert_eq!(b.fast_rows() + b.side_rows(), b.len());
-            assert_eq!(b.to_tuples(), rows, "seed {seed}");
-            // Per-row reconstruction agrees with the bulk path.
-            for (i, t) in rows.iter().enumerate() {
-                assert_eq!(&b.row_tuple(i), t, "seed {seed} row {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn partition_preserves_order_and_respects_min_chunk() {
-        for seed in 100..115u64 {
-            let mut rng = TestRng::new(seed);
-            let arity = rng.gen_range(1, 4);
-            let n = rng.gen_range(0, 120);
-            let rows: Vec<Tuple> = (0..n).map(|_| random_tuple(&mut rng, arity)).collect();
-            let b = ColumnarBatch::from_tuples(arity, rows.clone());
-            for k in [1usize, 2, 4, 7] {
-                let chunks = b.partition(k, 16);
-                assert!(chunks.len() <= k.max(1));
-                let glued: Vec<Tuple> = chunks.iter().flat_map(|c| c.to_tuples()).collect();
-                assert_eq!(glued, rows, "seed {seed} k {k}");
-                // The clamp bounds the chunk *count*, which keeps every
-                // chunk within one row of n/k (possibly just under the
-                // min when n is not a multiple of it) — same contract as
-                // the tuple partitioner in coral-core.
-                assert!(chunks.len() <= n.div_ceil(16).max(1), "seed {seed} k {k}");
-                let sizes: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
-                let (min, max) = (
-                    sizes.iter().copied().min().unwrap(),
-                    sizes.iter().copied().max().unwrap(),
-                );
-                assert!(max - min <= 1, "balanced: {sizes:?}");
-            }
+            assert_eq!(rows(&b), input, "seed {seed}");
         }
     }
 }

@@ -283,46 +283,6 @@ pub fn decode_tuple_wire(bytes: &[u8]) -> RelResult<(Tuple, usize)> {
     Ok((Tuple::new(args), at))
 }
 
-/// Encode a columnar batch for the wire: batch arity and row count, then
-/// every row (flat and side-table alike) as a self-delimiting wire
-/// tuple, in row order. The flat/side split is *not* transmitted — it is
-/// a physical layout choice, and the receiver rebuilds it from the row
-/// contents, so both ends always classify rows with their own
-/// [`ColumnarBatch::from_tuples`] rules.
-///
-/// [`ColumnarBatch::from_tuples`]: crate::ColumnarBatch::from_tuples
-pub fn encode_batch_wire(batch: &crate::ColumnarBatch) -> RelResult<Vec<u8>> {
-    let mut out = Vec::with_capacity(8 + batch.len() * (4 + batch.arity() * 12));
-    out.extend_from_slice(&(batch.arity() as u32).to_be_bytes());
-    out.extend_from_slice(&(batch.len() as u32).to_be_bytes());
-    for row in 0..batch.len() {
-        out.extend(encode_tuple_wire(&batch.row_tuple(row))?);
-    }
-    Ok(out)
-}
-
-/// Decode one wire batch, returning it and the bytes consumed.
-pub fn decode_batch_wire(bytes: &[u8]) -> RelResult<(crate::ColumnarBatch, usize)> {
-    let arity = read_u32(bytes, 0)? as usize;
-    let nrows = read_u32(bytes, 4)? as usize;
-    let mut at = 8;
-    // Untrusted row count: bound the reservation by the bytes present
-    // (each row encodes to ≥ 4 bytes).
-    let mut rows = Vec::with_capacity(nrows.min(bytes.len().saturating_sub(at) / 4));
-    for _ in 0..nrows {
-        let (t, n) = decode_tuple_wire(&bytes[at..])?;
-        if t.arity() != arity {
-            return Err(RelError::Decode(format!(
-                "batch row arity {} does not match batch arity {arity}",
-                t.arity()
-            )));
-        }
-        rows.push(t);
-        at += n;
-    }
-    Ok((crate::ColumnarBatch::from_tuples(arity, rows), at))
-}
-
 /// Decode a whole tuple.
 pub fn decode_tuple(mut bytes: &[u8]) -> RelResult<Tuple> {
     let mut args = Vec::new();
@@ -539,37 +499,6 @@ mod tests {
         assert_eq!((a, n), (shared, first_len));
         let (b, _) = decode_tuple_wire(&frame[first_len..]).unwrap();
         assert_eq!(b, distinct);
-    }
-
-    #[test]
-    fn wire_batch_roundtrips_and_rebuilds_the_flat_side_split() {
-        use crate::ColumnarBatch;
-        let rows = vec![
-            Tuple::new(vec![Term::int(1), Term::str("a")]),
-            Tuple::new(vec![Term::var(0), Term::apps("f", vec![Term::int(2)])]),
-            Tuple::new(vec![
-                Term::big("123456789012345678901".parse().unwrap()),
-                Term::double(2.5),
-            ]),
-        ];
-        let batch = ColumnarBatch::from_tuples(2, rows.clone());
-        let enc = encode_batch_wire(&batch).unwrap();
-        let (back, n) = decode_batch_wire(&enc).unwrap();
-        assert_eq!(n, enc.len());
-        assert_eq!(back.to_tuples(), rows);
-        // The receiver re-derives the same physical classification.
-        assert_eq!(back.fast_rows(), batch.fast_rows());
-        assert_eq!(back.side_rows(), batch.side_rows());
-        // Empty batch round-trips too.
-        let empty = ColumnarBatch::from_tuples(3, Vec::new());
-        let (back, _) = decode_batch_wire(&encode_batch_wire(&empty).unwrap()).unwrap();
-        assert!(back.is_empty());
-        assert_eq!(back.arity(), 3);
-        // A row with the wrong arity is a decode error.
-        let mut bad = 2u32.to_be_bytes().to_vec();
-        bad.extend(1u32.to_be_bytes());
-        bad.extend(encode_tuple_wire(&Tuple::new(vec![Term::int(1)])).unwrap());
-        assert!(decode_batch_wire(&bad).is_err());
     }
 
     #[test]

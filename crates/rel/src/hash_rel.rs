@@ -410,35 +410,6 @@ impl HashRelation {
         iter_from_vec(out)
     }
 
-    /// Scan the union of the subsidiaries in `[from, to)` into a
-    /// columnar batch, in the same insertion order [`scan_range`] uses.
-    ///
-    /// [`scan_range`]: HashRelation::scan_range
-    pub fn scan_range_columnar(&self, from: Mark, to: Option<Mark>) -> crate::ColumnarBatch {
-        let inner = self.inner.borrow();
-        let end = to.map(|m| m.0).unwrap_or(inner.subs.len());
-        let rows = inner.subs[from.0.min(inner.subs.len())..end.min(inner.subs.len())]
-            .iter()
-            .flat_map(|s| s.tuples.iter().filter_map(|t| t.clone()));
-        crate::ColumnarBatch::from_tuples(self.arity, rows)
-    }
-
-    /// Insert every row of a columnar batch, in row order, through the
-    /// ordinary [`Relation::insert`] path — duplicate semantics,
-    /// subsumption, aggregate selections, index maintenance and the
-    /// thread-local tuple meter all apply exactly once per row, so batch
-    /// inserts are indistinguishable from the equivalent tuple-at-a-time
-    /// loop. Returns how many rows were actually inserted.
-    pub fn insert_batch(&self, batch: &crate::ColumnarBatch) -> RelResult<u64> {
-        let mut inserted = 0;
-        for row in 0..batch.len() {
-            if self.insert(batch.row_tuple(row))? {
-                inserted += 1;
-            }
-        }
-        Ok(inserted)
-    }
-
     /// Indexed candidate lookup restricted to the subsidiaries in
     /// `[from, to)`.
     pub fn lookup_range(&self, pattern: &[Term], from: Mark, to: Option<Mark>) -> TupleIter {
@@ -710,18 +681,6 @@ impl RelSnapshot {
             out.extend(s.tuples.iter().filter_map(|t| t.clone()));
         }
         out
-    }
-
-    /// Columnar view of the rows in `[from, to)`, in the same insertion
-    /// order [`RelSnapshot::scan_range`] uses. The parallel fixpoint
-    /// coordinator uses this to hand workers flat chunks instead of
-    /// `Vec<Tuple>`.
-    pub fn scan_range_columnar(&self, from: Mark, to: Option<Mark>) -> crate::ColumnarBatch {
-        let (start, end) = self.clamp(from, to);
-        let rows = self.subs[start..end]
-            .iter()
-            .flat_map(|s| s.tuples.iter().filter_map(|t| t.clone()));
-        crate::ColumnarBatch::from_tuples(self.arity, rows)
     }
 
     /// Indexed candidate lookup restricted to `[from, to)`; counts one

@@ -36,7 +36,7 @@ pub mod meter;
 pub mod persistent;
 pub mod relation;
 
-pub use columnar::{ColVal, ColumnarBatch, RowRef};
+pub use columnar::{ColVal, ColumnarBatch};
 pub use counts::{CountChange, CountStore};
 pub use database::Database;
 pub use error::{RelError, RelResult};

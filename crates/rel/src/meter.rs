@@ -67,26 +67,6 @@ mod tests {
     }
 
     #[test]
-    fn meter_counts_batch_inserts_row_accurately() {
-        use crate::columnar::ColumnarBatch;
-        use crate::hash_rel::HashRelation;
-        use crate::relation::Relation;
-        use coral_term::{Term, Tuple};
-        let r = HashRelation::new(1);
-        assert!(r.insert(Tuple::new(vec![Term::int(2)])).unwrap());
-        let batch = ColumnarBatch::from_tuples(
-            1,
-            (1..=4)
-                .map(|i| Tuple::new(vec![Term::int(i)]))
-                .collect::<Vec<_>>(),
-        );
-        let before = tuples_inserted();
-        // One row is a duplicate: exactly 3 rows land, exactly 3 charges.
-        assert_eq!(r.insert_batch(&batch).unwrap(), 3);
-        assert_eq!(tuples_inserted() - before, 3);
-    }
-
-    #[test]
     fn meter_counts_successful_deletes_only() {
         use crate::hash_rel::HashRelation;
         use crate::relation::Relation;

@@ -248,10 +248,10 @@ impl Term {
     }
 
     /// True iff the term is a ground *primitive* constant — an integer,
-    /// double, interned string or bignum. These are the term shapes a
-    /// columnar batch can store flat (one enum tag plus a machine word);
-    /// variables, functor terms and ADT values go to the batch's sparse
-    /// side-table. O(1) by construction: no recursion, no cache probe.
+    /// double, interned string or bignum. `ColumnarBatch::from_tuples`
+    /// (coral-rel) stores rows of these flat, one enum tag plus a machine
+    /// word per column, and sends every other row to its side-table. O(1)
+    /// by construction: no recursion, no cache probe.
     pub fn is_ground_primitive(&self) -> bool {
         matches!(
             self,
