@@ -184,7 +184,7 @@ mod tests {
     use super::*;
     use crate::compile::BodyElem;
     use crate::join::{ExternalResolver, LocalRels, Ranges};
-    use crate::scan::Candidates;
+    use crate::scan::{rel_scan, AnswerScan};
     use coral_lang::{Literal, PredRef};
     use coral_rel::{HashRelation, Relation};
     use coral_term::Symbol;
@@ -196,9 +196,9 @@ mod tests {
     }
 
     impl ExternalResolver for OneRel {
-        fn candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<Candidates> {
+        fn candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<AnswerScan> {
             assert_eq!(lit.pred_ref(), self.pred);
-            Ok(self.rel.lookup(pattern).into())
+            Ok(rel_scan(self.rel.lookup(pattern)))
         }
     }
 

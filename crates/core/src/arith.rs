@@ -7,8 +7,9 @@
 //! double).
 
 use crate::error::{EvalError, EvalResult};
+use coral_lang::{CmpOp, Literal};
 use coral_term::bindenv::{EnvId, EnvSet};
-use coral_term::{BigInt, Term};
+use coral_term::{unify, BigInt, Term};
 
 fn is_arith_op(name: &str, arity: usize) -> bool {
     matches!(
@@ -181,19 +182,55 @@ fn is_numeric(t: &Term) -> bool {
     matches!(t, Term::Int(_) | Term::Double(_) | Term::Big(_))
 }
 
-/// Compare two evaluated terms with `< =< > >=` semantics. Both sides
-/// must be ground after arithmetic evaluation; numeric comparisons are
-/// numeric, strings compare lexicographically.
-pub fn compare_terms(op: coral_lang::CmpOp, a: &Term, b: &Term) -> EvalResult<bool> {
-    use coral_lang::CmpOp::*;
-    let ord = a.order_cmp(b);
-    Ok(match op {
-        Lt => ord.is_lt(),
-        Le => ord.is_le(),
-        Gt => ord.is_gt(),
-        Ge => ord.is_ge(),
-        Unify | NotUnify => unreachable!("handled by unification"),
-    })
+/// Evaluate the body comparison `lhs op rhs` under `env` — the one
+/// evaluator the join and the pipelined machine share. `=` evaluates
+/// arithmetic on either side and unifies, leaving its bindings on the
+/// trail; `\=` succeeds iff the sides do not unify and leaves no
+/// bindings; `< =< > >=` need both sides ground after arithmetic and
+/// compare numbers numerically, strings lexicographically. `head` names
+/// the rule in the unsafe-operand error.
+pub fn eval_compare(
+    envs: &mut EnvSet,
+    op: CmpOp,
+    lhs: &Term,
+    rhs: &Term,
+    env: EnvId,
+    head: &Literal,
+) -> EvalResult<bool> {
+    let evaluated = |envs: &EnvSet, t: &Term| -> EvalResult<(Term, EnvId)> {
+        Ok(eval_arith(envs, t, env)?.unwrap_or_else(|| (t.clone(), env)))
+    };
+    match op {
+        CmpOp::Unify => {
+            let (lt, le) = evaluated(envs, lhs)?;
+            let (rt, re) = evaluated(envs, rhs)?;
+            Ok(unify(envs, &lt, le, &rt, re))
+        }
+        CmpOp::NotUnify => {
+            let m = envs.mark();
+            let unified = unify(envs, lhs, env, rhs, env);
+            envs.undo(m);
+            Ok(!unified)
+        }
+        CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => {
+            let ground = |t: &Term| -> EvalResult<Term> {
+                let value = eval_arith(envs, t, env)?.map(|(v, e)| envs.resolve(&v, e));
+                value.filter(Term::is_ground).ok_or_else(|| {
+                    EvalError::Unsafe(format!(
+                        "comparison operand not ground: {t} in rule {}",
+                        head.pred
+                    ))
+                })
+            };
+            let ord = ground(lhs)?.order_cmp(&ground(rhs)?);
+            Ok(match op {
+                CmpOp::Lt => ord.is_lt(),
+                CmpOp::Le => ord.is_le(),
+                CmpOp::Gt => ord.is_gt(),
+                _ => ord.is_ge(),
+            })
+        }
+    }
 }
 
 #[cfg(test)]
@@ -277,9 +314,23 @@ mod tests {
     #[test]
     fn comparisons() {
         use coral_lang::CmpOp::*;
-        assert!(compare_terms(Lt, &Term::int(1), &Term::double(1.5)).unwrap());
-        assert!(compare_terms(Ge, &Term::int(2), &Term::int(2)).unwrap());
-        assert!(!compare_terms(Gt, &Term::str("a"), &Term::str("b")).unwrap());
-        assert!(compare_terms(Le, &Term::str("a"), &Term::str("b")).unwrap());
+        let head = Literal {
+            pred: coral_term::Symbol::intern("r"),
+            args: Vec::new(),
+        };
+        let mut envs = EnvSet::new();
+        let e = envs.push_frame(1);
+        let mut cmp = |op, a: Term, b: Term| eval_compare(&mut envs, op, &a, &b, e, &head);
+        assert!(cmp(Lt, Term::int(1), Term::double(1.5)).unwrap());
+        assert!(cmp(Ge, Term::int(2), Term::int(2)).unwrap());
+        assert!(!cmp(Gt, Term::str("a"), Term::str("b")).unwrap());
+        assert!(cmp(Le, Term::str("a"), Term::str("b")).unwrap());
+        let unsafe_operand = cmp(Lt, Term::var(0), Term::int(1)).unwrap_err();
+        assert!(unsafe_operand.to_string().contains("in rule r"));
+        // `\=` leaves no binding behind; `=` evaluates and binds.
+        assert!(!cmp(NotUnify, Term::var(0), Term::int(1)).unwrap());
+        let sum = Term::apps("+", vec![Term::int(1), Term::int(2)]);
+        assert!(cmp(Unify, Term::var(0), sum).unwrap());
+        assert!(cmp(Ge, Term::var(0), Term::int(3)).unwrap());
     }
 }

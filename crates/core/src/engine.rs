@@ -18,7 +18,7 @@ use crate::error::{EvalError, EvalResult};
 use crate::join::ExternalResolver;
 use crate::planner::StatsSource;
 use crate::rewrite::rewrite_module;
-use crate::scan::{AnswerScan, Candidates, TupleScan};
+use crate::scan::{rel_scan, AnswerScan};
 use crate::seminaive::{FixpointState, LocalSetup, Strategy};
 use coral_lang::{
     Adornment, AggFn, Annotation, Binding, FixpointKind, Literal, MaintainKind, Module, PredRef,
@@ -28,7 +28,7 @@ use coral_profile::Counter;
 use coral_rel::{
     AggSelKind, AggregateSelection, Database, DupSemantics, HashRelation, IndexSpec, Relation,
 };
-use coral_term::{Term, Tuple, VarId};
+use coral_term::{unifies_with, Term, Tuple, VarId};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -341,7 +341,7 @@ impl Engine {
     }
 
     /// Offer persisted maintenance snapshots (keyed by
-    /// [`crate::maintain::snapshot_key`]) for restoration when the
+    /// `maintain::snapshot_key`) for restoration when the
     /// corresponding states are first needed.
     pub fn offer_maintained_snapshots(&self, snapshots: HashMap<String, Vec<u8>>) {
         *self.inner.offered_snapshots.borrow_mut() = snapshots;
@@ -817,7 +817,7 @@ impl Engine {
         pred: PredRef,
         pattern: &[Term],
         dontcare: &[usize],
-    ) -> EvalResult<Box<dyn AnswerScan>> {
+    ) -> EvalResult<AnswerScan> {
         let mdef = self
             .module_of(pred)
             .ok_or_else(|| EvalError::UnknownPredicate(pred.to_string()))?;
@@ -880,7 +880,7 @@ impl Engine {
         pred: PredRef,
         pattern: &[Term],
         dontcare: &[usize],
-    ) -> EvalResult<Box<dyn AnswerScan>> {
+    ) -> EvalResult<AnswerScan> {
         let mdef = Rc::clone(mdef);
         if mdef.controls.pipelined {
             return Ok(Box::new(crate::pipeline::PipelinedScan::new(
@@ -928,7 +928,7 @@ impl Engine {
     /// Run a top-level query: returns the scan of full-arity answer
     /// tuples. Query variables whose names begin with `_` are treated as
     /// existential (projection pushing, §4.1).
-    pub fn query(&self, q: &Query) -> EvalResult<Box<dyn AnswerScan>> {
+    pub fn query(&self, q: &Query) -> EvalResult<AnswerScan> {
         self.arm_budget();
         let pred = q.literal.pred_ref();
         let pattern = Tuple::new(q.literal.args.clone());
@@ -951,10 +951,7 @@ impl Engine {
         } else {
             // Base relation or builtin: filtered lookup.
             let iter = self.candidates(&q.literal, pattern.args())?;
-            Ok(Box::new(FilterScan {
-                inner: Box::new(iter),
-                pattern: pattern.args().to_vec(),
-            }))
+            Ok(unifying(iter, pattern.args()))
         }
     }
 }
@@ -985,88 +982,36 @@ pub(crate) fn expander(full_arity: usize, dontcare: &[usize]) -> impl Fn(Tuple) 
 /// streams the relation — nothing is copied or unified per tuple before
 /// it is pulled; any other pattern filters (an indexed lookup, when
 /// nothing was projected away), which applies the bindings the chosen
-/// query form did not propagate as a post-selection.
-pub(crate) fn answers_scan(state: &FixpointState, pattern: &[Term]) -> Box<dyn AnswerScan> {
+/// query form did not propagate as a post-selection; a lookup's errors
+/// reach the caller.
+pub(crate) fn answers_scan(state: &FixpointState, pattern: &[Term]) -> AnswerScan {
     let rel = state.answers();
     let dontcare = &state.compiled().rewritten.dontcare;
     let all_free = pattern
         .iter()
         .enumerate()
         .all(|(i, t)| matches!(t, Term::Var(_)) && !pattern[..i].contains(t));
-    let filter = || {
-        let pattern = pattern.to_vec();
-        move |t: &Tuple| unifies_with(&pattern, t)
-    };
     if dontcare.is_empty() && !all_free {
-        return Box::new(TupleScan(rel.lookup(pattern).flatten().filter(filter())));
+        return unifying(rel_scan(rel.lookup(pattern)), pattern);
     }
     let scan = rel.scan_owned().map(expander(pattern.len(), dontcare));
     if all_free {
-        Box::new(TupleScan(scan))
+        Box::new(scan.map(Ok))
     } else {
-        Box::new(TupleScan(scan.filter(filter())))
+        unifying(scan.map(Ok), pattern)
     }
 }
 
-pub(crate) fn unifies_with(pattern: &[Term], t: &Tuple) -> bool {
-    if let Some(ok) = fast_unifies_with(pattern, t) {
-        return ok;
-    }
-    let mut envs = coral_term::EnvSet::new();
-    let pv = pattern.iter().map(|x| x.var_bound()).max().unwrap_or(0);
-    let ep = envs.push_frame(pv as usize);
-    let et = envs.push_frame(t.nvars() as usize);
-    pattern
-        .iter()
-        .zip(t.args())
-        .all(|(p, a)| coral_term::unify(&mut envs, p, ep, a, et))
-}
-
-/// Frame-free filter for the dominant case: every tuple argument ground,
-/// every pattern argument either ground (decided by term equality) or a
-/// variable (a repeated occurrence must hold the term its first
-/// occurrence holds). Returns `None` — take the general unifier — as
-/// soon as a non-ground term appears on either side.
-pub(crate) fn fast_unifies_with(pattern: &[Term], t: &Tuple) -> Option<bool> {
-    let args = t.args();
-    for (i, (p, a)) in pattern.iter().zip(args).enumerate() {
-        if !a.is_ground() {
-            return None;
-        }
-        match p {
-            Term::Var(_) => {
-                if let Some(first) = pattern[..i].iter().position(|q| q == p) {
-                    if args[first] != *a {
-                        return Some(false);
-                    }
-                }
-            }
-            g if g.is_ground() => {
-                if g != a {
-                    return Some(false);
-                }
-            }
-            _ => return None,
-        }
-    }
-    Some(true)
-}
-
-/// A scan filtering candidates by unification with a pattern.
-pub struct FilterScan {
-    inner: Box<dyn AnswerScan>,
-    pattern: Vec<Term>,
-}
-
-impl AnswerScan for FilterScan {
-    fn next_answer(&mut self) -> EvalResult<Option<Tuple>> {
-        while let Some(t) = self.inner.next_answer()? {
-            if unifies_with(&self.pattern, &t) {
-                return Ok(Some(t));
-            }
-        }
-        Ok(None)
-    }
+/// The tuples of `scan` that unify with `pattern`; errors pass through.
+fn unifying(
+    scan: impl Iterator<Item = EvalResult<Tuple>> + 'static,
+    pattern: &[Term],
+) -> AnswerScan {
+    let pattern = pattern.to_vec();
+    Box::new(scan.filter(move |r| match r {
+        Ok(t) => unifies_with(&pattern, t),
+        Err(_) => true,
+    }))
 }
 
 /// Wraps a module call's answer scan: counts the §5.6 get-next-tuple
@@ -1074,7 +1019,7 @@ impl AnswerScan for FilterScan {
 /// [`crate::profile::EngineProfile`] when the scan is exhausted (or
 /// dropped early).
 struct ProfiledScan {
-    inner: Box<dyn AnswerScan>,
+    inner: AnswerScan,
     engine: Engine,
     collector: Option<crate::profile::Collector>,
     query: String,
@@ -1090,14 +1035,16 @@ impl ProfiledScan {
     }
 }
 
-impl AnswerScan for ProfiledScan {
-    fn next_answer(&mut self) -> EvalResult<Option<Tuple>> {
-        let r = self.inner.next_answer();
+impl Iterator for ProfiledScan {
+    type Item = EvalResult<Tuple>;
+
+    fn next(&mut self) -> Option<EvalResult<Tuple>> {
+        let r = self.inner.next();
         coral_profile::bump(Counter::GetNextTuple, 1);
         match &r {
-            Ok(Some(_)) => self.answers += 1,
+            Some(Ok(_)) => self.answers += 1,
             // Exhausted or failed: the call is over either way.
-            Ok(None) | Err(_) => self.finalize(),
+            None | Some(Err(_)) => self.finalize(),
         }
         r
     }
@@ -1129,20 +1076,20 @@ impl ExternalResolver for Engine {
         ))
     }
 
-    fn candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<Candidates> {
+    fn candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<AnswerScan> {
         let pred = lit.pred_ref();
         // 1. Module exports take precedence (a module may redefine a
         //    builtin name).
         if self.module_of(pred).is_some() {
-            return Ok(Candidates::Answers(self.module_call(pred, pattern, &[])?));
+            return self.module_call(pred, pattern, &[]);
         }
         // 2. Base relations.
         if let Some(rel) = self.inner.db.get(pred.name, pred.arity) {
-            return Ok(rel.lookup(pattern).into());
+            return Ok(rel_scan(rel.lookup(pattern)));
         }
         // 3. Builtins.
         if let Some(tuples) = builtins::eval(pred, pattern)? {
-            return Ok(Candidates::Rel(Box::new(tuples.into_iter().map(Ok))));
+            return Ok(Box::new(tuples.into_iter().map(Ok)));
         }
         Err(EvalError::UnknownPredicate(format!(
             "{pred} is neither a base relation, an exported predicate, nor a builtin"

@@ -16,7 +16,7 @@
 use crate::compile::{BodyElem, CompiledRule, SnVersion};
 use crate::engine::Engine;
 use crate::error::{EvalError, EvalResult};
-use crate::join::{eval_rule, JoinCtx, Ranges};
+use crate::join::{eval_rule, ExternalResolver as _, JoinCtx, Ranges};
 use crate::rewrite::rewrite_module;
 use crate::seminaive::{FixpointState, Strategy};
 use coral_lang::pretty::rule_to_string;
@@ -437,9 +437,9 @@ pub fn explain_fact(engine: &Engine, literal: &Literal) -> EvalResult<Option<Der
     // Base relation: leaf if present.
     if engine.module_of(pred).is_none() {
         let present = engine
-            .candidates_for(literal, fact.args())?
-            .flatten()
-            .any(|t| t == fact);
+            .candidates(literal, fact.args())?
+            .collect::<EvalResult<Vec<Tuple>>>()?
+            .contains(&fact);
         return Ok(present.then(|| Derivation {
             pred,
             fact,

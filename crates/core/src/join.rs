@@ -17,11 +17,11 @@
 //! backtracking* point (§4.2), skipping independent elements that cannot
 //! change the outcome.
 
-use crate::arith::{compare_terms, eval_arith};
+use crate::arith::eval_compare;
 use crate::compile::{BodyElem, CompiledRule, SnVersion};
-use crate::error::{EvalError, EvalResult};
-use crate::scan::Candidates;
-use coral_lang::{CmpOp, Literal, PredRef};
+use crate::error::EvalResult;
+use crate::scan::{rel_scan, AnswerScan};
+use coral_lang::{Literal, PredRef};
 use coral_profile::Counter;
 use coral_rel::joinhash::{JoinHashTable, Probe};
 use coral_rel::{HashRelation, Mark, Relation, TupleIter};
@@ -74,7 +74,7 @@ impl LocalRels {
 pub trait ExternalResolver {
     /// Candidate tuples possibly unifying with `pattern` for `lit`'s
     /// predicate. `pattern` is self-contained (variables renumbered).
-    fn candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<Candidates>;
+    fn candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<AnswerScan>;
 
     /// Cooperative cancellation: the fixpoint, Ordered Search and
     /// pipelining inner loops poll this between rule evaluations and
@@ -148,7 +148,7 @@ pub trait RuleEnv {
     ) -> EvalResult<TupleIter>;
 
     /// Candidate tuples for an external literal.
-    fn external_candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<Candidates>;
+    fn external_candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<AnswerScan>;
 
     /// Full-view candidates for a negated local literal (negation reads
     /// the whole relation; stratification keeps it stable).
@@ -287,7 +287,7 @@ impl RuleEnv for JoinCtx<'_> {
         })
     }
 
-    fn external_candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<Candidates> {
+    fn external_candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<AnswerScan> {
         self.external.candidates(lit, pattern)
     }
 
@@ -396,8 +396,8 @@ pub fn literal_pattern(envs: &EnvSet, lit: &Literal, env: EnvId) -> Vec<Term> {
 
 enum SlotState {
     /// A literal iterating candidates.
-    Candidates {
-        iter: Candidates,
+    Scan {
+        iter: AnswerScan,
         /// Whether any candidate unified since the slot opened.
         matched: bool,
     },
@@ -518,7 +518,7 @@ fn fast_match_ground(
 /// Match one materialized candidate against a literal: fully ground
 /// candidates need no frame and (usually) no unifier; everything else
 /// takes the general path.
-fn match_row(envs: &mut EnvSet, lit_args: &[Term], env: EnvId, t: &Tuple) -> bool {
+pub(crate) fn match_row(envs: &mut EnvSet, lit_args: &[Term], env: EnvId, t: &Tuple) -> bool {
     if t.is_ground() {
         if let Some(ok) = fast_match_ground(envs, lit_args, env, t.args()) {
             return ok;
@@ -570,16 +570,14 @@ pub fn eval_rule(
                     let pattern = literal_pattern(envs, lit, env);
                     match hash_probe_slot(ctx, lit, true, *recursive, pos, version, &pattern) {
                         Some(state) => state,
-                        None => SlotState::Candidates {
-                            iter: ctx
-                                .local_candidates(
-                                    lit.pred_ref(),
-                                    *recursive,
-                                    pos,
-                                    version,
-                                    &pattern,
-                                )?
-                                .into(),
+                        None => SlotState::Scan {
+                            iter: rel_scan(ctx.local_candidates(
+                                lit.pred_ref(),
+                                *recursive,
+                                pos,
+                                version,
+                                &pattern,
+                            )?),
                             matched: false,
                         },
                     }
@@ -588,7 +586,7 @@ pub fn eval_rule(
                     let pattern = literal_pattern(envs, lit, env);
                     match hash_probe_slot(ctx, lit, false, false, pos, version, &pattern) {
                         Some(state) => state,
-                        None => SlotState::Candidates {
+                        None => SlotState::Scan {
                             iter: ctx.external_candidates(lit, &pattern)?,
                             matched: false,
                         },
@@ -656,7 +654,7 @@ pub fn eval_rule(
         let (trail, frames) = (slot.trail, slot.frames);
         let mut advanced = false;
         match &mut slot.state {
-            SlotState::Candidates { iter, matched } => loop {
+            SlotState::Scan { iter, matched } => loop {
                 // Reset to the slot's entry state before trying the next
                 // candidate.
                 envs.undo(trail);
@@ -717,9 +715,7 @@ pub fn eval_rule(
         }
         // Exhausted.
         let had_match = match &slots[pos].as_ref().unwrap().state {
-            SlotState::Candidates { matched, .. } | SlotState::HashProbe { matched, .. } => {
-                *matched
-            }
+            SlotState::Scan { matched, .. } | SlotState::HashProbe { matched, .. } => *matched,
             SlotState::CheckDone => true,
         };
         {
@@ -777,56 +773,11 @@ fn advance_check(
     env: EnvId,
 ) -> EvalResult<bool> {
     match &rule.body[pos] {
-        BodyElem::Compare { op, lhs, rhs } => match op {
-            CmpOp::Unify => {
-                let l = eval_arith(envs, lhs, env)?;
-                let r = eval_arith(envs, rhs, env)?;
-                let (lt, le) = match l {
-                    Some((t, e)) => (t, e),
-                    None => envs.deref(lhs, env),
-                };
-                let (rt, re) = match r {
-                    Some((t, e)) => (t, e),
-                    None => envs.deref(rhs, env),
-                };
-                Ok(unify(envs, &lt, le, &rt, re))
-            }
-            CmpOp::NotUnify => {
-                let m = envs.mark();
-                let (lt, le) = envs.deref(lhs, env);
-                let (rt, re) = envs.deref(rhs, env);
-                let unified = unify(envs, &lt, le, &rt, re);
-                envs.undo(m);
-                Ok(!unified)
-            }
-            cmp => {
-                let l = eval_arith(envs, lhs, env)?.ok_or_else(|| {
-                    EvalError::Unsafe(format!(
-                        "comparison operand not ground: {} in rule {}",
-                        lhs, rule.head.pred
-                    ))
-                })?;
-                let r = eval_arith(envs, rhs, env)?.ok_or_else(|| {
-                    EvalError::Unsafe(format!(
-                        "comparison operand not ground: {} in rule {}",
-                        rhs, rule.head.pred
-                    ))
-                })?;
-                let lt = envs.resolve(&l.0, l.1);
-                let rt = envs.resolve(&r.0, r.1);
-                if !lt.is_ground() || !rt.is_ground() {
-                    return Err(EvalError::Unsafe(format!(
-                        "comparison operand not ground in rule {}",
-                        rule.head.pred
-                    )));
-                }
-                compare_terms(*cmp, &lt, &rt)
-            }
-        },
+        BodyElem::Compare { op, lhs, rhs } => eval_compare(envs, *op, lhs, rhs, env, &rule.head),
         BodyElem::Negated { lit, local } => {
             let pattern = literal_pattern(envs, lit, env);
             let iter = if *local {
-                ctx.negated_local(lit.pred_ref(), &pattern)?.into()
+                rel_scan(ctx.negated_local(lit.pred_ref(), &pattern)?)
             } else {
                 ctx.external_candidates(lit, &pattern)?
             };
@@ -862,6 +813,7 @@ pub fn resolve_head(envs: &EnvSet, head: &Literal, env: EnvId) -> Tuple {
 mod tests {
     use super::*;
     use crate::compile::{BodyElem, CompiledRule, SnVersion};
+    use crate::error::EvalError;
     use coral_lang::parse_program;
     use coral_rel::Relation;
     use coral_term::testutil::TestRng;
@@ -873,9 +825,9 @@ mod tests {
     }
 
     impl ExternalResolver for MapResolver {
-        fn candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<Candidates> {
+        fn candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<AnswerScan> {
             match self.rels.get(&lit.pred_ref()) {
-                Some(r) => Ok(r.lookup(pattern).into()),
+                Some(r) => Ok(rel_scan(r.lookup(pattern))),
                 None => Err(EvalError::UnknownPredicate(lit.pred_ref().to_string())),
             }
         }

@@ -42,13 +42,13 @@ use crate::engine::{Engine, ModuleDef};
 use crate::error::EvalResult;
 use crate::join::{eval_rule, resolve_head, ExternalResolver, JoinCtx, Ranges};
 use crate::rewrite::rewrite_module;
-use crate::scan::{AnswerScan, Candidates};
+use crate::scan::{rel_scan, AnswerScan};
 use crate::seminaive::{FixpointState, Strategy};
 use coral_lang::{Adornment, FixpointKind, Literal, MaintainKind, PredRef, RewriteKind};
 use coral_profile::Counter;
 use coral_rel::{CountChange, CountStore, HashRelation, IndexSpec, Relation};
 use coral_term::bindenv::EnvSet;
-use coral_term::{Term, Tuple, VarId};
+use coral_term::{unifies_with, Term, Tuple, VarId};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
@@ -473,9 +473,9 @@ struct MaintainResolver<'a> {
 }
 
 impl MaintainResolver<'_> {
-    fn current(&self, orig: PredRef, pattern: &[Term]) -> EvalResult<Candidates> {
+    fn current(&self, orig: PredRef, pattern: &[Term]) -> EvalResult<AnswerScan> {
         if let Some(rel) = self.state.locals().get(orig) {
-            return Ok(rel.lookup(pattern).into());
+            return Ok(rel_scan(rel.lookup(pattern)));
         }
         let lit = Literal {
             pred: orig.name,
@@ -498,7 +498,7 @@ impl ExternalResolver for MaintainResolver<'_> {
         self.engine.charge_iteration()
     }
 
-    fn candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<Candidates> {
+    fn candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<AnswerScan> {
         let pred = lit.pred_ref();
         let Some(view) = self.views.get(&pred) else {
             return self.engine.candidates(lit, pattern);
@@ -506,16 +506,11 @@ impl ExternalResolver for MaintainResolver<'_> {
         match view {
             View::List(v) => {
                 let v = Rc::clone(v);
-                Ok(Candidates::Rel(Box::new(
-                    (0..v.len()).map(move |i| Ok(v[i].clone())),
-                )))
+                Ok(Box::new((0..v.len()).map(move |i| Ok(v[i].clone()))))
             }
             View::Witness(v) => {
-                let first = v
-                    .iter()
-                    .find(|t| crate::engine::unifies_with(pattern, t))
-                    .cloned();
-                Ok(Candidates::Rel(Box::new(first.into_iter().map(Ok))))
+                let first = v.iter().find(|t| unifies_with(pattern, t)).cloned();
+                Ok(Box::new(first.into_iter().map(Ok)))
             }
             View::Old { orig, ins, del } => {
                 let mut out = Vec::new();
@@ -526,11 +521,11 @@ impl ExternalResolver for MaintainResolver<'_> {
                     }
                 }
                 for t in del.iter() {
-                    if crate::engine::unifies_with(pattern, t) {
+                    if unifies_with(pattern, t) {
                         out.push(t.clone());
                     }
                 }
-                Ok(Candidates::Rel(Box::new(out.into_iter().map(Ok))))
+                Ok(Box::new(out.into_iter().map(Ok)))
             }
             View::Cur { orig } => self.current(*orig, pattern),
         }
@@ -1525,7 +1520,7 @@ pub(crate) fn try_maintained_call(
     mdef: &Rc<ModuleDef>,
     pred: PredRef,
     pattern: &[Term],
-) -> EvalResult<Option<Box<dyn AnswerScan>>> {
+) -> EvalResult<Option<AnswerScan>> {
     let c = &mdef.controls;
     // `@naive` is the reference evaluator: it always recomputes.
     if c.pipelined || c.ordered || c.save || c.lazy || c.fixpoint == FixpointKind::Naive {

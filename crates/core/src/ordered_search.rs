@@ -228,7 +228,7 @@ pub fn evaluate(
     mdef: &Rc<ModuleDef>,
     cm: Rc<CompiledModule>,
     pattern: &[Term],
-) -> EvalResult<Box<dyn AnswerScan>> {
+) -> EvalResult<AnswerScan> {
     let mut state = FixpointState::new(Rc::clone(&cm), &mdef.setup)?
         .with_strategy(Strategy::from(mdef.controls.fixpoint));
     let seed = cm

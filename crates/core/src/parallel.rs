@@ -25,7 +25,7 @@
 //!   interleaving within the join itself.
 //! * **Rules reading module exports or persistent relations** — those
 //!   reads re-enter the engine (`Rc` state, storage connections) and are
-//!   not `Sync`; [`ExternalResolver::parallel_source`] reports which
+//!   not `Sync`; [`crate::join::ExternalResolver::parallel_source`] reports which
 //!   external literals have a frozen equivalent.
 //! * **Non-ground output under subsumption** — detected dynamically: if
 //!   any worker buffers a non-ground fact for a `SetSubsuming` head the
@@ -35,7 +35,7 @@
 use crate::compile::{CompiledRule, SnVersion};
 use crate::error::{EvalError, EvalResult};
 use crate::join::{eval_rule, resolve_head, RuleEnv};
-use crate::scan::Candidates;
+use crate::scan::AnswerScan;
 use coral_lang::{Literal, PredRef};
 use coral_rel::joinhash::JoinHashTable;
 use coral_rel::relation::iter_from_vec;
@@ -204,19 +204,17 @@ impl RuleEnv for WorkerEnv<'_> {
         }))
     }
 
-    fn external_candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<Candidates> {
+    fn external_candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<AnswerScan> {
         let pred = lit.pred_ref();
-        match self.ctx.externals.get(&pred) {
-            Some(ParallelSource::Snapshot(snap)) => Ok(iter_from_vec(snap.lookup(pattern)).into()),
-            Some(ParallelSource::Builtin) => {
-                let tuples = crate::engine::builtins::eval(pred, pattern)?
-                    .ok_or_else(|| EvalError::UnknownPredicate(pred.to_string()))?;
-                Ok(iter_from_vec(tuples).into())
-            }
+        let tuples = match self.ctx.externals.get(&pred) {
+            Some(ParallelSource::Snapshot(snap)) => snap.lookup(pattern),
+            Some(ParallelSource::Builtin) => crate::engine::builtins::eval(pred, pattern)?
+                .ok_or_else(|| EvalError::UnknownPredicate(pred.to_string()))?,
             // Eligibility classified every external literal before
             // dispatch, so this is unreachable in practice.
-            None => Err(EvalError::UnknownPredicate(pred.to_string())),
-        }
+            None => return Err(EvalError::UnknownPredicate(pred.to_string())),
+        };
+        Ok(Box::new(tuples.into_iter().map(Ok)))
     }
 
     fn negated_local(&self, pred: PredRef, pattern: &[Term]) -> EvalResult<TupleIter> {

@@ -21,13 +21,14 @@
 //! order, like Prolog — including Prolog's non-termination on
 //! left-recursive programs.
 
-use crate::arith::{compare_terms, eval_arith};
+use crate::arith::eval_compare;
 use crate::engine::{rules_of, Engine, ModuleDef};
 use crate::error::{EvalError, EvalResult};
-use crate::scan::{AnswerScan, Candidates};
-use coral_lang::{BodyItem, CmpOp, Literal, PredRef, Rule};
+use crate::join::{literal_pattern, match_row, ExternalResolver as _};
+use crate::scan::AnswerScan;
+use coral_lang::{BodyItem, Literal, PredRef, Rule};
 use coral_term::bindenv::{EnvId, EnvSet, FrameMark, TrailMark};
-use coral_term::{unify, unify_all, Term, Tuple};
+use coral_term::{unify_all, Tuple};
 use std::rc::Rc;
 
 /// The pipelined scan over one module call.
@@ -59,8 +60,16 @@ impl PipelinedScan {
     }
 }
 
-impl AnswerScan for PipelinedScan {
-    fn next_answer(&mut self) -> EvalResult<Option<Tuple>> {
+impl Iterator for PipelinedScan {
+    type Item = EvalResult<Tuple>;
+
+    fn next(&mut self) -> Option<EvalResult<Tuple>> {
+        self.next_tuple().transpose()
+    }
+}
+
+impl PipelinedScan {
+    fn next_tuple(&mut self) -> EvalResult<Option<Tuple>> {
         if self.exhausted {
             return Ok(None);
         }
@@ -114,7 +123,6 @@ impl PipeCtx<'_> {
     /// to. Amortized: an atomic load every step would dominate the
     /// cheap unify/undo work.
     fn poll_step(&self) -> EvalResult<()> {
-        use crate::join::ExternalResolver as _;
         let n = self.steps.get().wrapping_add(1);
         self.steps.set(n);
         if n.is_multiple_of(256) {
@@ -162,7 +170,6 @@ impl GoalNode {
 
     /// Produce the next solution (bindings live in `envs` on success).
     fn next(&mut self, ctx: &PipeCtx<'_>, envs: &mut EnvSet) -> EvalResult<bool> {
-        use crate::join::ExternalResolver as _;
         loop {
             if ctx.engine.cancelled() {
                 return Err(crate::error::EvalError::Cancelled);
@@ -199,9 +206,9 @@ impl GoalNode {
 enum ItemState {
     /// A subgoal on a module-local predicate.
     Goal(Box<GoalNode>),
-    /// Candidates for an external literal.
+    /// An external literal's candidate scan.
     Scan {
-        iter: Candidates,
+        iter: AnswerScan,
         trail: TrailMark,
         frames: FrameMark,
     },
@@ -327,8 +334,8 @@ impl RuleAttempt {
                 BodyItem::Literal(l) => {
                     let trail = envs.mark();
                     let frames = envs.frame_mark();
-                    let pattern = crate::join::literal_pattern(envs, l, self.renv);
-                    let iter = ctx.engine.candidates_for(l, &pattern)?;
+                    let pattern = literal_pattern(envs, l, self.renv);
+                    let iter = ctx.engine.candidates(l, &pattern)?;
                     self.items[pos] = Some(ItemState::Scan {
                         iter,
                         trail,
@@ -369,9 +376,7 @@ impl RuleAttempt {
                     match iter.next() {
                         None => return Ok(false),
                         Some(cand) => {
-                            let t: Tuple = cand?;
-                            let tenv = envs.push_frame(t.nvars() as usize);
-                            if unify_all(envs, &l.args, self.renv, t.args(), tenv) {
+                            if match_row(envs, &l.args, self.renv, &cand?) {
                                 return Ok(true);
                             }
                         }
@@ -423,43 +428,9 @@ impl RuleAttempt {
 
     fn eval_check(&self, ctx: &PipeCtx<'_>, envs: &mut EnvSet, pos: usize) -> EvalResult<bool> {
         match &self.rule.body[pos] {
-            BodyItem::Compare { op, lhs, rhs } => match op {
-                CmpOp::Unify => {
-                    let l = eval_arith(envs, lhs, self.renv)?;
-                    let r = eval_arith(envs, rhs, self.renv)?;
-                    let (lt, le) = match l {
-                        Some(p) => p,
-                        None => envs.deref(lhs, self.renv),
-                    };
-                    let (rt, re) = match r {
-                        Some(p) => p,
-                        None => envs.deref(rhs, self.renv),
-                    };
-                    Ok(unify(envs, &lt, le, &rt, re))
-                }
-                CmpOp::NotUnify => {
-                    let m = envs.mark();
-                    let (lt, le) = envs.deref(lhs, self.renv);
-                    let (rt, re) = envs.deref(rhs, self.renv);
-                    let unified = unify(envs, &lt, le, &rt, re);
-                    envs.undo(m);
-                    Ok(!unified)
-                }
-                cmp => {
-                    let l = eval_arith(envs, lhs, self.renv)?.ok_or_else(|| {
-                        EvalError::Unsafe(format!("comparison operand not ground: {lhs}"))
-                    })?;
-                    let r = eval_arith(envs, rhs, self.renv)?.ok_or_else(|| {
-                        EvalError::Unsafe(format!("comparison operand not ground: {rhs}"))
-                    })?;
-                    let lt = envs.resolve(&l.0, l.1);
-                    let rt = envs.resolve(&r.0, r.1);
-                    if !lt.is_ground() || !rt.is_ground() {
-                        return Err(EvalError::Unsafe("comparison operand not ground".into()));
-                    }
-                    compare_terms(*cmp, &lt, &rt)
-                }
-            },
+            BodyItem::Compare { op, lhs, rhs } => {
+                eval_compare(envs, *op, lhs, rhs, self.renv, &self.rule.head)
+            }
             BodyItem::Negated(l) => {
                 // Negation as failure: one solution attempt, fully undone.
                 let trail = envs.mark();
@@ -468,20 +439,14 @@ impl RuleAttempt {
                     let mut g = GoalNode::new(envs, l.clone(), self.renv, ctx.mdef);
                     g.next(ctx, envs)?
                 } else {
-                    let pattern = crate::join::literal_pattern(envs, l, self.renv);
-                    let iter = ctx.engine.candidates_for(l, &pattern)?;
+                    let pattern = literal_pattern(envs, l, self.renv);
                     let mut hit = false;
-                    for cand in iter {
+                    for cand in ctx.engine.candidates(l, &pattern)? {
                         ctx.poll_step()?;
-                        let t = cand?;
-                        let m = envs.mark();
-                        let fm = envs.frame_mark();
-                        let tenv = envs.push_frame(t.nvars() as usize);
-                        let ok = unify_all(envs, &l.args, self.renv, t.args(), tenv);
-                        envs.undo(m);
-                        envs.pop_frames(fm);
-                        if ok {
-                            hit = true;
+                        hit = match_row(envs, &l.args, self.renv, &cand?);
+                        envs.undo(trail);
+                        envs.pop_frames(frames);
+                        if hit {
                             break;
                         }
                     }
@@ -493,14 +458,5 @@ impl RuleAttempt {
             }
             BodyItem::Literal(_) => unreachable!(),
         }
-    }
-}
-
-impl Engine {
-    /// Candidate lookup used by the pipelined machine (same dispatch as
-    /// [`crate::join::ExternalResolver`], exposed for this module).
-    pub(crate) fn candidates_for(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<Candidates> {
-        use crate::join::ExternalResolver;
-        self.candidates(lit, pattern)
     }
 }

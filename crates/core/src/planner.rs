@@ -1,7 +1,7 @@
 //! Cost-based join planning over coral-stats.
 //!
 //! CORAL's optimizer (§4.2) orders joins with a static heuristic (see
-//! [`crate::adorn::reorder_body`], the `@reorder_joins` opt-in). This
+//! `adorn::reorder_body`, the `@reorder_joins` opt-in). This
 //! module replaces that guess with estimates: per-relation cardinality
 //! and per-column distinct counts (coral-stats, maintained on every
 //! insert/delete) yield a selectivity for each candidate probe, and the
@@ -10,10 +10,10 @@
 //!
 //! * at **compile time** ([`plan_module`]), over the rewritten rules,
 //!   with base-relation statistics from the engine's catalog; and
-//! * **between fixpoint iterations** ([`FixpointState`]'s replan hook in
-//!   [`crate::seminaive`]), where the observed delta cardinalities and
-//!   the live statistics of the local relations replace the compile-time
-//!   guesses — the adaptive re-costing loop.
+//! * **between fixpoint iterations** (the replan hook of
+//!   [`crate::seminaive::FixpointState`]), where the observed delta
+//!   cardinalities and the live statistics of the local relations
+//!   replace the compile-time guesses — the adaptive re-costing loop.
 //!
 //! Reordering is safety-preserving by construction: only runs of
 //! consecutive *positive* literals between negation/comparison barriers
@@ -251,7 +251,7 @@ pub fn cost_of_order(
 
 /// Choose an order for `body`: within each run of consecutive positive
 /// literals (negations and comparisons are barriers, exactly as in the
-/// `@reorder_joins` heuristic), greedily take the [`schedulable`]
+/// `@reorder_joins` heuristic), greedily take the `schedulable`
 /// literal with the fewest estimated matches under the bindings
 /// accumulated so far; ties break by original position. Builtins whose
 /// binding requirements the run never satisfies keep their source order

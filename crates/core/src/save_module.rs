@@ -20,13 +20,13 @@
 //! one iteration whenever the consumer exhausts the answers produced so
 //! far.
 
-use crate::engine::{unifies_with, Engine, ModuleDef};
+use crate::engine::{Engine, ModuleDef};
 use crate::error::{EvalError, EvalResult};
 use crate::scan::AnswerScan;
 use crate::seminaive::{FixpointState, Strategy};
 use coral_lang::{Adornment, PredRef};
 use coral_rel::Mark;
-use coral_term::{Term, Tuple};
+use coral_term::{unifies_with, Term, Tuple};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -38,7 +38,7 @@ pub fn call(
     pred: PredRef,
     adornment: &Adornment,
     pattern: &[Term],
-) -> EvalResult<Box<dyn AnswerScan>> {
+) -> EvalResult<AnswerScan> {
     if mdef.active.get() {
         return Err(EvalError::ModuleProtocol(format!(
             "module {} uses @save_module and may not be invoked recursively (§5.4.2)",
@@ -129,8 +129,16 @@ impl LazyScan {
     }
 }
 
-impl AnswerScan for LazyScan {
-    fn next_answer(&mut self) -> EvalResult<Option<Tuple>> {
+impl Iterator for LazyScan {
+    type Item = EvalResult<Tuple>;
+
+    fn next(&mut self) -> Option<EvalResult<Tuple>> {
+        self.next_tuple().transpose()
+    }
+}
+
+impl LazyScan {
+    fn next_tuple(&mut self) -> EvalResult<Option<Tuple>> {
         loop {
             if let Some(t) = self.buffer.pop_front() {
                 return Ok(Some(t));

@@ -15,7 +15,7 @@
 //! [`Session::create_persistent`] registers a disk-resident base
 //! relation.
 
-use crate::engine::{fast_unifies_with, Engine};
+use crate::engine::Engine;
 use crate::error::{EvalError, EvalResult};
 use crate::scan::AnswerScan;
 use coral_lang::{parse_program, parse_query, ProgramItem, Query};
@@ -153,24 +153,15 @@ pub struct Answers {
     /// The named variables, shared by every answer the unifier resolves.
     names: Arc<[String]>,
     plan: Option<Arc<[(String, usize)]>>,
-    /// The pattern is distinct variables only, so any ground tuple fits
-    /// it without a per-argument match.
-    all_distinct: bool,
-    scan: Box<dyn AnswerScan>,
+    scan: AnswerScan,
 }
 
 impl Answers {
-    fn new(query: Query, scan: Box<dyn AnswerScan>) -> Answers {
-        let args = &query.literal.args;
-        let all_distinct = args
-            .iter()
-            .enumerate()
-            .all(|(i, a)| matches!(a, Term::Var(_)) && !args[..i].contains(a));
+    fn new(query: Query, scan: AnswerScan) -> Answers {
         let names = query.var_names.iter().filter(|n| !n.starts_with('_'));
         Answers {
             names: names.cloned().collect(),
             plan: binding_plan(&query),
-            all_distinct,
             query,
             scan,
         }
@@ -178,24 +169,16 @@ impl Answers {
 
     /// The next answer, or `None` when exhausted.
     pub fn next_answer(&mut self) -> EvalResult<Option<Answer>> {
-        let Some(tuple) = self.scan.next_answer()? else {
+        let Some(tuple) = self.scan.next().transpose()? else {
             return Ok(None);
         };
-        // Ground fast path: a ground answer tuple that fits the pattern
-        // shares the plan — no binding environments, no unifier, no
-        // allocation. A pattern of distinct variables fits any ground
-        // tuple; otherwise, when every query argument is a variable or
-        // itself ground, the frame-free matcher decides.
-        if let Some(plan) = &self.plan {
-            let fits = if self.all_distinct {
-                tuple.is_ground()
-            } else {
-                fast_unifies_with(&self.query.literal.args, &tuple) == Some(true)
-            };
-            if fits {
-                let bindings = Bindings::Positional(Arc::clone(plan));
-                return Ok(Some(Answer { tuple, bindings }));
-            }
+        // Ground fast path: every producer yields only tuples that unify
+        // with the query, so a ground one binds each named variable to
+        // the column the plan points at — no binding environments, no
+        // unifier, no allocation.
+        if let Some(plan) = self.plan.as_ref().filter(|_| tuple.is_ground()) {
+            let bindings = Bindings::Positional(Arc::clone(plan));
+            return Ok(Some(Answer { tuple, bindings }));
         }
         let mut envs = EnvSet::new();
         let qe = envs.push_frame(self.query.nvars as usize);

@@ -1,7 +1,8 @@
 //! The engine differential: over the shared 5-family × 20-seed program
-//! generators, the default engine at `k=1` and at `k=4`, and the `@bsn`
-//! and `@psn` strategies of §3.2, must answer exactly like the
-//! *reference evaluator* — the same program under
+//! generators, the default engine at `k=1` and at `k=4`, the `@bsn`
+//! and `@psn` strategies of §3.2, and the `@lazy` and `@save_module`
+//! answer scans of §5.4 (the saved module queried twice), must answer
+//! exactly like the *reference evaluator* — the same program under
 //! `@naive. @rewrite none.`, which joins in source order over
 //! index/scan candidates with none of the optimised machinery (no hash
 //! tables, no planner, no worker pool, no maintained state).
@@ -14,7 +15,10 @@
 //! planner and hash buckets legitimately change derivation order and
 //! `SetSubsuming` relations keep an already-stored specific tuple when a
 //! more general one lands later — the stored representation of the same
-//! answer set depends on arrival order.
+//! answer set depends on arrival order. On `sg`, whose parent edges are
+//! acyclic, the `@pipelining` leg (§5.2) must produce the reference's
+//! answer set; top-down evaluation repeats answers, so it is compared
+//! deduplicated.
 //!
 //! On the default `k=1` session, seeded query patterns mixing constants,
 //! repeated named variables and `_` must bind every answer exactly as
@@ -44,6 +48,14 @@ use families::{Case, Family, FAMILIES, REFERENCE, SEEDS};
 /// the default's strategy; the annotation must not change answers).
 const STRATEGIES: [&str; 2] = ["@bsn.\n", "@psn.\n"];
 
+/// The materialized scans other than the default's: answers flowing out
+/// per iteration, and answers read from a state retained across calls.
+const SCANS: [&str; 2] = ["@lazy.\n", "@save_module.\n"];
+const SAVE_MODULE: &str = SCANS[1];
+
+/// Top-down evaluation, run on the one family where it terminates.
+const PIPELINING: (&str, &str) = ("sg", "@pipelining.\n");
+
 /// Where a default-side counter must be nonzero.
 #[derive(Clone, Copy, PartialEq)]
 enum Scope {
@@ -72,9 +84,10 @@ const ENGAGED: [(&str, Scope); 7] = [
     (PARALLEL_FIRINGS, Scope::Suite),
 ];
 
-/// Counters that must stay zero on every default-side query of every
-/// all-ground family (all but `nonground`): a ground candidate is
-/// decided by the frame-free ground matcher, never by the unifier.
+/// Counters that must stay zero on every default-side, `@lazy` and
+/// `@save_module` query of every all-ground family (all but
+/// `nonground`): a ground candidate or answer is decided by the
+/// frame-free ground matcher, never by the unifier.
 const ZERO_ON_GROUND: [&str; 2] = ["term.unify_attempts", "core.fallback_rows"];
 
 fn counter(p: &EngineProfile, name: &str) -> u64 {
@@ -94,6 +107,11 @@ fn run(threads: usize, program: &str, query: &str, label: &str) -> (Vec<String>,
     s.set_profiling(true);
     s.consult_str(program)
         .unwrap_or_else(|e| panic!("{label}: consult failed: {e}"));
+    (answers(&s, query, label), s)
+}
+
+/// `query`'s answers on `s`, sorted but not deduplicated.
+fn answers(s: &Session, query: &str, label: &str) -> Vec<String> {
     let mut out: Vec<String> = s
         .query_all(query)
         .unwrap_or_else(|e| panic!("{label}: query {query} failed: {e}"))
@@ -101,7 +119,7 @@ fn run(threads: usize, program: &str, query: &str, label: &str) -> (Vec<String>,
         .map(|a| a.to_string())
         .collect();
     out.sort();
-    (out, s)
+    out
 }
 
 /// The reference run must not have touched any optimised machinery —
@@ -263,7 +281,8 @@ fn bindings_match_the_unifier(s: &Session, case: &Case, seed: u64, label: &str) 
 #[derive(Default)]
 struct Totals {
     engaged: [u64; ENGAGED.len()],
-    /// [`ZERO_ON_GROUND`] summed over the default-side queries.
+    /// [`ZERO_ON_GROUND`] summed over the default-side, `@lazy` and
+    /// `@save_module` queries.
     zero_on_ground: [u64; ZERO_ON_GROUND.len()],
     naive_probes: u64,
     bsn_probes: u64,
@@ -348,6 +367,30 @@ fn run_family(&(name, gen, base): &Family) -> Totals {
                 totals.bsn_probes += probes(&s);
             }
         }
+        for scan in SCANS {
+            let program = case.program(scan);
+            let what = format!("{label}: {} on:\n{program}\n", scan.trim());
+            let (first, s) = run(1, &program, case.query, &label);
+            add_zero_on_ground(&mut totals, &s);
+            assert_matches(name, &first, &reference, &what);
+            if scan == SAVE_MODULE {
+                // The second call answers from the retained state.
+                let second = answers(&s, case.query, &label);
+                add_zero_on_ground(&mut totals, &s);
+                assert_matches(name, &second, &reference, &format!("{what}(second call)"));
+            }
+        }
+        if name == PIPELINING.0 {
+            let program = case.program(PIPELINING.1);
+            let (mut answers, _) = run(1, &program, case.query, &label);
+            answers.dedup();
+            let mut want = reference.clone();
+            want.dedup();
+            assert_eq!(
+                answers, want,
+                "{label}: @pipelining answer set differs from the reference on:\n{program}"
+            );
+        }
     }
     assert!(bound > 0, "{name}: no pattern had answers to check");
     assert!(
@@ -387,7 +430,8 @@ fn default_engine_matches_the_reference_on_all_families() {
             for (counter, total) in ZERO_ON_GROUND.iter().zip(totals.zero_on_ground) {
                 assert_eq!(
                     total, 0,
-                    "{name}: default runs counted {counter} on all-ground programs"
+                    "{name}: default, @lazy or @save_module runs counted {counter} \
+                     on all-ground programs"
                 );
             }
         }

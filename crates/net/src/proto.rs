@@ -28,7 +28,7 @@
 //! |--------|----------------|---------------------------------|
 //! | 0x81   | Ok             | —                               |
 //! | 0x82   | ConsultOk      | answers of embedded queries     |
-//! | 0x83   | Batch          | u8 done, u8 marker, [reason], answers |
+//! | 0x83   | Batch          | u8 done, u8 marker, \[reason\], answers |
 //! | 0x84   | Error          | u16 code, message               |
 //! | 0x85   | Profile        | u8 present, JSON text           |
 //! | 0x86   | Pong           | —                               |

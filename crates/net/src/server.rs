@@ -1,6 +1,6 @@
 //! The CORAL server: a TCP front end multiplexing concurrent client
 //! connections onto per-connection [`Session`]s that share one
-//! persistent [`StorageServer`](coral_storage::StorageServer) — the
+//! persistent [`StorageServer`] — the
 //! paper's "multiple CORAL processes … accessing persistent data
 //! stored using the EXODUS storage manager" (§3.2), with threads
 //! standing in for processes.

@@ -31,7 +31,7 @@ use crate::relation::{iter_from_vec, DupSemantics, IndexSpec, Relation, TupleIte
 use coral_profile::Counter;
 use coral_term::bindenv::EnvSet;
 use coral_term::term::VarId;
-use coral_term::{match_args, unify, Term, Tuple};
+use coral_term::{unifies_with, unify, Term, Tuple};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -616,7 +616,7 @@ fn lookup_slice(
             // tuples as candidates (they may unify with anything).
             for s in &subs[start..end] {
                 for t in s.tuples.iter().flatten() {
-                    if !t.is_ground() || match_args(pattern, t.args()).is_some() {
+                    if !t.is_ground() || unifies_with(pattern, t) {
                         out.push(t.clone());
                     }
                 }

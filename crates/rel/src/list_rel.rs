@@ -7,7 +7,7 @@
 
 use crate::error::{RelError, RelResult};
 use crate::relation::{iter_from_vec, DupSemantics, IndexSpec, Relation, TupleIter};
-use coral_term::{match_args, Term, Tuple};
+use coral_term::{unifies_with, Term, Tuple};
 use std::cell::RefCell;
 
 /// An insertion-ordered, unindexed relation.
@@ -96,13 +96,13 @@ impl Relation for ListRelation {
     }
 
     fn lookup(&self, pattern: &[Term]) -> TupleIter {
-        // No index: filter tuples that one-way match the pattern's ground
-        // skeleton. Non-ground stored tuples always qualify as candidates.
+        // No index: filter tuples that unify with the pattern. Non-ground
+        // stored tuples always qualify as candidates.
         let candidates: Vec<Tuple> = self
             .tuples
             .borrow()
             .iter()
-            .filter(|t| !t.is_ground() || match_args(pattern, t.args()).is_some())
+            .filter(|t| !t.is_ground() || unifies_with(pattern, t))
             .cloned()
             .collect();
         iter_from_vec(candidates)

@@ -21,7 +21,7 @@ use crate::encoding::{encode_cols, encode_tuple};
 use crate::error::{RelError, RelResult};
 use crate::relation::{IndexSpec, Relation, TupleIter};
 use coral_storage::{BTree, HeapFile, PageId, RecordId, SnapshotGuard, StorageClient, View};
-use coral_term::{match_args, Term, Tuple};
+use coral_term::{unifies_with, Term, Tuple};
 use std::cell::{Cell, RefCell};
 use std::sync::{Arc, RwLock};
 
@@ -683,13 +683,7 @@ impl Relation for PersistentRelation {
                 };
                 Box::new(scan.filter_map(move |r| match r {
                     Ok((_, bytes)) => match crate::encoding::decode_tuple(&bytes) {
-                        Ok(t) => {
-                            if match_args(&pattern, t.args()).is_some() {
-                                Some(Ok(t))
-                            } else {
-                                None
-                            }
-                        }
+                        Ok(t) => unifies_with(&pattern, &t).then_some(Ok(t)),
                         Err(e) => Some(Err(e)),
                     },
                     Err(e) => Some(Err(e.into())),

@@ -138,7 +138,7 @@ pub fn gen_workload(seed: u64) -> Vec<Step> {
 /// Generate the [`Shape::SingleRow`] workload for `seed`: an index
 /// build, then 36 one-row transactions (three inserts to one delete of a
 /// live key, in seeded order) with a checkpoint after every
-/// [`SINGLE_ROW_CHECKPOINT_EVERY`] commits.
+/// `SINGLE_ROW_CHECKPOINT_EVERY` commits.
 pub fn gen_single_row_workload(seed: u64) -> Vec<Step> {
     let mut rng = TestRng::new(seed ^ 0x51c0_2e40_57a1_0001);
     let mut live: Vec<i64> = Vec::new();

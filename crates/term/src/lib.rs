@@ -42,4 +42,4 @@ pub use hashcons::HcId;
 pub use symbol::Symbol;
 pub use term::{OrderedF64, Term, VarId};
 pub use tuple::Tuple;
-pub use unify::{match_args, match_one_way, subsumes, unify, unify_all, variant};
+pub use unify::{match_args, subsumes, unifies_with, unify, unify_all, variant};

@@ -10,7 +10,11 @@
 //! copy-out routine in [`crate::bindenv`] detects the (pathological)
 //! cyclic case.
 //!
-//! [`match_one_way`], [`variant`] and [`subsumes`] operate on
+//! [`unifies_with`] is the one per-tuple pattern test: relation lookups
+//! and answer scans keep a stored tuple only if it unifies with the
+//! caller's pattern.
+//!
+//! [`match_args`], [`variant`] and [`subsumes`] operate on
 //! self-contained terms (as stored in relations) and implement the
 //! subsumption checks of §4.2: a relation under set semantics discards a
 //! new fact if an existing fact subsumes it.
@@ -18,6 +22,7 @@
 use crate::bindenv::{EnvId, EnvSet};
 use crate::hashcons;
 use crate::term::{Term, VarId};
+use crate::tuple::Tuple;
 use coral_profile::Counter;
 
 /// Unify `(t1, e1)` with `(t2, e2)`, binding variables in `envs`.
@@ -81,26 +86,56 @@ pub fn unify_all(envs: &mut EnvSet, ts1: &[Term], e1: EnvId, ts2: &[Term], e2: E
     ts1.iter().zip(ts2).all(|(a, b)| unify(envs, a, e1, b, e2))
 }
 
+/// Whether the stored tuple `t` unifies with the self-contained
+/// `pattern` (the two sides' variables are distinct). A ground tuple
+/// needs no binding environments whenever every pattern argument is a
+/// variable or ground; anything else takes the unifier.
+pub fn unifies_with(pattern: &[Term], t: &Tuple) -> bool {
+    if let Some(ok) = fast_unifies_with(pattern, t) {
+        return ok;
+    }
+    let mut envs = EnvSet::new();
+    let pv = pattern.iter().map(|x| x.var_bound()).max().unwrap_or(0);
+    let ep = envs.push_frame(pv as usize);
+    let et = envs.push_frame(t.nvars() as usize);
+    unify_all(&mut envs, pattern, ep, t.args(), et)
+}
+
+/// Frame-free [`unifies_with`] for the dominant case: every tuple
+/// argument ground, every pattern argument either ground (decided by
+/// term equality) or a variable (a repeated occurrence must hold the
+/// term its first occurrence holds). Returns `None` — take the general
+/// unifier — as soon as a non-ground term appears on either side.
+fn fast_unifies_with(pattern: &[Term], t: &Tuple) -> Option<bool> {
+    let args = t.args();
+    for (i, (p, a)) in pattern.iter().zip(args).enumerate() {
+        if !a.is_ground() {
+            return None;
+        }
+        match p {
+            Term::Var(_) => {
+                if let Some(first) = pattern[..i].iter().position(|q| q == p) {
+                    if args[first] != *a {
+                        return Some(false);
+                    }
+                }
+            }
+            g if g.is_ground() => {
+                if g != a {
+                    return Some(false);
+                }
+            }
+            _ => return None,
+        }
+    }
+    Some(true)
+}
+
 /// A substitution for one-way matching over self-contained terms.
 type Subst = Vec<(VarId, Term)>;
 
 fn subst_lookup(s: &Subst, v: VarId) -> Option<&Term> {
     s.iter().find(|(k, _)| *k == v).map(|(_, t)| t)
-}
-
-/// One-way matching: find a substitution θ for the variables of `pattern`
-/// such that `pattern·θ == target` *syntactically* (variables in `target`
-/// are treated as constants). Returns the substitution on success.
-///
-/// This is the primitive behind pattern-form indices (§3.3) and
-/// subsumption checks.
-pub fn match_one_way(pattern: &Term, target: &Term) -> Option<Subst> {
-    let mut subst = Vec::new();
-    if match_into(pattern, target, &mut subst) {
-        Some(subst)
-    } else {
-        None
-    }
 }
 
 fn match_into(pattern: &Term, target: &Term, subst: &mut Subst) -> bool {
@@ -131,7 +166,12 @@ fn match_into(pattern: &Term, target: &Term, subst: &mut Subst) -> bool {
     }
 }
 
-/// Match a pattern argument list against a target argument list.
+/// One-way matching: find a substitution θ for the variables of
+/// `pattern` such that `pattern·θ == target` *syntactically* (variables
+/// in `target` are treated as constants). Returns the substitution on
+/// success.
+///
+/// This is the primitive behind subsumption checks.
 pub fn match_args(pattern: &[Term], target: &[Term]) -> Option<Subst> {
     if pattern.len() != target.len() {
         return None;
@@ -297,17 +337,18 @@ mod tests {
             Term::list(vec![Term::int(1), Term::int(2), Term::int(3)]),
         );
         let target = Term::list(vec![Term::int(5), Term::int(1), Term::int(2), Term::int(3)]);
-        let subst = match_one_way(&pat, &target).unwrap();
+        let (pat, target) = ([pat], [target]);
+        let subst = match_args(&pat, &target).unwrap();
         assert_eq!(subst, vec![(VarId(0), Term::int(5))]);
         // Target variables are constants: f(X) does not match f(1) in reverse.
-        assert!(match_one_way(&target, &pat).is_none());
+        assert!(match_args(&target, &pat).is_none());
     }
 
     #[test]
     fn one_way_match_repeated_vars() {
-        let pat = Term::apps("p", vec![Term::var(0), Term::var(0)]);
-        assert!(match_one_way(&pat, &Term::apps("p", vec![Term::int(1), Term::int(1)])).is_some());
-        assert!(match_one_way(&pat, &Term::apps("p", vec![Term::int(1), Term::int(2)])).is_none());
+        let pat = [Term::var(0), Term::var(0)];
+        assert!(match_args(&pat, &[Term::int(1), Term::int(1)]).is_some());
+        assert!(match_args(&pat, &[Term::int(1), Term::int(2)]).is_none());
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Property tests for the term layer over seeded [`TestRng`] inputs:
-//! bignum algebra, unification symmetry and trail restore, and
-//! hash-consing ids agreeing with structural equality.
+//! bignum algebra, unification symmetry and trail restore, hash-consing
+//! ids agreeing with structural equality, and the relation/answer
+//! pattern test agreeing with the unifier.
 
 use coral_term::bignum::BigInt;
 use coral_term::bindenv::EnvSet;
 use coral_term::term::Term;
 use coral_term::testutil::TestRng;
-use coral_term::{hashcons, unify};
+use coral_term::{hashcons, match_args, unifies_with, unify, unify_all, Tuple};
 
 const CASES: u64 = 256;
 
@@ -120,4 +121,55 @@ fn hashcons_ids_agree_with_equality() {
         let (ia, ib) = (hashcons::intern(&a).unwrap(), hashcons::intern(&b).unwrap());
         assert_eq!(ia == ib, a == b, "{a} vs {b}");
     }
+}
+
+/// `t` with every variable `v` replaced by `vals[v]`.
+fn instantiate(t: &Term, vals: &[Term]) -> Term {
+    match t {
+        Term::Var(v) => vals[v.0 as usize].clone(),
+        Term::App(a) => Term::app(
+            a.sym(),
+            a.args().iter().map(|x| instantiate(x, vals)).collect(),
+        ),
+        _ => t.clone(),
+    }
+}
+
+#[test]
+fn unifies_with_agrees_with_the_unifier() {
+    // Patterns mix constants, repeated variables and functor terms;
+    // half the targets instantiate the pattern (so most unify), the rest
+    // are independent draws, and half of both may keep variables.
+    let mut rng = TestRng::new(5);
+    let (mut hits, mut ground) = (0, 0);
+    for case in 0..4 * CASES {
+        let arity = rng.gen_range(1, 4);
+        let pattern = Tuple::new((0..arity).map(|_| term(&mut rng, 2, true)).collect());
+        let vars = rng.gen_bool(0.5);
+        let target = Tuple::new(if rng.gen_bool(0.5) {
+            let vals: Vec<Term> = (0..4).map(|_| term(&mut rng, 1, vars)).collect();
+            pattern
+                .args()
+                .iter()
+                .map(|p| instantiate(p, &vals))
+                .collect()
+        } else {
+            (0..arity).map(|_| term(&mut rng, 2, vars)).collect()
+        });
+        let mut envs = EnvSet::new();
+        let (ep, et) = (envs.push_frame(4), envs.push_frame(4));
+        let want = unify_all(&mut envs, pattern.args(), ep, target.args(), et);
+        let got = unifies_with(pattern.args(), &target);
+        assert_eq!(got, want, "case {case}: {pattern} vs {target}");
+        if target.is_ground() {
+            let matched = match_args(pattern.args(), target.args()).is_some();
+            assert_eq!(got, matched, "case {case}: {pattern} vs ground {target}");
+            ground += 1;
+        }
+        hits += usize::from(want);
+    }
+    // Both outcomes, and both kinds of target, must be exercised.
+    let n = (4 * CASES) as usize;
+    assert!(hits > n / 4 && hits < 3 * n / 4, "{hits} of {n} unified");
+    assert!(ground > n / 2 && ground < n, "{ground} of {n} ground");
 }
