@@ -1,21 +1,19 @@
-//! # coral-bench — workloads and harness for the paper's claims
+//! # coral-bench — workloads for the paper's claims
 //!
 //! The CORAL paper (SIGMOD 1993) has no quantitative evaluation section —
 //! "performance measurements of a preliminary nature have been made"
 //! (§9); its figures are the architecture (Fig. 1), the term
 //! representation (Fig. 2) and the shortest-path program (Fig. 3). Each
 //! *performance claim in the text* therefore becomes an experiment; the
-//! experiment ids E1–E14 are indexed in `DESIGN.md` and reported in
+//! experiment ids are indexed in `DESIGN.md` and reported in
 //! `EXPERIMENTS.md`. This crate provides the shared workload generators
-//! and program templates; `benches/` holds one Criterion bench per
-//! experiment, and `src/bin/experiments.rs` regenerates the
-//! EXPERIMENTS.md tables.
+//! and program templates; `src/bin/experiments.rs` regenerates the
+//! EXPERIMENTS.md tables, and the end-to-end benchmark (`e2ebench/`)
+//! reuses the program templates.
 
 use coral_core::session::Session;
 use coral_term::testutil::TestRng;
 use std::fmt::Write as _;
-
-pub mod harness;
 
 /// Deterministic workload generators.
 pub mod workloads {
@@ -26,19 +24,6 @@ pub mod workloads {
         let mut s = String::with_capacity(n * 16);
         for i in 0..n {
             let _ = writeln!(s, "edge({i}, {}).", i + 1);
-        }
-        s
-    }
-
-    /// A random directed graph with `v` nodes and `e` edges (may be
-    /// cyclic).
-    pub fn random_graph(v: usize, e: usize, seed: u64) -> String {
-        let mut rng = TestRng::new(seed);
-        let mut s = String::with_capacity(e * 16);
-        for _ in 0..e {
-            let a = rng.gen_range(0, v);
-            let b = rng.gen_range(0, v);
-            let _ = writeln!(s, "edge({a}, {b}).");
         }
         s
     }
@@ -57,21 +42,6 @@ pub mod workloads {
             let b = rng.gen_range(0, v);
             if a != b {
                 let _ = writeln!(s, "edge({a}, {b}, {}).", rng.gen_range(1, 20));
-            }
-        }
-        s
-    }
-
-    /// A complete binary tree of `depth` levels: `par(parent, child)`.
-    pub fn binary_tree(depth: u32) -> String {
-        let mut s = String::new();
-        let nodes = (1usize << depth) - 1;
-        for i in 1..=nodes {
-            let l = 2 * i;
-            let r = 2 * i + 1;
-            if l < (1usize << (depth + 1)) {
-                let _ = writeln!(s, "par({i}, {l}).");
-                let _ = writeln!(s, "par({i}, {r}).");
             }
         }
         s

@@ -216,6 +216,34 @@ pub(crate) fn backtrack_points(body: &[BodyElem]) -> Vec<Option<usize>> {
         .collect()
 }
 
+/// Chronological backtracking: element `i` retries element `i - 1`.
+/// Rules compiled with intelligent backtracking off, and every
+/// synthesized rule, use it.
+pub(crate) fn chronological(n: usize) -> Vec<Option<usize>> {
+    (0..n).map(|i| i.checked_sub(1)).collect()
+}
+
+impl CompiledRule {
+    /// A rule built outside compilation — a maintenance delta variant or
+    /// an explanation probe: `base`'s head over `nvars` variables, one
+    /// non-delta version, chronological backtracking over `body`.
+    pub(crate) fn synthesized(
+        base: &CompiledRule,
+        nvars: u32,
+        body: Vec<BodyElem>,
+    ) -> CompiledRule {
+        CompiledRule {
+            head: base.head.clone(),
+            agg: None,
+            backtrack: chronological(body.len()),
+            body,
+            nvars,
+            var_names: base.var_names.clone(),
+            versions: vec![SnVersion { delta_idx: None }],
+        }
+    }
+}
+
 pub(crate) fn versions_for(body: &[BodyElem]) -> Vec<SnVersion> {
     let rec_positions: Vec<usize> = body
         .iter()
@@ -278,10 +306,6 @@ pub struct CompileOptions {
     /// Derive indices from body binding patterns (§4.2's index
     /// selection); off = only user indices (ablation).
     pub auto_index: bool,
-    /// Join-order selection happens in the adornment phase (see
-    /// [`crate::adorn::adorn_module_opt`]); retained here so callers can
-    /// introspect the choice.
-    pub reorder_joins: bool,
 }
 
 impl Default for CompileOptions {
@@ -291,7 +315,6 @@ impl Default for CompileOptions {
             ordered_search: false,
             intelligent_backtracking: true,
             auto_index: true,
-            reorder_joins: false,
         }
     }
 }
@@ -388,7 +411,7 @@ pub fn compile_with(
                 backtrack: if opts.intelligent_backtracking {
                     backtrack_points(&body)
                 } else {
-                    (0..body.len()).map(|i| i.checked_sub(1)).collect()
+                    chronological(body.len())
                 },
                 head: rule.head.clone(),
                 agg,

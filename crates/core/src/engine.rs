@@ -93,8 +93,6 @@ pub struct ModuleControls {
     pub no_intelligent_backtracking: bool,
     /// Ablation: disable automatic index selection.
     pub no_auto_index: bool,
-    /// Opt-in: optimizer join-order selection (§4.2).
-    pub reorder_joins: bool,
     /// Collect an [`crate::profile::EngineProfile`] for calls into this
     /// module (`@profile`).
     pub profile: bool,
@@ -115,7 +113,6 @@ impl Default for ModuleControls {
             ordered: false,
             no_intelligent_backtracking: false,
             no_auto_index: false,
-            reorder_joins: false,
             profile: false,
             maintain: None,
         }
@@ -164,7 +161,7 @@ struct EngineInner {
     /// Budget enforcer, polled at the cancellation poll sites; shared
     /// with parallel workers via `Arc`.
     governor: Arc<Governor>,
-    /// Cumulative maintenance counters (always compiled in).
+    /// Cumulative maintenance counters (always on).
     maintain_totals: Cell<crate::maintain::MaintainTotals>,
     /// Snapshots offered by the storage layer at attach time, consumed
     /// when a maintained state is first needed.
@@ -281,9 +278,9 @@ impl Engine {
     }
 
     /// Enable or disable profiling for every subsequent module call (the
-    /// runtime flag; counters are a no-op unless the `profile` cargo
-    /// feature is compiled in). When on, each top-level call leaves its
-    /// [`crate::profile::EngineProfile`] in [`Engine::last_profile`].
+    /// runtime flag; counters are a no-op while it is off). When on,
+    /// each top-level call leaves its [`crate::profile::EngineProfile`]
+    /// in [`Engine::last_profile`].
     pub fn set_profiling(&self, on: bool) {
         self.inner.profiling.set(on);
         crate::profile::set_profiling(on);
@@ -457,7 +454,8 @@ impl Engine {
                     controls.no_intelligent_backtracking = true
                 }
                 Annotation::NoAutoIndex => controls.no_auto_index = true,
-                Annotation::ReorderJoins => controls.reorder_joins = true,
+                // Read by the adornment phase (`adorn::adorn_module_opt`).
+                Annotation::ReorderJoins => {}
                 Annotation::Profile => controls.profile = true,
                 Annotation::Maintain(k) => controls.maintain = Some(*k),
                 Annotation::Multiset(p) => {
@@ -659,7 +657,6 @@ impl Engine {
             ordered_search: mdef.controls.ordered,
             intelligent_backtracking: !mdef.controls.no_intelligent_backtracking,
             auto_index: !mdef.controls.no_auto_index,
-            reorder_joins: mdef.controls.reorder_joins,
         };
         let compiled = crate::compile::compile_with(rewritten, opts, &[]);
         let mut retreated = false;

@@ -94,18 +94,9 @@ struct Use {
 struct Explainer<'e> {
     engine: &'e Engine,
     state: FixpointState,
-    /// Renamed (adorned) predicate for each original predicate.
-    origin_rev: Vec<(PredRef, PredRef)>,
 }
 
 impl Explainer<'_> {
-    fn renamed(&self, orig: PredRef) -> Option<PredRef> {
-        self.origin_rev
-            .iter()
-            .find(|(_, o)| *o == orig)
-            .map(|(r, _)| *r)
-    }
-
     fn original(&self, renamed: PredRef) -> PredRef {
         self.state
             .compiled()
@@ -167,16 +158,7 @@ impl Explainer<'_> {
                 .collect();
             let guards = body.len();
             body.extend(crule.body.iter().cloned());
-            let backtrack = (0..body.len()).map(|i| i.checked_sub(1)).collect();
-            let probe = CompiledRule {
-                head: crule.head.clone(),
-                agg: None,
-                body,
-                nvars: crule.nvars + fact.nvars(),
-                var_names: crule.var_names.clone(),
-                versions: vec![SnVersion { delta_idx: None }],
-                backtrack,
-            };
+            let probe = CompiledRule::synthesized(crule, crule.nvars + fact.nvars(), body);
             let ranges = Ranges::new();
             let ctx = JoinCtx {
                 locals: self.state.locals(),
@@ -273,16 +255,7 @@ impl Explainer<'_> {
             .collect();
         let guards = body.len();
         body.extend(crule.body.iter().cloned());
-        let backtrack = (0..body.len()).map(|i| i.checked_sub(1)).collect();
-        let probe = CompiledRule {
-            head: crule.head.clone(),
-            agg: None,
-            body,
-            nvars: crule.nvars + fact.nvars(),
-            var_names: crule.var_names.clone(),
-            versions: vec![SnVersion { delta_idx: None }],
-            backtrack,
-        };
+        let probe = CompiledRule::synthesized(crule, crule.nvars + fact.nvars(), body);
         eval_rule(
             &ctx,
             &probe,
@@ -475,15 +448,8 @@ pub fn explain_fact(engine: &Engine, literal: &Literal) -> EvalResult<Option<Der
     if !holds {
         return Ok(None);
     }
-    let origin_rev: Vec<(PredRef, PredRef)> =
-        cm.rewritten.origin.iter().map(|(r, o)| (*r, *o)).collect();
-    let mut explainer = Explainer {
-        engine,
-        state,
-        origin_rev,
-    };
+    let mut explainer = Explainer { engine, state };
     let mut path = HashSet::new();
-    let _ = explainer.renamed(pred);
     match explainer.explain_rec(rp, &fact, &mut path, 0)? {
         Some(d) => Ok(Some(d)),
         // The fact holds but the bounded search missed a well-founded

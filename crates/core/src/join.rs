@@ -853,7 +853,7 @@ mod tests {
                 },
             })
             .collect();
-        let backtrack = (0..body.len()).map(|i| i.checked_sub(1)).collect();
+        let backtrack = crate::compile::chronological(body.len());
         CompiledRule {
             head: rule.head.clone(),
             agg: None,

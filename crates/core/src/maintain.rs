@@ -53,10 +53,10 @@ use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-/// Cumulative engine-level maintenance counters (always compiled in,
-/// unlike the `profile`-gated per-query counters; the `:maintain` REPL
-/// command and the differential tests' non-vacuousness assertions read
-/// these).
+/// Cumulative engine-level maintenance counters (always on, unlike the
+/// per-query `profile` counters, which count only while profiling is
+/// enabled; the `:maintain` REPL command and the differential tests'
+/// non-vacuousness assertions read these).
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct MaintainTotals {
     /// Base-fact changes propagated through at least one maintained
@@ -232,23 +232,6 @@ struct Variant {
     sign: i64,
 }
 
-fn chronological(n: usize) -> Vec<Option<usize>> {
-    (0..n).map(|i| i.checked_sub(1)).collect()
-}
-
-fn make_rule(base: &CompiledRule, body: Vec<BodyElem>) -> CompiledRule {
-    let backtrack = chronological(body.len());
-    CompiledRule {
-        head: base.head.clone(),
-        agg: None,
-        body,
-        nvars: base.nvars,
-        var_names: base.var_names.clone(),
-        versions: vec![SnVersion { delta_idx: None }],
-        backtrack,
-    }
-}
-
 /// Build one delta variant of `rule`: position `k` becomes `delta_elem`
 /// (plus an optional witness appended at body end), every other position
 /// is rewritten per `phase` against `changed`.
@@ -291,7 +274,7 @@ fn make_variant(
     if let Some(w) = extra {
         body.push(w);
     }
-    make_rule(rule, body)
+    CompiledRule::synthesized(rule, rule.nvars, body)
 }
 
 /// Generate the delta variants of `rule` for the predicates in
@@ -357,7 +340,7 @@ fn full_variant(rule: &CompiledRule) -> CompiledRule {
         .iter()
         .map(|e| baseline(e, &none, false))
         .collect();
-    make_rule(rule, body)
+    CompiledRule::synthesized(rule, rule.nvars, body)
 }
 
 fn term_bound(t: &Term, bound: &HashSet<VarId>) -> bool {
@@ -650,7 +633,6 @@ fn prepare(
         ordered_search: false,
         intelligent_backtracking: !c.no_intelligent_backtracking,
         auto_index: !c.no_auto_index,
-        reorder_joins: c.reorder_joins,
     };
     // Unstratified (or otherwise uncompilable) programs recompute.
     let mut cm = crate::compile::compile_with(rewritten, opts, &[]).ok()?;
@@ -1144,7 +1126,7 @@ fn dred_scc(
             }];
             let none = HashSet::new();
             body.extend(rule.body.iter().map(|e| baseline(e, &none, false)));
-            let rrule = make_rule(rule, body);
+            let rrule = CompiledRule::synthesized(rule, rule.nvars, body);
             let mut found: Vec<Tuple> = Vec::new();
             eval_variant(engine, state, &views, &rrule, &mut |t| {
                 found.push(t);

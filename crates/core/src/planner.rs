@@ -314,7 +314,7 @@ pub fn apply_order(
     let backtrack = if intelligent_backtracking {
         crate::compile::backtrack_points(&body)
     } else {
-        (0..body.len()).map(|i| i.checked_sub(1)).collect()
+        crate::compile::chronological(body.len())
     };
     CompiledRule {
         head: rule.head.clone(),

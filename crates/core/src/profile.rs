@@ -210,7 +210,7 @@ pub(crate) fn new_state_id() -> u64 {
 
 /// Whether a Collector is gathering sections on this thread.
 pub(crate) fn collecting() -> bool {
-    AVAILABLE && GATHERED.with(|g| g.borrow().is_some())
+    GATHERED.with(|g| g.borrow().is_some())
 }
 
 /// Record one planner order note (kept only while a Collector is
@@ -234,10 +234,10 @@ pub struct Collector {
 }
 
 impl Collector {
-    /// Start collecting; `None` when profiling is compiled out or a
-    /// collector is already active on this thread.
+    /// Start collecting; `None` when a collector is already active on
+    /// this thread.
     pub fn begin() -> Option<Collector> {
-        if !AVAILABLE || collecting() {
+        if collecting() {
             return None;
         }
         GATHERED.with(|g| *g.borrow_mut() = Some(Gathered::default()));

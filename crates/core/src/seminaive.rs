@@ -266,7 +266,7 @@ impl FixpointState {
         Ok(false)
     }
 
-    fn range_preds(&self, scc_idx: usize, scc: &CompiledScc) -> Vec<PredRef> {
+    fn range_preds(&self, scc: &CompiledScc) -> Vec<PredRef> {
         // Predicates whose marks this SCC tracks: its own members plus
         // every delta-tracked local predicate its rules read (lower-SCC
         // locals, magic seeds, Ordered Search feeds).
@@ -281,14 +281,13 @@ impl FixpointState {
                 }
             }
         }
-        let _ = scc_idx;
         preds
     }
 
     /// Ensure marks exist and extend `cur` over facts inserted since the
     /// last run (seeds, OS feeds).
     fn refresh_marks(&mut self, scc_idx: usize, scc: &CompiledScc) {
-        for pred in self.range_preds(scc_idx, scc) {
+        for pred in self.range_preds(scc) {
             let rel = Rc::clone(self.locals.require(pred));
             let entry = self
                 .marks
@@ -300,7 +299,7 @@ impl FixpointState {
 
     fn ranges_snapshot(&self, scc_idx: usize, scc: &CompiledScc) -> Ranges {
         let mut ranges = Ranges::new();
-        for pred in self.range_preds(scc_idx, scc) {
+        for pred in self.range_preds(scc) {
             if let Some(&(prev, cur)) = self.marks.get(&(scc_idx, pred)) {
                 ranges.insert(pred, (prev, cur));
             }
@@ -321,7 +320,7 @@ impl FixpointState {
             }
         }
         // Non-empty deltas?
-        self.range_preds(scc_idx, scc).iter().any(|pred| {
+        self.range_preds(scc).iter().any(|pred| {
             let (prev, cur) = self.marks[&(scc_idx, *pred)];
             self.locals.require(*pred).len_range(prev, Some(cur)) > 0
         })
@@ -817,11 +816,6 @@ impl FixpointState {
                 }
             }
         }
-        let chronological = |n: usize| {
-            (0..n)
-                .map(|i| i.checked_sub(1))
-                .collect::<Vec<Option<usize>>>()
-        };
         let mut updates: Vec<((usize, usize, usize), Option<PlannedVersion>)> = Vec::new();
         {
             let src = LiveStats {
@@ -856,7 +850,7 @@ impl FixpointState {
                         // Preserve the compile-time backtracking policy:
                         // a chronological base vector means intelligent
                         // backtracking was off.
-                        let ib = base.backtrack != chronological(base.body.len());
+                        let ib = base.backtrack != crate::compile::chronological(base.body.len());
                         let rule = apply_order(base, &plan.perm, ib);
                         let delta_idx = plan
                             .perm
@@ -909,7 +903,7 @@ impl FixpointState {
         let ranges = self.ranges_snapshot(scc_idx, scc);
         let all: Vec<usize> = (0..scc.rules.len()).collect();
         self.eval_rule_versions(scc_idx, scc, &all, &ranges, external, false)?;
-        let preds = self.range_preds(scc_idx, scc);
+        let preds = self.range_preds(scc);
         self.advance_marks(scc_idx, &preds);
         Ok(())
     }
@@ -926,7 +920,7 @@ impl FixpointState {
         let ranges = self.ranges_snapshot(scc_idx, scc);
         let all: Vec<usize> = (0..scc.rules.len()).collect();
         self.eval_rule_versions(scc_idx, scc, &all, &ranges, external, true)?;
-        let preds = self.range_preds(scc_idx, scc);
+        let preds = self.range_preds(scc);
         self.advance_marks(scc_idx, &preds);
         if self.stats.facts_derived == before {
             self.naive_done[scc_idx] = true;
@@ -943,7 +937,7 @@ impl FixpointState {
         // Sweep predicates in order; advance each predicate's marks right
         // after its rules fire, so later predicates in the sweep consume
         // the fresh facts immediately (§4.2, paper ref \[22\]).
-        let preds = self.range_preds(scc_idx, scc);
+        let preds = self.range_preds(scc);
         for p in &scc.preds {
             let rule_indices: Vec<usize> = scc
                 .rules

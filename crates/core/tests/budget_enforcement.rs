@@ -281,9 +281,6 @@ fn budget_kill_during_consult_rolls_back_module_catalog() {
 
 #[test]
 fn profile_reports_budget_usage() {
-    if !coral_core::profile::AVAILABLE {
-        return; // no collector, hence no profile, with the feature off
-    }
     let s = session_with(Budget {
         max_tuples: Some(1_000_000),
         ..Budget::default()
@@ -396,25 +393,21 @@ fn worker_pool_survives_repeated_mid_dispatch_kills() {
             Err(EvalError::BudgetExceeded { .. }) => {}
             other => panic!("expected budget kill, got {other:?}"),
         }
-        if coral_core::profile::AVAILABLE {
-            let p = s.last_profile().expect("failed query still finalizes");
-            for scc in &p.sccs {
-                if scc.parallel.parallel_firings > 0 {
-                    saw_parallel_kill = true;
-                    assert!(
-                        scc.parallel.busy_ns > 0,
-                        "parallel dispatch recorded without folded busy time"
-                    );
-                }
+        let p = s.last_profile().expect("failed query still finalizes");
+        for scc in &p.sccs {
+            if scc.parallel.parallel_firings > 0 {
+                saw_parallel_kill = true;
+                assert!(
+                    scc.parallel.busy_ns > 0,
+                    "parallel dispatch recorded without folded busy time"
+                );
             }
         }
     }
-    if coral_core::profile::AVAILABLE {
-        assert!(
-            saw_parallel_kill,
-            "budget never fired after a parallel dispatch — test vacuous"
-        );
-    }
+    assert!(
+        saw_parallel_kill,
+        "budget never fired after a parallel dispatch — test vacuous"
+    );
 
     // The pool is intact: the same session completes the full closure
     // once the budget is lifted, still at k=4.

@@ -25,14 +25,13 @@
 //! unifying the pattern with the answer tuple resolves it — the binding
 //! plan that reads ground answers off the tuple against the unifier.
 //!
-//! Profile assertions (gated on the `profile` feature) keep the
-//! differential honest: every optimisation must demonstrably engage on
-//! the default side ([`ENGAGED`]), the ground matcher must decide every
-//! candidate of an all-ground family without the unifier
-//! ([`ZERO_ON_GROUND`]), the reference side must demonstrably
-//! touch none of them ([`reference_is_independent`]), and naive
-//! evaluation must pull strictly more join candidates than semi-naive
-//! on every family — the work the strategies differ in.
+//! Profile assertions keep the differential honest: every optimisation
+//! must demonstrably engage on the default side ([`ENGAGED`]), the
+//! ground matcher must decide every candidate of an all-ground family
+//! without the unifier ([`ZERO_ON_GROUND`]), the reference side must
+//! demonstrably touch none of them ([`reference_is_independent`]), and
+//! naive evaluation must pull strictly more join candidates than
+//! semi-naive on every family — the work the strategies differ in.
 
 #[path = "common/families.rs"]
 mod families;
@@ -130,9 +129,6 @@ fn reference_is_independent(s: &Session, label: &str) {
         coral_core::MaintainTotals::default(),
         "{label}: reference run built or propagated maintained state"
     );
-    if !coral_core::profile::AVAILABLE {
-        return;
-    }
     let p = s.last_profile().expect("reference run was profiled");
     let optimised = ["core.joinhash_", "core.plan_", "core.maintain_"];
     for (name, v) in p.counters() {
@@ -413,9 +409,6 @@ fn default_engine_matches_the_reference_on_all_families() {
             .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect()
     });
-    if !coral_core::profile::AVAILABLE {
-        return;
-    }
     let mut suite = [0u64; ENGAGED.len()];
     for ((name, ..), totals) in FAMILIES.iter().zip(&per_family) {
         for (i, (counter, scope)) in ENGAGED.iter().enumerate() {

@@ -14,10 +14,12 @@
 //! (own writes propagated) and the discard path (foreign writes force
 //! rebuilds) demonstrably fire.
 //!
-//! A third test holds the repair to its cost claim: an edge update on a
-//! maintained closure costs what it changes, not what the relation
-//! holds.
+//! Two more tests hold the repair to its cost claims: an edge update on
+//! a maintained closure costs what it changes, not what the relation
+//! holds; and under single-tuple churn a maintained module beats
+//! `@maintain recompute` on join probes and on the clock.
 
+use coral_core::profile;
 use coral_core::session::Session;
 use coral_storage::StorageClient;
 use coral_term::testutil::TestRng;
@@ -237,4 +239,115 @@ fn update_cost_does_not_scale_with_the_relation() {
         large <= 4 * small,
         "update on 100 clusters took {large:?}, on 10 clusters {small:?}"
     );
+}
+
+/// The maintenance gate. Each workload runs the same single-tuple churn
+/// cycle (insert `edge(9001, 0)`, re-query, delete it, re-query) under
+/// its incremental strategy and under `@maintain recompute`. The
+/// maintained run must return the same answers, show ≥10× fewer join
+/// probes per answer delivered, engage its strategy (propagated deltas
+/// and the strategy's own counter nonzero, none in the recompute run)
+/// and have the lower median cycle time.
+#[test]
+fn maintained_churn_beats_recompute() {
+    const COUNTERS: [&str; 3] = [
+        "core.join_probes",
+        "core.get_next_tuple",
+        "core.maintain_propagated",
+    ];
+    let mut rng = TestRng::new(23);
+    let graph: String = (0..120)
+        .map(|_| {
+            format!(
+                "edge({}, {}).\n",
+                rng.gen_range(0, 30),
+                rng.gen_range(0, 30)
+            )
+        })
+        .collect();
+    // (head, strategy, its counter, pinned facts, rules). Vertex 0 gets
+    // pinned out-edges on the two-hop join so the churned edge always
+    // creates and destroys hop derivations.
+    let workloads = [
+        (
+            "path",
+            "dred",
+            "core.maintain_overdeleted",
+            "",
+            "path(X, Y) :- edge(X, Y).\npath(X, Y) :- edge(X, Z), path(Z, Y).\n",
+        ),
+        (
+            "hop",
+            "counting",
+            "core.maintain_count_updates",
+            "edge(0, 1).\nedge(0, 2).\n",
+            "hop(X, Y) :- edge(X, Z), edge(Z, Y).\n",
+        ),
+    ];
+    profile::set_profiling(true);
+    for (head, kind, engaged, pinned, rules) in workloads {
+        let query = format!("{head}(X, Y)");
+        let names = [COUNTERS[0], COUNTERS[1], COUNTERS[2], engaged];
+        let read = || {
+            let all = profile::all_counters();
+            names.map(|n| all.iter().find(|(k, _)| k == n).expect(n).1)
+        };
+        // Index 0 is the maintained run, 1 the recompute run.
+        let sessions = [kind, "recompute"].map(|k| {
+            let s = Session::new();
+            s.consult_str(&format!("{graph}{pinned}")).unwrap();
+            s.consult_str(&format!(
+                "module m.\nexport {head}(ff).\n@maintain {k}.\n{rules}end_module.\n"
+            ))
+            .unwrap();
+            s.query_all(&query).unwrap();
+            s
+        });
+        let mut deltas = [[0u64; 4]; 2];
+        let mut times: [Vec<std::time::Duration>; 2] = [Vec::new(), Vec::new()];
+        for _ in 0..15 {
+            let mut answers: [Vec<Vec<String>>; 2] = [Vec::new(), Vec::new()];
+            for (i, s) in sessions.iter().enumerate() {
+                let before = read();
+                let t0 = std::time::Instant::now();
+                assert!(s.insert_fact("edge(9001, 0)").unwrap());
+                let with = s.query_all(&query).unwrap();
+                assert!(s.delete_fact("edge(9001, 0)").unwrap());
+                let without = s.query_all(&query).unwrap();
+                times[i].push(t0.elapsed());
+                let after = read();
+                for (d, (a, b)) in deltas[i].iter_mut().zip(after.iter().zip(before)) {
+                    *d += a - b;
+                }
+                for list in [with, without] {
+                    let mut v: Vec<String> = list.iter().map(|a| a.to_string()).collect();
+                    v.sort();
+                    answers[i].push(v);
+                }
+            }
+            assert_eq!(answers[0], answers[1], "{head}: maintained answers differ");
+        }
+        let [m, r] = deltas;
+        let per_answer = |d: [u64; 4]| d[0] as f64 / d[1].max(1) as f64;
+        let ratio = per_answer(r) / per_answer(m).max(f64::MIN_POSITIVE);
+        assert!(
+            ratio >= 10.0,
+            "{head}: join probes per answer fell only {ratio:.2}x (recompute {r:?}, maintained {m:?})"
+        );
+        assert!(
+            m[2] > 0,
+            "{head}: the maintained run never propagated a delta"
+        );
+        assert_eq!(r[2], 0, "{head}: the recompute run did maintenance work");
+        assert!(m[3] > 0, "{head}: {engaged} is zero, {kind} never engaged");
+        let [mt, rt] = times.map(|mut v| {
+            v.sort();
+            v[v.len() / 2]
+        });
+        assert!(
+            mt < rt,
+            "{head}: maintained median {mt:?} is not below recompute {rt:?}"
+        );
+    }
+    profile::set_profiling(false);
 }

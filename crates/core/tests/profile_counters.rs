@@ -27,9 +27,6 @@ fn total(p: &EngineProfile, key: &str) -> u64 {
 /// sections themselves.
 #[test]
 fn profile_annotation_collects_four_layers() {
-    if !profile::AVAILABLE {
-        return;
-    }
     let s = Session::new();
     // The ground fast path decides all-ground joins without ever
     // calling the unifier, so route one binding through an explicit
@@ -70,9 +67,6 @@ fn profile_annotation_collects_four_layers() {
 /// the JSON emitter exactly.
 #[test]
 fn session_profile_json_round_trips() {
-    if !profile::AVAILABLE {
-        return;
-    }
     let s = Session::new();
     s.set_profiling(true);
     s.consult_str(TC_PROGRAM).unwrap();
@@ -108,9 +102,6 @@ fn counters_exactly_zero_when_disabled() {
 /// (buffer-pool traffic) in the profile.
 #[test]
 fn storage_counters_count_persistent_io() {
-    if !profile::AVAILABLE {
-        return;
-    }
     let dir = std::env::temp_dir().join(format!("coral-profile-storage-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let s = Session::new();
@@ -145,9 +136,6 @@ fn storage_counters_count_persistent_io() {
 /// up in the core counters.
 #[test]
 fn ordered_search_context_depth_counted() {
-    if !profile::AVAILABLE {
-        return;
-    }
     let s = Session::new();
     s.set_profiling(true);
     s.consult_str(
@@ -173,9 +161,6 @@ fn ordered_search_context_depth_counted() {
 /// produce one outer profile — the inner call must not clobber it.
 #[test]
 fn nested_module_calls_keep_outer_profile() {
-    if !profile::AVAILABLE {
-        return;
-    }
     let s = Session::new();
     s.set_profiling(true);
     s.consult_str(
@@ -203,9 +188,6 @@ fn nested_module_calls_keep_outer_profile() {
 /// thread's all-time mark.
 #[test]
 fn context_depth_does_not_leak_into_the_next_profile() {
-    if !profile::AVAILABLE {
-        return;
-    }
     let s = Session::new();
     s.set_profiling(true);
     s.consult_str(

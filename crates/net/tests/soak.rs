@@ -7,8 +7,7 @@
 //! shed and budget-killed counters).
 //!
 //! The window is 2 s by default so the tier-1 suite stays fast;
-//! CI sets `CORAL_SOAK_SECS=30` for the real soak (both feature
-//! configs).
+//! CI sets `CORAL_SOAK_SECS=30` for the real soak.
 
 use coral_net::{Client, ErrorCode, NetError, Server, ServerConfig};
 use std::fmt::Write as _;

@@ -1,7 +1,6 @@
 //! A minimal JSON reader and string quoter: enough for the profile's
-//! wire format (the workspace builds offline, so no serde). Public so
-//! tooling (e.g. the bench-report checkers in `coral-bench`) can read
-//! BENCH_*.json files without a JSON dependency.
+//! wire format (the workspace builds offline, so no serde).
+//! `coral-core`'s `EngineProfile::from_json` reads profiles with it.
 
 use std::fmt::Write as _;
 

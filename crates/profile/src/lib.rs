@@ -7,17 +7,16 @@
 //!
 //! One thread-local block holds this thread's values behind one enabled
 //! flag: while collection is off a hook ([`bump`]) costs one thread-local
-//! load and a branch, and without the `profile` cargo feature
-//! ([`AVAILABLE`] false) it compiles to nothing. This crate is the only
-//! place that feature gates code. [`json`] parses the profile's wire
-//! format.
+//! load and a branch. [`json`] parses the profile's wire format.
 
 use std::cell::Cell;
 
 pub mod json;
 
-/// Whether counters are compiled in (the `profile` cargo feature).
-pub const AVAILABLE: bool = cfg!(feature = "profile");
+/// Counters are always compiled in; collection is switched at run time
+/// by [`set_enabled`]. Kept because the end-to-end benchmark's shape
+/// test asserts it.
+pub const AVAILABLE: bool = true;
 
 /// How two values of one counter combine: a worker's counts folding
 /// into its coordinator's, or a profiled call's into the thread's.
@@ -190,19 +189,17 @@ thread_local! {
 /// raise its mark to `n`; a no-op unless collection is enabled here.
 #[inline]
 pub fn bump(c: Counter, n: u64) {
-    if AVAILABLE {
-        STATE.with(|s| {
-            if s.enabled.get() {
-                let cell = &s.counts[c as usize];
-                cell.set(TABLE[c as usize].fold.apply(cell.get(), n));
-            }
-        });
-    }
+    STATE.with(|s| {
+        if s.enabled.get() {
+            let cell = &s.counts[c as usize];
+            cell.set(TABLE[c as usize].fold.apply(cell.get(), n));
+        }
+    });
 }
 
-/// Turn collection on or off for this thread (off if compiled out).
+/// Turn collection on or off for this thread.
 pub fn set_enabled(on: bool) {
-    STATE.with(|s| s.enabled.set(on && AVAILABLE));
+    STATE.with(|s| s.enabled.set(on));
 }
 
 /// Whether collection is on for this thread.
@@ -332,9 +329,6 @@ mod tests {
     /// bumps made on the caller, for `Sum` and `Max` counters alike.
     #[test]
     fn worker_fold_equals_local_bumps() {
-        if !AVAILABLE {
-            return;
-        }
         let bumps = [
             (Counter::IndexProbes, 5),
             (Counter::FullScans, 2),

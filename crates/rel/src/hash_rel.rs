@@ -1422,9 +1422,6 @@ mod tests {
 
     #[test]
     fn snapshot_lookup_counts_one_probe() {
-        if !coral_profile::AVAILABLE {
-            return;
-        }
         let r = HashRelation::new(2);
         r.make_index(IndexSpec::Args(vec![0])).unwrap();
         r.insert(t2(1, 10)).unwrap();

@@ -12,7 +12,7 @@
 //! the ordinary insert path), so the meter is exact per query and
 //! deterministic across worker counts, and concurrent server sessions on
 //! other worker threads never cross-charge each other. Unlike the
-//! `profile` counters it is always compiled in.
+//! `profile` counters it counts whether or not profiling is on.
 
 use std::cell::Cell;
 

@@ -4,9 +4,9 @@
 //! without scanning any table: the hashcons layer charges this monotone
 //! byte counter whenever it allocates a new interned entry, and the
 //! governor diffs the counter against a baseline captured at query start.
-//! Unlike the `profile` counters these are always compiled in — they are
-//! a single relaxed atomic add on the interning *miss* path only (hits
-//! never touch them), so the hot path is unaffected.
+//! Unlike the `profile` counters these count whether or not profiling
+//! is on — they are a single relaxed atomic add on the interning *miss*
+//! path only (hits never touch them), so the hot path is unaffected.
 //!
 //! The counter is process-wide, not per-query: concurrent sessions
 //! interning terms all advance it, so a diff against a baseline is a

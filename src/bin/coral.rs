@@ -500,14 +500,7 @@ fn meta_command(session: &Session, cmd: &str) -> bool {
         ":profile" | ".profile" => match rest {
             "on" => {
                 session.set_profiling(true);
-                if coral::core::profile::AVAILABLE {
-                    println!("profiling on");
-                } else {
-                    println!(
-                        "profiling on (but counters compiled out; \
-                         rebuild with the `profile` feature)"
-                    );
-                }
+                println!("profiling on");
             }
             "off" => {
                 session.set_profiling(false);

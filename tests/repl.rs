@@ -109,15 +109,6 @@ fn profile_command_golden_shape() {
     assert!(stderr.is_empty(), "stderr: {stderr}");
     assert!(stdout.contains("profiling on"), "{stdout}");
     assert!(stdout.contains("profiling off"), "{stdout}");
-    // The spawned binary shares this test's feature set; without the
-    // `profile` feature the golden shape is the compiled-out warning
-    // plus an empty profile.
-    if !coral::core::profile::AVAILABLE {
-        assert!(stdout.contains("counters compiled out"), "{stdout}");
-        assert!(stdout.contains("no profile collected"), "{stdout}");
-        assert!(stdout.contains("X = 2"), "{stdout}");
-        return;
-    }
     // Golden shape of the rendered tree: one header line per layer.
     // Counts must parse as integers; timings are deliberately not
     // asserted (they vary run to run).
@@ -280,22 +271,20 @@ fn maintain_command_golden_shape() {
     assert!(stdout.contains("X = 3, Y = 4"), "{stdout}");
     // The profile JSON always carries the maintain section (zeroed when
     // nothing propagated during that particular query).
-    if coral::core::profile::AVAILABLE {
-        assert!(stdout.contains("\"maintain\": {"), "{stdout}");
-        for key in ["propagated", "overdeleted", "rederived", "count_updates"] {
-            let pat = format!("\"{key}\": ");
-            let line = stdout
-                .lines()
-                .find(|l| l.contains(&pat))
-                .unwrap_or_else(|| panic!("no {key} line in {stdout}"));
-            line.rsplit(": ")
-                .next()
-                .unwrap()
-                .trim_end_matches([',', '}'])
-                .trim()
-                .parse::<u64>()
-                .unwrap_or_else(|e| panic!("{key} is not an integer: {e} in {line}"));
-        }
+    assert!(stdout.contains("\"maintain\": {"), "{stdout}");
+    for key in ["propagated", "overdeleted", "rederived", "count_updates"] {
+        let pat = format!("\"{key}\": ");
+        let line = stdout
+            .lines()
+            .find(|l| l.contains(&pat))
+            .unwrap_or_else(|| panic!("no {key} line in {stdout}"));
+        line.rsplit(": ")
+            .next()
+            .unwrap()
+            .trim_end_matches([',', '}'])
+            .trim()
+            .parse::<u64>()
+            .unwrap_or_else(|e| panic!("{key} is not an integer: {e} in {line}"));
     }
 }
 
@@ -315,30 +304,28 @@ fn joinhash_profile_golden_shape() {
          :quit\n",
     );
     assert!(stderr.is_empty(), "stderr: {stderr}");
-    if coral::core::profile::AVAILABLE {
-        // The profile JSON always carries the joinhash section with all
-        // five counters as integers.
-        assert!(stdout.contains("\"joinhash\": {"), "{stdout}");
-        for key in [
-            "tables_built",
-            "build_rows",
-            "probes",
-            "bloom_skips",
-            "fallback_probes",
-        ] {
-            let pat = format!("\"{key}\": ");
-            let line = stdout
-                .lines()
-                .find(|l| l.contains(&pat))
-                .unwrap_or_else(|| panic!("no {key} line in {stdout}"));
-            line.rsplit(": ")
-                .next()
-                .unwrap()
-                .trim_end_matches([',', '}'])
-                .trim()
-                .parse::<u64>()
-                .unwrap_or_else(|e| panic!("{key} is not an integer: {e} in {line}"));
-        }
+    // The profile JSON always carries the joinhash section with all
+    // five counters as integers.
+    assert!(stdout.contains("\"joinhash\": {"), "{stdout}");
+    for key in [
+        "tables_built",
+        "build_rows",
+        "probes",
+        "bloom_skips",
+        "fallback_probes",
+    ] {
+        let pat = format!("\"{key}\": ");
+        let line = stdout
+            .lines()
+            .find(|l| l.contains(&pat))
+            .unwrap_or_else(|| panic!("no {key} line in {stdout}"));
+        line.rsplit(": ")
+            .next()
+            .unwrap()
+            .trim_end_matches([',', '}'])
+            .trim()
+            .parse::<u64>()
+            .unwrap_or_else(|e| panic!("{key} is not an integer: {e} in {line}"));
     }
 }
 
