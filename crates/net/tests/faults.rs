@@ -66,7 +66,9 @@ fn mid_frame_disconnect_frees_connection_slot() {
 fn storage_read_error_mid_answer_stream_is_a_clean_error() {
     // Tiny pool (4 frames) + ~30 KiB of tuples: a scan must keep going
     // back to the (simulated) disk, so a read fault mid-stream hits it.
-    let (vfs, storage) = sim_storage(0xFA_17, 4);
+    // The load runs on a larger pool: a write pins its pages until it
+    // commits, and one insert of these wide rows can touch more than 4.
+    let (vfs, storage) = sim_storage(0xFA_17, 16);
     {
         let rel = PersistentRelation::open(&storage, "pdata", 2).unwrap();
         let filler = "x".repeat(400);
@@ -79,6 +81,9 @@ fn storage_read_error_mid_answer_stream_is_a_clean_error() {
         }
         storage.checkpoint().unwrap();
     }
+    drop(storage);
+    let v: Arc<dyn Vfs> = Arc::new(vfs.clone());
+    let storage = StorageServer::open_with_vfs(Path::new("/db"), 4, v).unwrap();
 
     let server = Server::start_with_storage(
         "127.0.0.1:0",

@@ -2,7 +2,9 @@
 //!
 //! A workload is generated from a seed and a [`Shape`]: a sequence of
 //! transactions (inserts and deletes of distinct integer keys on one
-//! persistent relation), an index build, and checkpoints.
+//! persistent relation), an index build, and checkpoints — or, for
+//! [`Shape::Autocommit`], the same writes with no transaction of their
+//! own, through the relation and through a `Session`.
 //! [`run_crash_point`] runs it over a [`SimVfs`] armed to crash at
 //! mutating I/O operation N, power-cycles, reopens the server (replaying
 //! the WAL) and asserts the recovery oracle:
@@ -10,7 +12,11 @@
 //! * every tuple of the last committed state is present;
 //! * no tuple outside it is present — except that a crash *inside the
 //!   commit call* may legitimately land on either side of the commit
-//!   point, so there the post-crash state must equal one of the two;
+//!   point, so there the post-crash state must equal one of the two. An
+//!   untransacted write commits with the implicit transaction at a point
+//!   the workload does not always see, so there the state must be the
+//!   one after some prefix of the writes that holds every write before
+//!   the last commit it did see;
 //! * every on-disk structure passes `StorageServer::check`, and the
 //!   relation's heap and indices agree ([`PersistentRelation::check`]).
 //!
@@ -19,7 +25,8 @@
 //! `run_crash_point(shape, seed, n)` replays the exact failing schedule.
 
 use crate::simfs::SimVfs;
-use coral_rel::{IndexSpec, PersistentRelation, Relation};
+use coral_core::Session;
+use coral_rel::{IndexSpec, PersistentRelation, RelResult, Relation};
 use coral_storage::{StorageClient, StorageServer};
 use coral_term::testutil::TestRng;
 use coral_term::{Term, Tuple};
@@ -37,6 +44,10 @@ const REL: &str = "simrel";
 const FRAMES: usize = 24;
 /// Commits between checkpoints in a [`Shape::SingleRow`] workload.
 const SINGLE_ROW_CHECKPOINT_EVERY: usize = 6;
+/// Value width of a [`Shape::Autocommit`] tuple: wide rows fill pages and
+/// split leaves within a few dozen writes, so the implicit transaction
+/// reaches its no-steal limit and commits on its own.
+const AUTOCOMMIT_PAD: usize = 160;
 
 /// One mutation inside a transaction.
 #[derive(Debug, Clone)]
@@ -60,6 +71,14 @@ fn tuple_for(k: i64) -> Tuple {
     Tuple::ground(vec![Term::int(k), Term::str(&format!("v{k}"))])
 }
 
+/// Apply `op` through `rel`, in whatever transaction it is attached to.
+fn apply(rel: &PersistentRelation, op: &Op) -> RelResult<bool> {
+    match op {
+        Op::Insert(k) => rel.insert(tuple_for(*k)),
+        Op::Delete(k) => rel.delete(&tuple_for(*k)),
+    }
+}
+
 /// Which recorded workload a seed expands to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Shape {
@@ -72,20 +91,27 @@ pub enum Shape {
     /// full image in the log and its later deltas, and inside the
     /// checkpoint flushes.
     SingleRow,
+    /// [`gen_autocommit_workload`]: writes with no transaction of their
+    /// own — through the relation handle, `Session::insert_fact` /
+    /// `delete_fact` and consulted fact batches — that share the storage
+    /// server's implicit transaction, plus an index build and
+    /// checkpoints, at 16 frames; the server is dropped at the end.
+    Autocommit,
 }
 
 impl Shape {
-    fn steps(self, seed: u64) -> Vec<Step> {
+    fn run(self, vfs: &SimVfs, seed: u64) -> Outcome {
         match self {
-            Shape::Mixed => gen_workload(seed),
-            Shape::SingleRow => gen_single_row_workload(seed),
+            Shape::Mixed => run_workload(vfs, &gen_workload(seed), self.frames()),
+            Shape::SingleRow => run_workload(vfs, &gen_single_row_workload(seed), self.frames()),
+            Shape::Autocommit => run_autocommit_workload(vfs, &gen_autocommit_workload(seed)),
         }
     }
 
     fn frames(self) -> usize {
         match self {
             Shape::Mixed => FRAMES,
-            Shape::SingleRow => 16,
+            Shape::SingleRow | Shape::Autocommit => 16,
         }
     }
 }
@@ -158,6 +184,156 @@ pub fn gen_single_row_workload(seed: u64) -> Vec<Step> {
     steps
 }
 
+/// One step of a [`Shape::Autocommit`] workload. Nothing runs in a
+/// transaction of its own.
+#[derive(Debug, Clone)]
+pub enum AutoStep {
+    /// `PersistentRelation::insert` / `delete` on a handle.
+    Rel(Op),
+    /// `Session::insert_fact` / `delete_fact`.
+    Fact(Op),
+    /// `Session::consult_str` of these keys' facts, one mutation each.
+    Consult(Vec<i64>),
+    /// Build a secondary index on the value column.
+    MakeIndex,
+    /// `Session::checkpoint`: the maintenance catalog's own
+    /// transaction, then the server checkpoint.
+    Checkpoint,
+}
+
+fn wide_tuple_for(k: i64) -> Tuple {
+    let value = format!("v{k}-{}", "x".repeat(AUTOCOMMIT_PAD));
+    Tuple::ground(vec![Term::int(k), Term::str(&value)])
+}
+
+fn fact_for(k: i64) -> String {
+    format!("{REL}({k}, \"v{k}-{}\")", "x".repeat(AUTOCOMMIT_PAD))
+}
+
+/// Generate the [`Shape::Autocommit`] workload for `seed`: 48 steps,
+/// each a delete of a live key (one in four, through the relation or
+/// the session) or one to three new keys (a single insert through the
+/// relation or the session, else a consulted batch); an index build
+/// before the eleventh; a checkpoint after about one step in eight.
+pub fn gen_autocommit_workload(seed: u64) -> Vec<AutoStep> {
+    let mut rng = TestRng::new(seed ^ 0xa07c_0111_7000_0003);
+    let mut live: Vec<i64> = Vec::new();
+    let mut next_key = 0i64;
+    let mut steps = Vec::new();
+    for i in 0..48 {
+        if i == 10 {
+            steps.push(AutoStep::MakeIndex);
+        }
+        if live.len() > 2 && rng.gen_range(0, 4) == 0 {
+            let op = Op::Delete(live.swap_remove(rng.gen_range(0, live.len())));
+            steps.push(if rng.gen_bool(0.5) {
+                AutoStep::Rel(op)
+            } else {
+                AutoStep::Fact(op)
+            });
+        } else {
+            let keys: Vec<i64> = (next_key..next_key + 1 + rng.gen_range(0, 3) as i64).collect();
+            next_key += keys.len() as i64;
+            live.extend(&keys);
+            steps.push(match (rng.gen_range(0, 3), keys.as_slice()) {
+                (0, &[k]) => AutoStep::Rel(Op::Insert(k)),
+                (1, &[k]) => AutoStep::Fact(Op::Insert(k)),
+                _ => AutoStep::Consult(keys),
+            });
+        }
+        if rng.gen_range(0, 8) == 0 {
+            steps.push(AutoStep::Checkpoint);
+        }
+    }
+    steps
+}
+
+/// Run a [`Shape::Autocommit`] workload over `vfs` through one relation
+/// handle and one session sharing the server, then drop all three (a
+/// clean shutdown commits the implicit transaction). Any error is the
+/// armed fault firing. The legitimate post-recovery states are the
+/// relation after each prefix of the writes, from the last implicit
+/// commit the run observed — a write after which no implicit
+/// transaction is open, or a checkpoint — up to the write in flight.
+pub fn run_autocommit_workload(vfs: &SimVfs, steps: &[AutoStep]) -> Outcome {
+    // `states[i]` is the relation after the first `i` writes; the last
+    // observed commit holds `states[durable]`.
+    let mut states: Vec<BTreeSet<i64>> = vec![BTreeSet::new()];
+    let mut durable = 0;
+    macro_rules! crashed {
+        () => {
+            return Outcome::Crashed {
+                acceptable: states[durable..].to_vec(),
+            }
+        };
+    }
+    let write = |states: &mut Vec<BTreeSet<i64>>, op: &Op| {
+        let mut next = states.last().unwrap().clone();
+        match op {
+            Op::Insert(k) => next.insert(*k),
+            Op::Delete(k) => next.remove(k),
+        };
+        states.push(next);
+    };
+    let srv: StorageClient =
+        match StorageServer::open_with_vfs(Path::new(DIR), Shape::Autocommit.frames(), {
+            let v: Arc<dyn coral_storage::Vfs> = Arc::new(vfs.clone());
+            v
+        }) {
+            Ok(s) => s,
+            Err(_) => crashed!(),
+        };
+    let Ok(rel) = PersistentRelation::open(&srv, REL, 2) else {
+        crashed!()
+    };
+    let session = Session::new();
+    session.attach_storage_client(Arc::clone(&srv));
+    if session.create_persistent(REL, 2).is_err() {
+        crashed!();
+    }
+    for step in steps {
+        let ok = match step {
+            AutoStep::Rel(op) => {
+                write(&mut states, op);
+                match op {
+                    Op::Insert(k) => rel.insert(wide_tuple_for(*k)),
+                    Op::Delete(k) => rel.delete(&wide_tuple_for(*k)),
+                }
+                .is_ok()
+            }
+            AutoStep::Fact(op) => {
+                write(&mut states, op);
+                match op {
+                    Op::Insert(k) => session.insert_fact(&fact_for(*k)),
+                    Op::Delete(k) => session.delete_fact(&fact_for(*k)),
+                }
+                .is_ok()
+            }
+            AutoStep::Consult(keys) => {
+                let text: String = keys.iter().map(|&k| fact_for(k) + ".\n").collect();
+                for &k in keys {
+                    write(&mut states, &Op::Insert(k));
+                }
+                session.consult_str(&text).is_ok()
+            }
+            AutoStep::MakeIndex => rel.make_index(IndexSpec::Args(vec![1])).is_ok(),
+            AutoStep::Checkpoint => session.checkpoint().is_ok(),
+        };
+        if !ok {
+            crashed!();
+        }
+        if srv.implicit_txn().is_none() {
+            durable = states.len() - 1;
+        }
+    }
+    drop((session, rel, srv));
+    if vfs.crashed() {
+        // The drop's commit failed.
+        crashed!();
+    }
+    Outcome::Completed(states.pop().unwrap())
+}
+
 /// How a workload run ended.
 pub enum Outcome {
     /// Ran to the end (including a final checkpoint); this is the
@@ -188,22 +364,11 @@ pub fn run_workload(vfs: &SimVfs, steps: &[Step], frames: usize) -> Outcome {
         Ok(s) => s,
         Err(_) => crashed!(),
     };
-    // Creating the relation writes its schema record; wrap it in a
-    // transaction like every other mutation (crash-consistency only
-    // covers transactional writes).
-    let rel = {
-        let Ok(txn) = srv.begin() else { crashed!() };
-        match PersistentRelation::open(&srv, REL, 2) {
-            Ok(rel) => {
-                if srv.commit(txn).is_err() {
-                    // Whether the schema record survived or not, the
-                    // relation is empty either way.
-                    crashed!();
-                }
-                rel
-            }
-            Err(_) => crashed!(),
-        }
+    // Creating the relation writes its schema record in the implicit
+    // transaction; whether a crash keeps it or not, the relation is
+    // empty either way.
+    let Ok(rel) = PersistentRelation::open(&srv, REL, 2) else {
+        crashed!()
     };
     for step in steps {
         match step {
@@ -214,7 +379,10 @@ pub fn run_workload(vfs: &SimVfs, steps: &[Step], frames: usize) -> Outcome {
             }
             Step::MakeIndex => {
                 let Ok(txn) = srv.begin() else { crashed!() };
-                if rel.make_index(IndexSpec::Args(vec![1])).is_err() {
+                rel.set_txn(Some(txn));
+                let built = rel.make_index(IndexSpec::Args(vec![1]));
+                rel.set_txn(None);
+                if built.is_err() {
                     crashed!();
                 }
                 if srv.commit(txn).is_err() {
@@ -232,17 +400,9 @@ pub fn run_workload(vfs: &SimVfs, steps: &[Step], frames: usize) -> Outcome {
                     };
                 }
                 let Ok(txn) = srv.begin() else { crashed!() };
-                let mut failed = false;
-                for op in ops {
-                    let r = match op {
-                        Op::Insert(k) => rel.insert(tuple_for(*k)),
-                        Op::Delete(k) => rel.delete(&tuple_for(*k)).map(|_| true),
-                    };
-                    if r.is_err() {
-                        failed = true;
-                        break;
-                    }
-                }
+                rel.set_txn(Some(txn));
+                let failed = ops.iter().any(|op| apply(&rel, op).is_err());
+                rel.set_txn(None);
                 if failed {
                     // Crash before commit: the transaction must vanish.
                     crashed!();
@@ -326,7 +486,7 @@ fn verify_recovery(
 /// nothing is injected — i.e. the number of crash points in its matrix.
 pub fn count_ops(shape: Shape, seed: u64) -> Result<u64, String> {
     let vfs = SimVfs::new(seed);
-    match run_workload(&vfs, &shape.steps(seed), shape.frames()) {
+    match shape.run(&vfs, seed) {
         Outcome::Completed(_) => Ok(vfs.ops()),
         Outcome::Crashed { .. } => Err(format!(
             "{shape:?} seed={seed}: fault-free workload run failed (harness bug)"
@@ -343,7 +503,7 @@ pub fn run_crash_point(shape: Shape, seed: u64, crash_at: u64) -> Result<(), Str
     let vfs = SimVfs::new(seed);
     vfs.set_crash_at(crash_at);
     let frames = shape.frames();
-    match run_workload(&vfs, &shape.steps(seed), frames) {
+    match shape.run(&vfs, seed) {
         Outcome::Completed(state) => {
             // The crash point lies beyond the workload: a plain run,
             // fully checkpointed — a power cycle must change nothing.
@@ -383,9 +543,7 @@ pub fn run_overload_point(seed: u64, kill_at: u64) -> Result<u64, String> {
         v
     })
     .map_err(|_| bug("open"))?;
-    let txn = srv.begin().map_err(|_| bug("begin"))?;
     let rel = PersistentRelation::open(&srv, REL, 2).map_err(|_| bug("relation open"))?;
-    srv.commit(txn).map_err(|_| bug("schema commit"))?;
 
     let mut committed: BTreeSet<i64> = BTreeSet::new();
     let mut mutations = 0u64;
@@ -395,12 +553,15 @@ pub fn run_overload_point(seed: u64, kill_at: u64) -> Result<u64, String> {
             Step::Checkpoint => srv.checkpoint().map_err(|_| bug("checkpoint"))?,
             Step::MakeIndex => {
                 let txn = srv.begin().map_err(|_| bug("begin"))?;
+                rel.set_txn(Some(txn));
                 rel.make_index(IndexSpec::Args(vec![1]))
                     .map_err(|_| bug("index build"))?;
+                rel.set_txn(None);
                 srv.commit(txn).map_err(|_| bug("index commit"))?;
             }
             Step::Txn(ops) => {
                 let txn = srv.begin().map_err(|_| bug("begin"))?;
+                rel.set_txn(Some(txn));
                 let mut target = committed.clone();
                 let mut aborted = false;
                 for op in ops {
@@ -408,6 +569,7 @@ pub fn run_overload_point(seed: u64, kill_at: u64) -> Result<u64, String> {
                     // fresh headroom for the requests that follow).
                     if killed == 0 && mutations == kill_at {
                         // BudgetExceeded fires here: unwind and abort.
+                        rel.set_txn(None);
                         srv.abort(txn).map_err(|_| bug("abort"))?;
                         killed += 1;
                         aborted = true;
@@ -426,6 +588,7 @@ pub fn run_overload_point(seed: u64, kill_at: u64) -> Result<u64, String> {
                     }
                 }
                 if !aborted {
+                    rel.set_txn(None);
                     srv.commit(txn).map_err(|_| bug("commit"))?;
                     committed = target;
                 }

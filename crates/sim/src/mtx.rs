@@ -211,29 +211,11 @@ pub fn run_mtx(vfs: &SimVfs, seed: u64) -> Result<MtxRun, String> {
     };
     srv.set_lock_timeout(Duration::ZERO);
 
-    // Create the relations inside one transaction (live writes attribute
-    // to the sole active transaction), then give each session its own
-    // handles, as separate server sessions would have.
+    // Create the relations (in the implicit transaction, which the first
+    // `begin` commits), giving each session its own handles, as separate
+    // server sessions would have.
     let mut sessions: Vec<Sess> = Vec::with_capacity(SESSIONS);
-    {
-        let Ok(txn) = srv.begin() else { crashed!() };
-        let mut first = Vec::new();
-        for name in RELS {
-            match PersistentRelation::open(&srv, name, 2) {
-                Ok(r) => first.push(r),
-                Err(_) => crashed!(),
-            }
-        }
-        if srv.commit(txn).is_err() {
-            crashed!();
-        }
-        sessions.push(Sess {
-            handles: first,
-            script: scripts[0].clone(),
-            active: None,
-        });
-    }
-    for (s, script) in scripts.iter().enumerate().skip(1) {
+    for (s, script) in scripts.iter().enumerate() {
         let mut handles = Vec::new();
         for name in RELS {
             match PersistentRelation::open(&srv, name, 2) {
@@ -418,13 +400,11 @@ pub fn run_mtx_oracle(seed: u64) -> Result<u64, String> {
     let replay_vfs = SimVfs::new(seed ^ 0x94d0_49bb_1331_11eb);
     let bug = |what: &str| format!("{ctx}: serial replay {what} failed (harness bug)");
     let srv = open_server(&replay_vfs).map_err(|_| bug("open"))?;
-    let txn = srv.begin().map_err(|_| bug("begin"))?;
     let handles: Vec<PersistentRelation> = RELS
         .iter()
         .map(|name| PersistentRelation::open(&srv, name, 2))
         .collect::<Result<_, _>>()
         .map_err(|_| bug("create"))?;
-    srv.commit(txn).map_err(|_| bug("schema commit"))?;
     for t in &run.history {
         let rel = &handles[t.rel()];
         let id = srv.begin().map_err(|_| bug("begin"))?;

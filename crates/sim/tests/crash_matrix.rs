@@ -41,6 +41,22 @@ fn single_row_crash_matrix_holds_for_fixed_seeds() {
     }
 }
 
+/// Untransacted writes through a relation handle and a session share
+/// the storage server's implicit transaction. A crash at any point must
+/// recover the relation as of some prefix of the writes that holds
+/// every write before the last implicit commit the workload saw, with
+/// clean storage and relation checks.
+#[test]
+fn autocommit_crash_matrix_holds_for_fixed_seeds() {
+    for &seed in &SEEDS {
+        let points = run_crash_matrix(Shape::Autocommit, seed).unwrap_or_else(|e| panic!("{e}"));
+        assert!(
+            points > 100,
+            "seed={seed}: suspiciously small matrix ({points} ops)"
+        );
+    }
+}
+
 /// The overload scenario: at every tuple mutation in turn, the
 /// resource governor (not the disk) kills the enclosing transaction
 /// mid-flight — the abort path, then a power cycle. The PR-3 recovery

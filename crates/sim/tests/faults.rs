@@ -23,14 +23,19 @@ fn failed_commit_fsync_is_a_clean_abort() {
         let heap = srv.heap("r.data").unwrap();
 
         let txn = srv.begin().unwrap();
+
+        heap.set_txn(Some(txn));
         heap.insert(b"first").unwrap();
         srv.commit(txn).unwrap();
 
         let txn = srv.begin().unwrap();
+
+        heap.set_txn(Some(txn));
         heap.insert(b"doomed").unwrap();
         vfs.fail_next_syncs(1);
         let err = srv.commit(txn).unwrap_err();
         assert!(err.to_string().contains("fsync"), "unexpected error: {err}");
+        heap.set_txn(None);
 
         // The rollback restored the pool: the tuple is gone already.
         let live: Vec<Vec<u8>> = heap.scan().map(|r| r.unwrap().1).collect();
@@ -38,6 +43,7 @@ fn failed_commit_fsync_is_a_clean_abort() {
 
         // The log accepts new commits (it erased the torn record).
         let txn = srv.begin().unwrap();
+        heap.set_txn(Some(txn));
         heap.insert(b"second").unwrap();
         srv.commit(txn).unwrap();
     }
@@ -70,10 +76,14 @@ fn poisoned_log_aborts_group_commits_until_checkpoint_then_recovers() {
         let heap = srv.heap("r.data").unwrap();
 
         let txn = srv.begin().unwrap();
+
+        heap.set_txn(Some(txn));
         heap.insert(b"keep").unwrap();
         srv.commit(txn).unwrap();
 
         let txn = srv.begin().unwrap();
+
+        heap.set_txn(Some(txn));
         heap.insert(b"doomed").unwrap();
         vfs.fail_next_syncs(2);
         assert!(srv.commit(txn).is_err());
@@ -81,6 +91,7 @@ fn poisoned_log_aborts_group_commits_until_checkpoint_then_recovers() {
         // Poisoned: the next transaction's commit is refused loudly and
         // the transaction is aborted, not leaked.
         let txn = srv.begin().unwrap();
+        heap.set_txn(Some(txn));
         heap.insert(b"refused").unwrap();
         let err = srv.commit(txn).unwrap_err();
         assert!(
@@ -97,6 +108,7 @@ fn poisoned_log_aborts_group_commits_until_checkpoint_then_recovers() {
         // A checkpoint rebuilds the log and clears the poison.
         srv.checkpoint().unwrap();
         let txn = srv.begin().unwrap();
+        heap.set_txn(Some(txn));
         heap.insert(b"after-heal").unwrap();
         srv.commit(txn).unwrap();
     }
@@ -124,13 +136,16 @@ fn io_error_surfaces_without_killing_the_server() {
     let srv = open(&vfs);
     let heap = srv.heap("r.data").unwrap();
     let txn = srv.begin().unwrap();
+    heap.set_txn(Some(txn));
     heap.insert(b"x").unwrap();
     vfs.inject_error_at(vfs.ops());
     assert!(srv.commit(txn).is_err());
     // Not crashed — the next transaction goes through.
     let txn = srv.begin().unwrap();
+    heap.set_txn(Some(txn));
     heap.insert(b"y").unwrap();
     srv.commit(txn).unwrap();
+    heap.set_txn(None);
     assert_eq!(heap.scan().count(), 1);
 }
 
@@ -142,6 +157,7 @@ fn read_error_during_recovery_fails_open_cleanly() {
         let srv = open(&vfs);
         let heap = srv.heap("r.data").unwrap();
         let txn = srv.begin().unwrap();
+        heap.set_txn(Some(txn));
         heap.insert(b"z").unwrap();
         srv.commit(txn).unwrap();
     }

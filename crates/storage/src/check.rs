@@ -12,11 +12,9 @@
 //! Checks are read-only. I/O errors propagate as `Err`; a *violation* is
 //! a property of the bytes on disk, reported in the `problems` list.
 
-use crate::btree::BTree;
 use crate::error::StorageResult;
 use crate::file::PageId;
-use crate::heap::HeapFile;
-use crate::server::StorageServer;
+use crate::server::StorageClient;
 
 const BTREE_MAGIC: &[u8; 8] = b"CORALBT1";
 
@@ -74,7 +72,7 @@ impl CheckReport {
 }
 
 /// Check every file in the server's catalog. See the module docs.
-pub fn check_server(server: &StorageServer) -> StorageResult<CheckReport> {
+pub fn check_server(server: &StorageClient) -> StorageResult<CheckReport> {
     let mut report = CheckReport::default();
     for name in server.list_files() {
         let fid = server.file(&name)?;
@@ -86,10 +84,10 @@ pub fn check_server(server: &StorageServer) -> StorageResult<CheckReport> {
         let is_btree = pool.with_page(fid, PageId(0), |d| &d[0..8] == BTREE_MAGIC)?;
         let problems = if is_btree {
             report.checked.push((name.clone(), FileKind::BTree));
-            BTree::open(std::sync::Arc::clone(pool), fid)?.check()?
+            server.btree(&name)?.check()?
         } else {
             report.checked.push((name.clone(), FileKind::Heap));
-            HeapFile::new(std::sync::Arc::clone(pool), fid).check()?
+            server.heap(&name)?.check()?
         };
         report
             .problems
@@ -101,6 +99,7 @@ pub fn check_server(server: &StorageServer) -> StorageResult<CheckReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::StorageServer;
     use std::path::PathBuf;
 
     fn fresh_dir(name: &str) -> PathBuf {
@@ -146,11 +145,13 @@ mod tests {
         }
         // Smash an interior byte of page 2 (some node of the tree).
         let fid = tree.file_id();
+        let txn = srv.begin().unwrap();
         srv.pool()
-            .with_page_mut(fid, PageId(2), |d| {
+            .with_page_mut(fid, PageId(2), txn, |d| {
                 d[0..64].fill(0xEE);
             })
             .unwrap();
+        srv.commit(txn).unwrap();
         let report = check_server(&srv).unwrap();
         assert!(!report.is_clean());
         assert!(report.render().contains("PROBLEM"));
@@ -166,12 +167,14 @@ mod tests {
             heap.insert(format!("rec{i}").as_bytes()).unwrap();
         }
         let fid = heap.file_id();
+        let txn = srv.begin().unwrap();
         srv.pool()
-            .with_page_mut(fid, PageId(0), |d| {
+            .with_page_mut(fid, PageId(0), txn, |d| {
                 // Garbage slot count.
                 d[0..2].copy_from_slice(&0xFFF0u16.to_le_bytes());
             })
             .unwrap();
+        srv.commit(txn).unwrap();
         let report = check_server(&srv).unwrap();
         assert!(!report.is_clean());
         assert!(report.problems[0].contains("h.data"));

@@ -1,15 +1,11 @@
 //! Property tests over seeded [`TestRng`] inputs: the B+-tree and heap
 //! file against in-memory models.
 
-use coral_storage::btree::BTree;
-use coral_storage::buffer::BufferPool;
-use coral_storage::file::{FileId, PageFile};
-use coral_storage::heap::HeapFile;
+use coral_storage::{StorageClient, StorageServer};
 use coral_term::testutil::TestRng;
 use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 const CASES: u64 = 48;
 
@@ -19,12 +15,9 @@ fn dir(prefix: &str) -> PathBuf {
     std::env::temp_dir().join(format!("coral-prop-{prefix}-{}", std::process::id()))
 }
 
-fn fresh_pool(prefix: &str, frames: usize) -> Arc<BufferPool> {
-    std::fs::create_dir_all(dir(prefix)).unwrap();
+fn fresh_store(prefix: &str, frames: usize) -> StorageClient {
     let p = dir(prefix).join(FILES.fetch_add(1, Ordering::Relaxed).to_string());
-    let pool = Arc::new(BufferPool::new(frames));
-    pool.register_file(FileId(0), PageFile::open(&p).unwrap());
-    pool
+    StorageServer::open(&p, frames).unwrap()
 }
 
 /// 1–5 bytes over a small alphabet, so keys collide often.
@@ -38,7 +31,7 @@ fn item(rng: &mut TestRng) -> Vec<u8> {
 fn btree_matches_btreeset_model() {
     let mut rng = TestRng::new(1);
     for case in 0..CASES {
-        let tree = BTree::open(fresh_pool("bt", 8), FileId(0)).unwrap(); // tiny pool: evictions
+        let tree = fresh_store("bt", 8).btree("t").unwrap(); // tiny pool: evictions
         let mut model: BTreeSet<Vec<u8>> = BTreeSet::new();
         for _ in 0..rng.gen_range(1, 120) {
             let x = item(&mut rng);
@@ -72,7 +65,7 @@ fn btree_matches_btreeset_model() {
 fn heap_matches_map_model() {
     let mut rng = TestRng::new(2);
     for case in 0..CASES {
-        let heap = HeapFile::new(fresh_pool("heap", 4), FileId(0));
+        let heap = fresh_store("heap", 4).heap("h").unwrap();
         let mut model = HashMap::new();
         let mut rids = Vec::new();
         for _ in 0..rng.gen_range(1, 60) {

@@ -335,3 +335,110 @@ fn profile_without_collection_reports_nothing() {
     assert!(stderr.is_empty(), "stderr: {stderr}");
     assert!(stdout.contains("no profile collected"), "{stdout}");
 }
+
+fn fresh_data_dir(name: &str) -> std::path::PathBuf {
+    let d = std::env::temp_dir().join(format!("coral-repl-test-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&d);
+    d
+}
+
+fn coral_on(dir: &std::path::Path) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_coral"));
+    cmd.arg("--data-dir").arg(dir).args(["--frames", "16"]);
+    cmd.stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped());
+    cmd
+}
+
+fn facts(range: std::ops::Range<u32>) -> String {
+    range.map(|i| format!("e({i}, {}).\n", i + 1)).collect()
+}
+
+/// Reopen `dir`, check it, and return the sorted first columns of `e`.
+fn reopen_and_check(dir: &std::path::Path) -> Vec<u32> {
+    let mut child = coral_on(dir).spawn().expect("spawn coral binary");
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(b":check\n?- e(X, Y).\n")
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.is_empty(), "stderr: {stderr}");
+    assert!(
+        stdout.contains("ok: ") && stdout.contains("relation(s), no problems"),
+        "{stdout}"
+    );
+    let mut keys: Vec<u32> = stdout
+        .lines()
+        .filter_map(|l| l.strip_prefix("X = "))
+        .map(|l| l.split(',').next().unwrap().trim().parse().unwrap())
+        .collect();
+    keys.sort_unstable();
+    keys
+}
+
+/// Facts written to a persistent relation with no transaction, then a
+/// clean end of input: the exit commits them all.
+#[test]
+fn untransacted_writes_survive_a_clean_exit() {
+    let dir = fresh_data_dir("clean-exit");
+    let mut child = coral_on(&dir).spawn().expect("spawn coral binary");
+    let script = format!(":persist e/2\n{}", facts(0..2000));
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(script.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success());
+    assert!(
+        out.stderr.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(reopen_and_check(&dir), (0..2000).collect::<Vec<_>>());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A process killed with untransacted writes in flight: recovery keeps
+/// a prefix of them that holds everything before the checkpoint, and the
+/// store checks clean.
+#[test]
+fn a_hard_exit_loses_only_a_suffix_of_untransacted_writes() {
+    use std::io::BufRead;
+    let dir = fresh_data_dir("hard-exit");
+    let mut child = coral_on(&dir).spawn().expect("spawn coral binary");
+    let mut stdin = child.stdin.take().unwrap();
+    let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+    let mut wait_for = |needle: &str| {
+        let mut line = String::new();
+        loop {
+            line.clear();
+            assert!(stdout.read_line(&mut line).unwrap() > 0, "no {needle:?}");
+            if line.contains(needle) {
+                return;
+            }
+        }
+    };
+    let first = format!(":persist e/2\n{}:checkpoint\n", facts(0..1000));
+    stdin.write_all(first.as_bytes()).unwrap();
+    wait_for("checkpointed");
+    let second = format!("{}?- e(1999, X).\n", facts(1000..2000));
+    stdin.write_all(second.as_bytes()).unwrap();
+    wait_for("X = 2000");
+    child.kill().unwrap();
+    child.wait().unwrap();
+    let keys = reopen_and_check(&dir);
+    assert!(keys.len() >= 1000, "lost checkpointed rows: {}", keys.len());
+    assert_eq!(
+        keys,
+        (0..keys.len() as u32).collect::<Vec<_>>(),
+        "not a prefix"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
