@@ -6,18 +6,16 @@
 //! instead of exhausting the process. A [`Budget`] bounds one query's
 //! wall-clock time, materialized tuples, term-layer bytes, fixpoint
 //! iterations, and Ordered Search context depth. The engine's
-//! [`Governor`] holds the active budget plus live usage in atomics and
-//! is polled at the same sites that already poll the [`crate::CancelToken`]
+//! [`Governor`] holds the active budget plus live usage and is polled
+//! at the same sites that already poll the [`crate::CancelToken`]
 //! (semi-naive iteration/version boundaries, the Ordered Search main
-//! loop, pipelined get-next-tuple and backtrack steps, and parallel
-//! workers) — every check is an O(1) counter read, never a scan.
+//! loop, pipelined get-next-tuple and backtrack steps) — every check is
+//! an O(1) counter read, never a scan.
 //!
 //! Accounting sources:
 //! * **tuples** — `coral_rel::meter`, a thread-local bumped on every
-//!   successful relation insert. Exact per query (evaluation inserts all
-//!   happen on the query's coordinator thread) and deterministic across
-//!   worker counts, since parallel workers emit into private buffers
-//!   merged through the ordinary insert path in serial order.
+//!   successful relation insert. Exact per query: a query evaluates
+//!   entirely on the thread that armed it.
 //! * **term bytes** — `coral_term::meter`, a process-wide monotone
 //!   counter of hashcons-table growth. A diff against the query-start
 //!   baseline conservatively over-counts under concurrency (errs toward
@@ -25,15 +23,15 @@
 //! * **iterations / depth** — charged directly by the evaluators.
 //!
 //! Exhaustion surfaces as [`EvalError::BudgetExceeded`], which unwinds
-//! through the same paths as cancellation: scans stop, worker pools
-//! drain, and callers that snapshot the module catalog roll it back.
+//! through the same paths as cancellation: scans stop and callers that
+//! snapshot the module catalog roll it back.
 
 use crate::error::{EvalError, EvalResult};
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Sentinel meaning "no limit" in the governor's atomic slots.
+/// Sentinel meaning "no limit" in the governor's limit slots.
 const NONE: u64 = u64::MAX;
 
 /// The budgeted resources, in the order they are checked.
@@ -113,8 +111,7 @@ impl Budget {
     /// Read `CORAL_BUDGET_DEADLINE_MS`, `CORAL_BUDGET_MAX_TUPLES`,
     /// `CORAL_BUDGET_MAX_TERM_BYTES`, `CORAL_BUDGET_MAX_ITERATIONS` and
     /// `CORAL_BUDGET_MAX_DEPTH` on top of `base` (unset or unparsable
-    /// variables leave the base value). Mirrors how `CORAL_THREADS`
-    /// seeds the thread count.
+    /// variables leave the base value).
     pub fn from_env(base: Budget) -> Budget {
         let read = |key: &str, cur: Option<u64>| -> Option<u64> {
             match std::env::var(key) {
@@ -207,43 +204,42 @@ pub struct BudgetUsage {
     pub max_depth: u64,
 }
 
-/// The engine's budget enforcer: configured limits plus live usage,
-/// all in atomics so parallel fixpoint workers can poll the deadline
-/// without locks. One governor per engine, shared via `Arc`; re-armed
-/// at each request boundary (the same place the cancel flag is cleared).
+/// The engine's budget enforcer: configured limits plus live usage.
+/// One governor per engine, re-armed at each request boundary (the same
+/// place the cancel flag is cleared).
 pub struct Governor {
     /// Epoch for deadline arithmetic; immutable after construction.
     epoch: Instant,
     /// Absolute deadline in ns since `epoch` (`NONE` = no deadline).
-    deadline_ns: AtomicU64,
-    max_tuples: AtomicU64,
-    max_term_bytes: AtomicU64,
-    max_iterations: AtomicU64,
-    max_depth: AtomicU64,
+    deadline_ns: Cell<u64>,
+    max_tuples: Cell<u64>,
+    max_term_bytes: Cell<u64>,
+    max_iterations: Cell<u64>,
+    max_depth: Cell<u64>,
     /// Arm-time ns since `epoch` (for elapsed reporting).
-    armed_ns: AtomicU64,
+    armed_ns: Cell<u64>,
     /// `coral_rel::meter` baseline captured when armed.
-    tuples_base: AtomicU64,
+    tuples_base: Cell<u64>,
     /// `coral_term::meter` baseline captured when armed.
-    term_bytes_base: AtomicU64,
-    iterations: AtomicU64,
-    depth_hwm: AtomicU64,
+    term_bytes_base: Cell<u64>,
+    iterations: Cell<u64>,
+    depth_hwm: Cell<u64>,
 }
 
 impl Governor {
     pub(crate) fn new() -> Governor {
         Governor {
             epoch: Instant::now(),
-            deadline_ns: AtomicU64::new(NONE),
-            max_tuples: AtomicU64::new(NONE),
-            max_term_bytes: AtomicU64::new(NONE),
-            max_iterations: AtomicU64::new(NONE),
-            max_depth: AtomicU64::new(NONE),
-            armed_ns: AtomicU64::new(0),
-            tuples_base: AtomicU64::new(0),
-            term_bytes_base: AtomicU64::new(0),
-            iterations: AtomicU64::new(0),
-            depth_hwm: AtomicU64::new(0),
+            deadline_ns: Cell::new(NONE),
+            max_tuples: Cell::new(NONE),
+            max_term_bytes: Cell::new(NONE),
+            max_iterations: Cell::new(NONE),
+            max_depth: Cell::new(NONE),
+            armed_ns: Cell::new(0),
+            tuples_base: Cell::new(0),
+            term_bytes_base: Cell::new(0),
+            iterations: Cell::new(0),
+            depth_hwm: Cell::new(0),
         }
     }
 
@@ -258,42 +254,39 @@ impl Governor {
     /// covers the whole request.
     pub(crate) fn arm(&self, budget: &Budget) {
         let now = self.now_ns();
-        self.armed_ns.store(now, Ordering::Relaxed);
+        self.armed_ns.set(now);
         let deadline = match budget.deadline_ms {
             Some(ms) => now.saturating_add(ms.saturating_mul(1_000_000)),
             None => NONE,
         };
-        self.deadline_ns.store(deadline, Ordering::Relaxed);
-        self.max_tuples
-            .store(budget.max_tuples.unwrap_or(NONE), Ordering::Relaxed);
+        self.deadline_ns.set(deadline);
+        self.max_tuples.set(budget.max_tuples.unwrap_or(NONE));
         self.max_term_bytes
-            .store(budget.max_term_bytes.unwrap_or(NONE), Ordering::Relaxed);
+            .set(budget.max_term_bytes.unwrap_or(NONE));
         self.max_iterations
-            .store(budget.max_iterations.unwrap_or(NONE), Ordering::Relaxed);
-        self.max_depth
-            .store(budget.max_depth.unwrap_or(NONE), Ordering::Relaxed);
-        self.tuples_base
-            .store(coral_rel::meter::tuples_inserted(), Ordering::Relaxed);
-        self.term_bytes_base
-            .store(coral_term::meter::term_bytes(), Ordering::Relaxed);
-        self.iterations.store(0, Ordering::Relaxed);
-        self.depth_hwm.store(0, Ordering::Relaxed);
+            .set(budget.max_iterations.unwrap_or(NONE));
+        self.max_depth.set(budget.max_depth.unwrap_or(NONE));
+        self.tuples_base.set(coral_rel::meter::tuples_inserted());
+        self.term_bytes_base.set(coral_term::meter::term_bytes());
+        self.iterations.set(0);
+        self.depth_hwm.set(0);
     }
 
     /// Disarm: every limit off (counters keep their last values for
     /// usage reporting).
     pub(crate) fn disarm(&self) {
-        self.deadline_ns.store(NONE, Ordering::Relaxed);
-        self.max_tuples.store(NONE, Ordering::Relaxed);
-        self.max_term_bytes.store(NONE, Ordering::Relaxed);
-        self.max_iterations.store(NONE, Ordering::Relaxed);
-        self.max_depth.store(NONE, Ordering::Relaxed);
+        self.deadline_ns.set(NONE);
+        self.max_tuples.set(NONE);
+        self.max_term_bytes.set(NONE);
+        self.max_iterations.set(NONE);
+        self.max_depth.set(NONE);
     }
 
     /// Charge one fixpoint iteration and check its limit.
     pub(crate) fn charge_iteration(&self) -> EvalResult<()> {
-        let used = self.iterations.fetch_add(1, Ordering::Relaxed) + 1;
-        let limit = self.max_iterations.load(Ordering::Relaxed);
+        let used = self.iterations.get() + 1;
+        self.iterations.set(used);
+        let limit = self.max_iterations.get();
         if used > limit {
             return Err(self.exceeded(BudgetResource::Iterations, limit, used));
         }
@@ -302,8 +295,8 @@ impl Governor {
 
     /// Record an Ordered Search context depth and check its limit.
     pub(crate) fn note_depth(&self, depth: u64) -> EvalResult<()> {
-        self.depth_hwm.fetch_max(depth, Ordering::Relaxed);
-        let limit = self.max_depth.load(Ordering::Relaxed);
+        self.depth_hwm.set(self.depth_hwm.get().max(depth));
+        let limit = self.max_depth.get();
         if depth > limit {
             return Err(self.exceeded(BudgetResource::Depth, limit, depth));
         }
@@ -316,18 +309,16 @@ impl Governor {
     /// poll cancellation.
     pub(crate) fn check(&self) -> EvalResult<()> {
         self.check_deadline()?;
-        let max_tuples = self.max_tuples.load(Ordering::Relaxed);
+        let max_tuples = self.max_tuples.get();
         if max_tuples != NONE {
-            let used = coral_rel::meter::tuples_inserted()
-                .saturating_sub(self.tuples_base.load(Ordering::Relaxed));
+            let used = coral_rel::meter::tuples_inserted().saturating_sub(self.tuples_base.get());
             if used >= max_tuples {
                 return Err(self.exceeded(BudgetResource::Tuples, max_tuples, used));
             }
         }
-        let max_bytes = self.max_term_bytes.load(Ordering::Relaxed);
+        let max_bytes = self.max_term_bytes.get();
         if max_bytes != NONE {
-            let used = coral_term::meter::term_bytes()
-                .saturating_sub(self.term_bytes_base.load(Ordering::Relaxed));
+            let used = coral_term::meter::term_bytes().saturating_sub(self.term_bytes_base.get());
             if used >= max_bytes {
                 return Err(self.exceeded(BudgetResource::TermBytes, max_bytes, used));
             }
@@ -335,15 +326,13 @@ impl Governor {
         Ok(())
     }
 
-    /// Deadline-only poll, also used by parallel workers: the tuple
-    /// meter is thread-local to the coordinator, so workers only watch
-    /// the clock (tuple/byte limits fire at the coordinator's merge).
-    pub(crate) fn check_deadline(&self) -> EvalResult<()> {
-        let deadline = self.deadline_ns.load(Ordering::Relaxed);
+    /// The deadline part of [`Governor::check`].
+    fn check_deadline(&self) -> EvalResult<()> {
+        let deadline = self.deadline_ns.get();
         if deadline != NONE {
             let now = self.now_ns();
             if now >= deadline {
-                let armed = self.armed_ns.load(Ordering::Relaxed);
+                let armed = self.armed_ns.get();
                 let limit = (deadline.saturating_sub(armed)) / 1_000_000;
                 let used = (now.saturating_sub(armed)) / 1_000_000;
                 return Err(self.exceeded(BudgetResource::Deadline, limit, used));
@@ -354,15 +343,13 @@ impl Governor {
 
     /// Live usage since the query was armed.
     pub fn usage(&self) -> BudgetUsage {
-        let armed = self.armed_ns.load(Ordering::Relaxed);
+        let armed = self.armed_ns.get();
         BudgetUsage {
             elapsed_ms: self.now_ns().saturating_sub(armed) / 1_000_000,
-            tuples: coral_rel::meter::tuples_inserted()
-                .saturating_sub(self.tuples_base.load(Ordering::Relaxed)),
-            term_bytes: coral_term::meter::term_bytes()
-                .saturating_sub(self.term_bytes_base.load(Ordering::Relaxed)),
-            iterations: self.iterations.load(Ordering::Relaxed),
-            max_depth: self.depth_hwm.load(Ordering::Relaxed),
+            tuples: coral_rel::meter::tuples_inserted().saturating_sub(self.tuples_base.get()),
+            term_bytes: coral_term::meter::term_bytes().saturating_sub(self.term_bytes_base.get()),
+            iterations: self.iterations.get(),
+            max_depth: self.depth_hwm.get(),
         }
     }
 

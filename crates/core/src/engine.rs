@@ -148,9 +148,6 @@ struct EngineInner {
     base_multiset: RefCell<Vec<PredRef>>,
     /// Engine-level runtime profiling flag (profiles every module call).
     profiling: Cell<bool>,
-    /// Worker-pool size for partitioned delta evaluation (1 = serial;
-    /// seeded from `CORAL_THREADS`, overridable per engine).
-    threads: Cell<usize>,
     /// Profile of the most recently completed profiled call.
     last_profile: RefCell<Option<crate::profile::EngineProfile>>,
     /// Cooperative cancellation flag (shared with [`CancelToken`]s).
@@ -158,9 +155,8 @@ struct EngineInner {
     /// Per-query resource budget applied to each top-level query
     /// (seeded from `CORAL_BUDGET_*`, overridable per engine).
     budget: Cell<Budget>,
-    /// Budget enforcer, polled at the cancellation poll sites; shared
-    /// with parallel workers via `Arc`.
-    governor: Arc<Governor>,
+    /// Budget enforcer, polled at the cancellation poll sites.
+    governor: Rc<Governor>,
     /// Cumulative maintenance counters (always on).
     maintain_totals: Cell<crate::maintain::MaintainTotals>,
     /// Snapshots offered by the storage layer at attach time, consumed
@@ -190,11 +186,10 @@ impl Engine {
                 exports: RefCell::new(HashMap::new()),
                 base_multiset: RefCell::new(Vec::new()),
                 profiling: Cell::new(false),
-                threads: Cell::new(crate::parallel::resolve_threads(None)),
                 last_profile: RefCell::new(None),
                 cancel: Arc::new(AtomicBool::new(false)),
                 budget: Cell::new(Budget::from_env(Budget::unlimited())),
-                governor: Arc::new(Governor::new()),
+                governor: Rc::new(Governor::new()),
                 maintain_totals: Cell::new(crate::maintain::MaintainTotals::default()),
                 offered_snapshots: RefCell::new(HashMap::new()),
             }),
@@ -247,9 +242,9 @@ impl Engine {
         self.inner.governor.usage()
     }
 
-    /// The budget enforcer (shared with parallel workers).
-    pub(crate) fn governor(&self) -> Arc<Governor> {
-        Arc::clone(&self.inner.governor)
+    /// The budget enforcer.
+    pub(crate) fn governor(&self) -> Rc<Governor> {
+        Rc::clone(&self.inner.governor)
     }
 
     /// Snapshot the module catalog (loaded modules, export table,
@@ -284,19 +279,6 @@ impl Engine {
     pub fn set_profiling(&self, on: bool) {
         self.inner.profiling.set(on);
         crate::profile::set_profiling(on);
-    }
-
-    /// Set the worker-pool size for partitioned delta evaluation
-    /// (clamped to at least 1; 1 = fully serial).
-    pub fn set_threads(&self, threads: usize) {
-        self.inner
-            .threads
-            .set(crate::parallel::resolve_threads(Some(threads)));
-    }
-
-    /// The configured worker-pool size.
-    pub fn threads(&self) -> usize {
-        self.inner.threads.get()
     }
 
     /// Refresh statistics for every base relation with a full scan
@@ -908,8 +890,7 @@ impl Engine {
         // by a module at the end of a call", §5.4.2); an all-free answer
         // scan keeps just the answers' subsidiaries alive.
         let mut state = FixpointState::new(Rc::clone(&cm), &mdef.setup)?
-            .with_strategy(Strategy::from(mdef.controls.fixpoint))
-            .with_threads(self.threads());
+            .with_strategy(Strategy::from(mdef.controls.fixpoint));
         state.seed(pattern)?;
         if mdef.controls.lazy {
             return Ok(Box::new(crate::save_module::LazyScan::new(
@@ -1066,13 +1047,6 @@ impl ExternalResolver for Engine {
         self.inner.governor.charge_iteration()
     }
 
-    fn parallel_brake(&self) -> Option<crate::parallel::Brake> {
-        Some(crate::parallel::Brake::new(
-            Arc::clone(&self.inner.cancel),
-            Arc::clone(&self.inner.governor),
-        ))
-    }
-
     fn candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<AnswerScan> {
         let pred = lit.pred_ref();
         // 1. Module exports take precedence (a module may redefine a
@@ -1097,22 +1071,14 @@ impl ExternalResolver for Engine {
         DbStats { db: &self.inner.db }.pred_stats(pred)
     }
 
-    fn parallel_source(&self, lit: &Literal) -> Option<crate::parallel::ParallelSource> {
-        use crate::parallel::ParallelSource;
+    fn base_relation(&self, lit: &Literal) -> Option<Rc<dyn Relation>> {
+        // Mirror `candidates` precedence: a module export shadows a base
+        // relation of the same name.
         let pred = lit.pred_ref();
-        // Mirror `candidates` precedence exactly: a module export or a
-        // non-hash (persistent, list) relation re-enters the engine, so
-        // workers cannot read it.
         if self.module_of(pred).is_some() {
             return None;
         }
-        if let Some(rel) = self.inner.db.get(pred.name, pred.arity) {
-            return rel_as_hash(&rel).map(|h| ParallelSource::Snapshot(h.snapshot()));
-        }
-        if builtins::is_builtin(pred) {
-            return Some(ParallelSource::Builtin);
-        }
-        None
+        self.inner.db.get(pred.name, pred.arity)
     }
 }
 
@@ -1254,9 +1220,7 @@ pub mod builtins {
         })
     }
 
-    /// Whether `pred` names a builtin, without evaluating it. Builtins
-    /// are pure functions of their pattern, so parallel workers may call
-    /// [`eval`] directly on any thread.
+    /// Whether `pred` names a builtin, without evaluating it.
     pub fn is_builtin(pred: PredRef) -> bool {
         modes(pred).is_some()
     }

@@ -30,7 +30,6 @@ use coral_term::{unify, Term, Tuple};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// The relations local to one module evaluation.
 #[derive(Default)]
@@ -99,19 +98,12 @@ pub trait ExternalResolver {
         Ok(())
     }
 
-    /// Stop signals (cancel flag + budget deadline) for parallel
-    /// workers to poll mid-chunk. `None` (the default) means workers
-    /// run each chunk to completion before the coordinator notices a
-    /// cancellation or an expired deadline.
-    fn parallel_brake(&self) -> Option<crate::parallel::Brake> {
-        None
-    }
-
-    /// A frozen, `Sync` candidate source for `lit`, if one exists: base
-    /// `HashRelation`s can be snapshotted and pure builtins evaluate on
-    /// any thread. `None` (the default) means workers cannot read this
-    /// literal, so any rule version reading it stays serial.
-    fn parallel_source(&self, lit: &Literal) -> Option<crate::parallel::ParallelSource> {
+    /// The base relation `candidates` reads for `lit`, if it reads one
+    /// (not a module export or a builtin). A base relation is frozen for
+    /// the whole fixpoint, so the join may hash it once when it is an
+    /// in-memory [`HashRelation`]. `None` (the default) keeps the
+    /// literal on the candidate path.
+    fn base_relation(&self, lit: &Literal) -> Option<Rc<dyn Relation>> {
         let _ = lit;
         None
     }
@@ -129,48 +121,6 @@ pub trait ExternalResolver {
 /// `(prev, cur)` — delta is `[prev, cur)`, "old" is `[0, prev)`, and the
 /// iteration-consistent full view is `[0, cur)`.
 pub type Ranges = HashMap<PredRef, (Mark, Mark)>;
-
-/// Candidate sourcing for one rule evaluation. [`eval_rule`] is written
-/// against this trait so the same nested-loops join runs over live
-/// relations ([`JoinCtx`], the serial evaluator) or over frozen
-/// [`coral_rel::RelSnapshot`] views with a chunk override for the
-/// driving delta slot (the parallel evaluator's worker environment).
-pub trait RuleEnv {
-    /// Candidate tuples for a local literal at body position `pos`
-    /// under the current semi-naive version.
-    fn local_candidates(
-        &self,
-        pred: PredRef,
-        recursive: bool,
-        pos: usize,
-        version: SnVersion,
-        pattern: &[Term],
-    ) -> EvalResult<TupleIter>;
-
-    /// Candidate tuples for an external literal.
-    fn external_candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<AnswerScan>;
-
-    /// Full-view candidates for a negated local literal (negation reads
-    /// the whole relation; stratification keeps it stable).
-    fn negated_local(&self, pred: PredRef, pattern: &[Term]) -> EvalResult<TupleIter>;
-
-    /// A transient hash table for the positive literal at `pos`, keyed
-    /// on exactly `key_cols` (the pattern's ground columns). `None`
-    /// keeps the slot on the index-probe path — hash joins are opt-in
-    /// per environment and cost-gated per literal.
-    fn hash_table(
-        &self,
-        lit: &Literal,
-        local: bool,
-        recursive: bool,
-        pos: usize,
-        version: SnVersion,
-        key_cols: &[usize],
-    ) -> Option<Arc<JoinHashTable>> {
-        let _ = (lit, local, recursive, pos, version, key_cols);
-        None
-    }
-}
 
 /// Key of one transient hash-join table: predicate, bound-column set,
 /// and the mark range it was built over. Relation growth moves the
@@ -194,7 +144,7 @@ struct TableKey {
 /// mid-fixpoint replanner.
 #[derive(Default)]
 pub struct HashJoinState {
-    cache: RefCell<HashMap<TableKey, Arc<JoinHashTable>>>,
+    cache: RefCell<HashMap<TableKey, Rc<JoinHashTable>>>,
     /// Observed probe-side (delta) rows for the version currently being
     /// evaluated; what the cost gate weighs builds against.
     outer_rows: Cell<f64>,
@@ -233,7 +183,7 @@ impl HashJoinState {
         frozen: bool,
         inner_rows: impl FnOnce() -> usize,
         build: impl FnOnce() -> Vec<Tuple>,
-    ) -> Option<Arc<JoinHashTable>> {
+    ) -> Option<Rc<JoinHashTable>> {
         if let Some(t) = self.cache.borrow().get(&key) {
             return Some(t.clone());
         }
@@ -241,7 +191,7 @@ impl HashJoinState {
         {
             return None;
         }
-        let table = Arc::new(JoinHashTable::build(key.cols.clone(), build()));
+        let table = Rc::new(JoinHashTable::build(key.cols.clone(), build()));
         coral_profile::bump(Counter::JoinhashTablesBuilt, 1);
         coral_profile::bump(Counter::JoinhashBuildRows, table.build_rows() as u64);
         self.cache.borrow_mut().insert(key, table.clone());
@@ -249,7 +199,7 @@ impl HashJoinState {
     }
 }
 
-/// Everything a serial rule evaluation needs.
+/// Everything a rule evaluation needs.
 pub struct JoinCtx<'a> {
     /// Local relations.
     pub locals: &'a LocalRels,
@@ -262,7 +212,9 @@ pub struct JoinCtx<'a> {
     pub hashjoin: Option<&'a HashJoinState>,
 }
 
-impl RuleEnv for JoinCtx<'_> {
+impl JoinCtx<'_> {
+    /// Candidate tuples for a local literal at body position `pos`
+    /// under the current semi-naive version.
     fn local_candidates(
         &self,
         pred: PredRef,
@@ -287,14 +239,10 @@ impl RuleEnv for JoinCtx<'_> {
         })
     }
 
-    fn external_candidates(&self, lit: &Literal, pattern: &[Term]) -> EvalResult<AnswerScan> {
-        self.external.candidates(lit, pattern)
-    }
-
-    fn negated_local(&self, pred: PredRef, pattern: &[Term]) -> EvalResult<TupleIter> {
-        Ok(self.locals.require(pred).lookup(pattern))
-    }
-
+    /// A transient hash table for the positive literal at `pos`, keyed
+    /// on exactly `key_cols` (the pattern's ground columns). `None`
+    /// keeps the slot on the index-probe path: hash joins are opt-in
+    /// per context and cost-gated per literal.
     fn hash_table(
         &self,
         lit: &Literal,
@@ -303,29 +251,22 @@ impl RuleEnv for JoinCtx<'_> {
         pos: usize,
         version: SnVersion,
         key_cols: &[usize],
-    ) -> Option<Arc<JoinHashTable>> {
+    ) -> Option<Rc<JoinHashTable>> {
         let hj = self.hashjoin?;
         let pred = lit.pred_ref();
         if !local {
-            // External literals: only base hash relations have a frozen
-            // snapshot view (module exports and persistent relations
-            // stay on the resolver's candidate path).
-            let snap = match self.external.parallel_source(lit)? {
-                crate::parallel::ParallelSource::Snapshot(s) => s,
-                crate::parallel::ParallelSource::Builtin => return None,
-            };
+            // External literals: only base hash relations are hashed
+            // (module exports and persistent relations stay on the
+            // resolver's candidate path).
+            let base = self.external.base_relation(lit)?;
+            let rel = base.as_any().downcast_ref::<HashRelation>()?;
             let key = TableKey {
                 pred,
                 cols: key_cols.to_vec(),
                 lo: 0,
-                hi: snap.end_mark().0,
+                hi: rel.current_mark().0,
             };
-            return hj.get_or_build(
-                key,
-                true,
-                || snap.len_range(Mark(0), None),
-                || snap.scan_range(Mark(0), None),
-            );
+            return hj.get_or_build(key, true, || rel.len(), || rel.scan_range(Mark(0), None));
         }
         let rel = self.locals.require(pred);
         // Aggregate selections evict rows in place — even from ranges a
@@ -343,12 +284,7 @@ impl RuleEnv for JoinCtx<'_> {
                 lo: 0,
                 hi: rel.current_mark().0,
             };
-            return hj.get_or_build(
-                key,
-                true,
-                || rel.len(),
-                || rel.snapshot().scan_range(Mark(0), None),
-            );
+            return hj.get_or_build(key, true, || rel.len(), || rel.scan_range(Mark(0), None));
         }
         // Recursive predicates: hash the range the semi-naive version
         // reads at this slot. When the delta literal itself is probed
@@ -377,7 +313,7 @@ impl RuleEnv for JoinCtx<'_> {
             key,
             false,
             || rel.len_range(lo, Some(hi)),
-            || rel.snapshot().scan_range(lo, Some(hi)),
+            || rel.scan_range(lo, Some(hi)),
         )
     }
 }
@@ -405,7 +341,7 @@ enum SlotState {
     /// bucket's row ids first, then the table's side list (rows
     /// non-ground at the key columns, which hashing cannot exclude).
     HashProbe {
-        table: Arc<JoinHashTable>,
+        table: Rc<JoinHashTable>,
         bucket: Vec<u32>,
         next: usize,
         side: usize,
@@ -424,7 +360,7 @@ enum SlotState {
 /// but the table's side rows are still iterated by the advance loop,
 /// since non-ground rows are invisible to the filter.
 fn hash_probe_slot(
-    ctx: &dyn RuleEnv,
+    ctx: &JoinCtx,
     lit: &Literal,
     local: bool,
     recursive: bool,
@@ -539,7 +475,7 @@ struct Slot {
 /// solution of the body. `emit` receives the environment and the rule's
 /// frame so it can resolve the head. Returns the number of solutions.
 pub fn eval_rule(
-    ctx: &dyn RuleEnv,
+    ctx: &JoinCtx,
     rule: &CompiledRule,
     version: SnVersion,
     envs: &mut EnvSet,
@@ -587,7 +523,7 @@ pub fn eval_rule(
                     match hash_probe_slot(ctx, lit, false, false, pos, version, &pattern) {
                         Some(state) => state,
                         None => SlotState::Scan {
-                            iter: ctx.external_candidates(lit, &pattern)?,
+                            iter: ctx.external.candidates(lit, &pattern)?,
                             matched: false,
                         },
                     }
@@ -766,7 +702,7 @@ fn backtrack_from(
 
 /// Evaluate a deterministic body element (comparison or negation).
 fn advance_check(
-    ctx: &dyn RuleEnv,
+    ctx: &JoinCtx,
     rule: &CompiledRule,
     pos: usize,
     envs: &mut EnvSet,
@@ -777,9 +713,9 @@ fn advance_check(
         BodyElem::Negated { lit, local } => {
             let pattern = literal_pattern(envs, lit, env);
             let iter = if *local {
-                rel_scan(ctx.negated_local(lit.pred_ref(), &pattern)?)
+                rel_scan(ctx.locals.require(lit.pred_ref()).lookup(&pattern))
             } else {
-                ctx.external_candidates(lit, &pattern)?
+                ctx.external.candidates(lit, &pattern)?
             };
             let m = envs.mark();
             let fm = envs.frame_mark();

@@ -48,7 +48,6 @@ pub mod explain;
 pub mod join;
 pub mod maintain;
 pub mod ordered_search;
-pub mod parallel;
 pub mod pipeline;
 pub mod planner;
 pub mod profile;

@@ -733,8 +733,7 @@ impl MaintainedState {
         };
         let base_epochs = base_epochs_now(engine, &base_deps);
         let mut state = FixpointState::new(Rc::clone(&cm), &mdef.setup)?
-            .with_strategy(Strategy::from(mdef.controls.fixpoint))
-            .with_threads(engine.threads());
+            .with_strategy(Strategy::from(mdef.controls.fixpoint));
         state.seed(&vec![Term::var(0); pred.arity])?;
         state.run(engine)?;
         // Non-ground, duplicate-collapsed or subsumed contents: neither

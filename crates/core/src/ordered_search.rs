@@ -283,7 +283,6 @@ pub fn evaluate(
             }
             let (mp, negated) = magic_of_pending(*pp).unwrap();
             for fact in rel.scan_range(from, Some(cur)) {
-                let fact = fact?;
                 let key = (mp, fact.clone());
                 if let Some(pos) = seen.iter().position(|k| *k == key) {
                     let _ = pos;

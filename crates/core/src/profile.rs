@@ -5,8 +5,8 @@
 //! Every layer's counters are rows of the one registry in
 //! `coral-profile`. This module adds what only a module call has: the
 //! per-SCC fixpoint sections (iterations, firings, derivations, wall
-//! time, per-rule-version and parallel breakdowns), the planner's order
-//! notes and the budget usage. [`EngineProfile::render`],
+//! time, per-rule-version breakdowns), the planner's order notes and
+//! the budget usage. [`EngineProfile::render`],
 //! [`EngineProfile::to_json`] and [`EngineProfile::from_json`] read the
 //! registry's table and one field list per section struct; none of them
 //! names a counter.
@@ -37,33 +37,15 @@ pub struct RuleVersionStats {
     pub join_probes: u64,
 }
 
-/// Parallel-evaluation statistics for one SCC section (all zero when
-/// every rule version in the SCC ran serially).
+/// Always zero: the fixpoint is serial. Kept only so the e2e driver
+/// compiles; ROADMAP item 12 deletes it. Neither rendered nor
+/// serialised.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ParallelStats {
-    /// Rule-version evaluations dispatched to the worker pool.
+    /// Always 0.
     pub parallel_firings: u64,
-    /// Rule-version evaluations that fell back to serial after being
-    /// considered for the pool (small deltas, order-sensitive output).
+    /// Always 0.
     pub serial_fallbacks: u64,
-    /// Largest worker count used by any dispatch.
-    pub threads: u64,
-    /// Total delta chunks dispatched.
-    pub chunks: u64,
-    /// Driving delta tuples partitioned across those chunks.
-    pub delta_tuples: u64,
-    /// Smallest chunk dispatched (skew numerator).
-    pub min_chunk: u64,
-    /// Largest chunk dispatched (skew denominator).
-    pub max_chunk: u64,
-    /// Coordinator time merging worker buffers into head relations.
-    pub merge_ns: u64,
-    /// Summed worker busy time (per-chunk evaluation wall time).
-    pub busy_ns: u64,
-    /// Coordinator wall time across parallel dispatches (partition +
-    /// evaluate + merge); `busy_ns / (threads * wall_ns)` approximates
-    /// worker utilization.
-    pub wall_ns: u64,
 }
 
 /// One SCC's fixpoint section.
@@ -85,7 +67,8 @@ pub struct SccSection {
     pub duplicates: u64,
     /// Wall time spent iterating this SCC.
     pub wall_ns: u64,
-    /// Parallel-evaluation statistics (zeros when fully serial).
+    /// Always zero. Kept only so the e2e driver compiles; ROADMAP item
+    /// 12 deletes it.
     pub parallel: ParallelStats,
     /// Per-rule-version breakdown.
     pub rules: Vec<RuleVersionStats>,
@@ -112,8 +95,6 @@ macro_rules! fields {
 }
 
 fields!(RuleVersionStats: firings, solutions, facts_derived, join_probes);
-fields!(ParallelStats: parallel_firings, serial_fallbacks, threads, chunks, delta_tuples,
-    min_chunk, max_chunk, merge_ns, busy_ns, wall_ns);
 fields!(SccSection: iterations, rule_firings, solutions, facts_derived, duplicates, wall_ns);
 
 /// Resource-governor accounting for the profiled call: per-resource
@@ -353,30 +334,6 @@ pub(crate) fn scc_rule(
     });
 }
 
-/// Fold one parallel dispatch (or fallback decision) into the parallel
-/// stats of `(state, scc)`.
-pub(crate) fn scc_parallel(state: u64, scc: usize, d: ParallelStats) {
-    with_section(state, scc, |sec| {
-        let p = &mut sec.parallel;
-        p.parallel_firings += d.parallel_firings;
-        p.serial_fallbacks += d.serial_fallbacks;
-        p.threads = p.threads.max(d.threads);
-        p.delta_tuples += d.delta_tuples;
-        p.merge_ns += d.merge_ns;
-        p.busy_ns += d.busy_ns;
-        p.wall_ns += d.wall_ns;
-        if d.chunks > 0 {
-            p.min_chunk = if p.chunks == 0 {
-                d.min_chunk
-            } else {
-                p.min_chunk.min(d.min_chunk)
-            };
-            p.max_chunk = p.max_chunk.max(d.max_chunk);
-        }
-        p.chunks += d.chunks;
-    });
-}
-
 impl EngineProfile {
     /// Total fixpoint iterations across all sections.
     pub fn iterations(&self) -> u64 {
@@ -435,10 +392,6 @@ impl EngineProfile {
                 sec.preds.join(", "),
                 render_pairs(&sec.fields())
             );
-            let p = sec.parallel.fields();
-            if p.iter().any(|&(_, v)| v > 0) {
-                let _ = writeln!(s, "    parallel: {}", render_pairs(&p));
-            }
             for r in &sec.rules {
                 let _ = writeln!(s, "    rule {}: {}", r.label, render_pairs(&r.fields()));
             }
@@ -477,11 +430,10 @@ impl EngineProfile {
             s.push_str(if i > 0 { ",\n    {" } else { "\n    {" });
             let _ = write!(
                 s,
-                "\"scc\": {}, \"preds\": [{}], {}, \"parallel\": {{{}}}, \"rules\": [",
+                "\"scc\": {}, \"preds\": [{}], {}, \"rules\": [",
                 sec.scc,
                 list(sec.preds.iter().map(|p| quote(p))),
-                json_pairs(sec.fields()),
-                json_pairs(sec.parallel.fields())
+                json_pairs(sec.fields())
             );
             for (j, r) in sec.rules.iter().enumerate() {
                 let _ = write!(
@@ -541,7 +493,6 @@ impl EngineProfile {
                 ..SccSection::default()
             };
             read_fields(so, &mut sec)?;
-            read_fields(json::get_obj(so, "parallel")?, &mut sec.parallel)?;
             for rv in json::get_arr(so, "rules")? {
                 let ro = rv.as_obj().ok_or("rule: expected an object")?;
                 let mut r = RuleVersionStats {
@@ -686,35 +637,6 @@ mod tests {
         ] {
             assert!(r.contains(needle), "render missing {needle:?}:\n{r}");
         }
-    }
-
-    #[test]
-    fn render_shows_parallel_line() {
-        let line = "    parallel: parallel_firings 4, serial_fallbacks 1, threads 4, chunks 16, \
-                    delta_tuples 1000, min_chunk 10, max_chunk 90, merge_ns 40.000µs, \
-                    busy_ns 1.600ms, wall_ns 450.000µs\n";
-        assert!(sample().render().contains(line), "{}", sample().render());
-        // Fully serial sections render no parallel line.
-        let mut p = sample();
-        p.sccs[0].parallel = ParallelStats::default();
-        assert!(!p.render().contains("parallel:"), "{}", p.render());
-    }
-
-    #[test]
-    fn parallel_section_json_shape() {
-        // A fully serial section still emits every parallel key.
-        let mut p = sample();
-        p.sccs[0].parallel = ParallelStats::default();
-        let j = p.to_json();
-        let zeros = list(
-            p.sccs[0]
-                .parallel
-                .fields()
-                .iter()
-                .map(|(k, _)| format!("\"{k}\": 0")),
-        );
-        assert!(j.contains(&format!("\"parallel\": {{{zeros}}}")), "{j}");
-        assert_eq!(EngineProfile::from_json(&j).unwrap(), p);
     }
 
     #[test]

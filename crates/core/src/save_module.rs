@@ -52,8 +52,7 @@ pub fn call(
             Some(s) => s,
             None => {
                 let s = FixpointState::new(Rc::clone(&cm), &mdef.setup)?
-                    .with_strategy(Strategy::from(mdef.controls.fixpoint))
-                    .with_threads(engine.threads());
+                    .with_strategy(Strategy::from(mdef.controls.fixpoint));
                 s.assert_no_aggregates()?;
                 s
             }
@@ -118,7 +117,7 @@ impl LazyScan {
         );
         let mut any = false;
         for t in answers.scan_range(self.consumed, Some(cur)) {
-            let full = expand(t?);
+            let full = expand(t);
             if unifies_with(&self.pattern, &full) {
                 self.buffer.push_back(full);
                 any = true;

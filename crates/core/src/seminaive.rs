@@ -30,10 +30,6 @@ use crate::error::{EvalError, EvalResult};
 use crate::join::{
     eval_rule, resolve_head, ExternalResolver, HashJoinState, JoinCtx, LocalRels, Ranges,
 };
-use crate::parallel::{
-    eval_chunk, partition, run_tasks, JobCtx, LocalView, ParallelSource, MIN_CHUNK,
-};
-use crate::profile::ParallelStats;
 use coral_lang::{FixpointKind, PredRef};
 use coral_profile::Counter;
 use coral_rel::{AggregateSelection, DupSemantics, HashRelation, IndexSpec, Mark, Relation};
@@ -41,7 +37,6 @@ use coral_term::bindenv::EnvSet;
 use coral_term::Tuple;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// The fixpoint strategy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -108,8 +103,6 @@ pub struct FixpointState {
     /// Identity for the profiler's per-SCC sections (distinguishes
     /// nested module calls within one collected profile).
     profile_id: u64,
-    /// Worker-pool size for partitioned delta evaluation (1 = serial).
-    threads: usize,
     /// The transient hash-table cache for this fixpoint.
     hj: HashJoinState,
     /// Adaptive plan overrides, keyed by (SCC, rule index, version
@@ -183,7 +176,6 @@ impl FixpointState {
             naive_done,
             stats: FixpointStats::default(),
             profile_id: crate::profile::new_state_id(),
-            threads: 1,
             hj: HashJoinState::new(),
             overrides: HashMap::new(),
             envs: EnvSet::new(),
@@ -193,14 +185,6 @@ impl FixpointState {
     /// Select the strategy (defaults to BSN).
     pub fn with_strategy(mut self, strategy: Strategy) -> FixpointState {
         self.strategy = strategy;
-        self
-    }
-
-    /// Set the worker-pool size for partitioned delta evaluation
-    /// (defaults to 1 = fully serial). Ordered Search callers must not
-    /// set this: their derivation order is semantically significant.
-    pub fn with_threads(mut self, threads: usize) -> FixpointState {
-        self.threads = threads.max(1);
         self
     }
 
@@ -332,9 +316,8 @@ impl FixpointState {
         self.refresh_marks(scc_idx, scc);
         while self.has_work(scc_idx, scc) {
             self.iterate_once(scc_idx, scc, external)?;
-            // Adaptive re-costing (iteration boundary only, so serial
-            // and parallel runs see identical plans): compare
-            // the observed delta cardinalities against the live relation
+            // Adaptive re-costing (iteration boundary only): compare the
+            // observed delta cardinalities against the live relation
             // statistics and reorder next iteration's delta joins when a
             // cheaper order emerges.
             if scc.recursive && self.strategy != Strategy::Naive {
@@ -389,7 +372,7 @@ impl FixpointState {
     ) -> EvalResult<()> {
         // `@naive` is the reference evaluator: source-order joins over
         // index/scan candidates only — no hash tables, no plan
-        // overrides, no parallel dispatch.
+        // overrides.
         if !naive {
             // Recursive predicates' delta boundaries moved since the
             // last sweep: evict their tables so the cost gate re-decides
@@ -453,38 +436,25 @@ impl FixpointState {
                 };
                 let mut derived = 0u64;
                 let mut solutions = 0u64;
-                let parallel = if naive {
-                    None
-                } else {
-                    self.eval_version_parallel(scc_idx, rule, version, ranges, external)?
+                let head_rel = Rc::clone(self.locals.require(rule.head.pred_ref()));
+                let ctx = JoinCtx {
+                    locals: &self.locals,
+                    external,
+                    ranges,
+                    hashjoin: (!naive).then_some(&self.hj),
                 };
-                if let Some((par_solutions, par_derived)) = parallel {
-                    solutions = par_solutions;
-                    derived = par_derived;
-                } else {
-                    let head_rel = Rc::clone(self.locals.require(rule.head.pred_ref()));
-                    let ctx = JoinCtx {
-                        locals: &self.locals,
-                        external,
-                        ranges,
-                        hashjoin: (!naive).then_some(&self.hj),
-                    };
-                    let head = rule.head.clone();
-                    eval_rule(&ctx, rule, version, &mut self.envs, &mut |envs, env| {
-                        solutions += 1;
-                        let fact = resolve_head(envs, &head, env);
-                        if head_rel.insert(fact)? {
-                            derived += 1;
-                            // Per-insert budget poll: fires at the same
-                            // successful-insert count as the parallel
-                            // merge loop (which replays this order), so
-                            // tuple limits are deterministic across
-                            // worker counts.
-                            external.check_budget()?;
-                        }
-                        Ok(())
-                    })?;
-                }
+                let head = rule.head.clone();
+                eval_rule(&ctx, rule, version, &mut self.envs, &mut |envs, env| {
+                    solutions += 1;
+                    let fact = resolve_head(envs, &head, env);
+                    if head_rel.insert(fact)? {
+                        derived += 1;
+                        // Per-insert budget poll, so a tuple limit fires
+                        // at a deterministic successful-insert count.
+                        external.check_budget()?;
+                    }
+                    Ok(())
+                })?;
                 self.stats.facts_derived += derived;
                 self.stats.solutions += solutions;
                 if collecting {
@@ -503,292 +473,6 @@ impl FixpointState {
             }
         }
         Ok(())
-    }
-
-    /// Try to evaluate one delta rule version on the worker pool:
-    /// freeze every relation the rule reads, partition the driving
-    /// delta, evaluate chunks in parallel, then merge output buffers in
-    /// chunk order through the ordinary insert path. Returns `Ok(None)`
-    /// when the version must run serially: thread count 1, a small
-    /// delta, an order-sensitive head (multiset, aggregate selections),
-    /// an external literal with no frozen source, or — detected after
-    /// the fact — non-ground output under subsumption semantics.
-    fn eval_version_parallel(
-        &mut self,
-        scc_idx: usize,
-        rule: &CompiledRule,
-        version: SnVersion,
-        ranges: &Ranges,
-        external: &dyn ExternalResolver,
-    ) -> EvalResult<Option<(u64, u64)>> {
-        if self.threads < 2 {
-            return Ok(None);
-        }
-        let Some(delta_pos) = version.delta_idx else {
-            return Ok(None);
-        };
-        let BodyElem::Local {
-            lit: delta_lit,
-            recursive: true,
-        } = &rule.body[delta_pos]
-        else {
-            return Ok(None);
-        };
-        let delta_pred = delta_lit.pred_ref();
-        let Some(&(prev, cur)) = ranges.get(&delta_pred) else {
-            return Ok(None);
-        };
-        let delta_rel = Rc::clone(self.locals.require(delta_pred));
-        // Small deltas are not worth the dispatch; this is not a
-        // "fallback" in the profile's sense, just the serial fast path.
-        if delta_rel.len_range(prev, Some(cur)) < 2 * MIN_CHUNK {
-            return Ok(None);
-        }
-        let fallback = |me: &Self| {
-            crate::profile::scc_parallel(
-                me.profile_id,
-                scc_idx,
-                ParallelStats {
-                    serial_fallbacks: 1,
-                    ..ParallelStats::default()
-                },
-            );
-        };
-        // Order-sensitive heads stay serial.
-        let head_pred = rule.head.pred_ref();
-        let head_rel = Rc::clone(self.locals.require(head_pred));
-        if rule.agg.is_some()
-            || head_rel.dup_semantics() == DupSemantics::Multiset
-            || head_rel.has_aggregate_selections()
-        {
-            fallback(self);
-            return Ok(None);
-        }
-        // Classify the body: every external literal needs a frozen
-        // source; local literals freeze below.
-        let mut local_preds: Vec<PredRef> = vec![head_pred];
-        let mut externals: HashMap<PredRef, ParallelSource> = HashMap::new();
-        for e in &rule.body {
-            match e {
-                BodyElem::Local { lit, .. } => local_preds.push(lit.pred_ref()),
-                BodyElem::Negated { lit, local: true } => local_preds.push(lit.pred_ref()),
-                BodyElem::Negated { lit, local: false } | BodyElem::External { lit } => {
-                    let p = lit.pred_ref();
-                    if externals.contains_key(&p) {
-                        continue;
-                    }
-                    match external.parallel_source(lit) {
-                        Some(src) => {
-                            externals.insert(p, src);
-                        }
-                        None => {
-                            fallback(self);
-                            return Ok(None);
-                        }
-                    }
-                }
-                BodyElem::Compare { .. } => {}
-            }
-        }
-        let t_start = std::time::Instant::now();
-        let mut locals_map: HashMap<PredRef, LocalView> = HashMap::new();
-        for p in local_preds {
-            if locals_map.contains_key(&p) {
-                continue;
-            }
-            let rel = Rc::clone(self.locals.require(p));
-            let (lp, lc) = ranges
-                .get(&p)
-                .copied()
-                .unwrap_or((Mark(0), rel.current_mark()));
-            locals_map.insert(
-                p,
-                LocalView {
-                    snap: rel.snapshot(),
-                    prev: lp,
-                    cur: lc,
-                },
-            );
-        }
-        // Materialize the driving delta from its frozen view, in
-        // insertion order (the order a serial delta scan would visit),
-        // and hand workers contiguous chunks of it.
-        let delta = locals_map[&delta_pred].snap.scan_range(prev, Some(cur));
-        let delta_tuples = delta.len() as u64;
-        let chunks = partition(delta, self.threads);
-        let nchunks = chunks.len();
-        if nchunks < 2 {
-            return Ok(None);
-        }
-        let min_chunk = chunks.iter().map(|c| c.len()).min().unwrap_or(0) as u64;
-        let max_chunk = chunks.iter().map(|c| c.len()).max().unwrap_or(0) as u64;
-        // Prebuild hash-join tables on the coordinator (through the same
-        // per-fixpoint cache the serial path uses, so frozen sources
-        // amortize across dispatches), then share each via `Arc` with
-        // every worker of the dispatch. Key columns come from the static
-        // binding walk the planner uses; workers verify the runtime
-        // pattern agrees before taking a table.
-        let mut hash_tables: HashMap<usize, Arc<coral_rel::JoinHashTable>> = HashMap::new();
-        {
-            use crate::join::RuleEnv as _;
-            let probe_ctx = JoinCtx {
-                locals: &self.locals,
-                external,
-                ranges,
-                hashjoin: Some(&self.hj),
-            };
-            let mut bound: std::collections::HashSet<coral_term::VarId> =
-                std::collections::HashSet::new();
-            for (pos, elem) in rule.body.iter().enumerate() {
-                if pos != delta_pos {
-                    match elem {
-                        BodyElem::Local { lit, recursive } => {
-                            let cols = crate::planner::bound_cols(lit, &bound);
-                            if !cols.is_empty() {
-                                if let Some(t) =
-                                    probe_ctx.hash_table(lit, true, *recursive, pos, version, &cols)
-                                {
-                                    hash_tables.insert(pos, t);
-                                }
-                            }
-                        }
-                        BodyElem::External { lit } => {
-                            let cols = crate::planner::bound_cols(lit, &bound);
-                            if !cols.is_empty() {
-                                if let Some(t) =
-                                    probe_ctx.hash_table(lit, false, false, pos, version, &cols)
-                                {
-                                    hash_tables.insert(pos, t);
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                bound.extend(elem.vars());
-            }
-        }
-        let job = Arc::new(JobCtx {
-            rule: rule.clone(),
-            version,
-            delta_pos,
-            delta_pred,
-            delta_index_specs: delta_rel.index_specs(),
-            locals: locals_map,
-            externals,
-            head_pred,
-            profiling: crate::profile::profiling(),
-            hash_tables,
-            brake: external.parallel_brake(),
-        });
-        let tasks: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                let job = Arc::clone(&job);
-                move || eval_chunk(&job, chunk)
-            })
-            .collect();
-        let results = run_tasks(nchunks, tasks);
-        // Release the coordinator's snapshot handle before merging, so
-        // head-relation inserts stay on the copy-on-write fast path.
-        drop(job);
-        // Drain ALL chunk results before propagating any error: a
-        // mid-dispatch kill (cancellation, budget) must still fold the
-        // successful chunks' worker counters and busy time, and must not
-        // leave later chunks' results unconsumed.
-        let mut outs = Vec::with_capacity(nchunks);
-        let mut busy_ns = 0u64;
-        let mut first_err: Option<EvalError> = None;
-        for r in results {
-            match r {
-                Ok(out) => {
-                    busy_ns += out.busy_ns;
-                    if let Some(c) = &out.counters {
-                        coral_profile::add(c);
-                    }
-                    outs.push(out);
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            crate::profile::scc_parallel(
-                self.profile_id,
-                scc_idx,
-                ParallelStats {
-                    parallel_firings: 1,
-                    threads: nchunks as u64,
-                    chunks: nchunks as u64,
-                    delta_tuples,
-                    min_chunk,
-                    max_chunk,
-                    busy_ns,
-                    wall_ns: t_start.elapsed().as_nanos() as u64,
-                    ..ParallelStats::default()
-                },
-            );
-            return Err(e);
-        }
-        if outs.iter().any(|o| o.nonground) {
-            // Non-ground facts under subsumption: insertion order decides
-            // which facts subsume which, so replay the version serially.
-            fallback(self);
-            return Ok(None);
-        }
-        let merge_start = std::time::Instant::now();
-        let mut solutions = 0u64;
-        let mut derived = 0u64;
-        let merge = || -> EvalResult<()> {
-            for out in outs {
-                solutions += out.solutions as u64;
-                for fact in out.facts {
-                    if head_rel.insert(fact)? {
-                        derived += 1;
-                        // Same per-successful-insert poll as the serial
-                        // emit callback; the merge replays the serial
-                        // insertion order, so tuple limits fire at the
-                        // identical count regardless of worker count.
-                        external.check_budget()?;
-                    }
-                }
-            }
-            Ok(())
-        };
-        let merge_result = merge();
-        let merge_ns = merge_start.elapsed().as_nanos() as u64;
-        // Record the dispatch even when the merge was cut short (budget
-        // or relation error): worker busy time is real and must not
-        // vanish from the profile.
-        crate::profile::scc_parallel(
-            self.profile_id,
-            scc_idx,
-            ParallelStats {
-                parallel_firings: 1,
-                serial_fallbacks: 0,
-                threads: nchunks as u64,
-                chunks: nchunks as u64,
-                delta_tuples,
-                min_chunk,
-                max_chunk,
-                merge_ns,
-                busy_ns,
-                wall_ns: t_start.elapsed().as_nanos() as u64,
-            },
-        );
-        match merge_result {
-            Ok(()) => Ok(Some((solutions, derived))),
-            Err(e) => {
-                // The caller only folds stats on the Ok path; keep the
-                // partial merge visible in the totals before unwinding.
-                self.stats.facts_derived += derived;
-                self.stats.solutions += solutions;
-                Err(e)
-            }
-        }
     }
 
     /// Re-cost every delta rule version of a recursive SCC against the

@@ -249,16 +249,9 @@ impl Session {
         self.engine.profiling()
     }
 
-    /// Set the worker-pool size for partitioned delta evaluation
-    /// (1 = serial; seeded from `CORAL_THREADS`).
-    pub fn set_threads(&self, threads: usize) {
-        self.engine.set_threads(threads);
-    }
-
-    /// The configured worker-pool size.
-    pub fn threads(&self) -> usize {
-        self.engine.threads()
-    }
+    /// Does nothing: evaluation is serial. Kept only so the e2e driver
+    /// compiles; ROADMAP item 12 deletes it.
+    pub fn set_threads(&self, _: usize) {}
 
     /// Cumulative incremental-maintenance counters for this session.
     pub fn maintain_totals(&self) -> crate::MaintainTotals {

@@ -1,13 +1,7 @@
-//! Resource-governor enforcement across every evaluation strategy,
-//! plus `k=1` vs `k=4` differential runs asserting budget exhaustion
-//! is *deterministic* under parallelism: the merge replays worker
-//! buffers in serial chunk order through the ordinary insert path, so
-//! a tuple limit must fire at exactly the same insert count whether
-//! the fixpoint ran on one thread or four.
+//! Resource-governor enforcement across every evaluation strategy.
 
 use coral_core::session::Session;
 use coral_core::{Budget, BudgetResource, EvalError};
-use coral_term::testutil::TestRng;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -294,131 +288,4 @@ fn profile_reports_budget_usage() {
     assert!(p.budget.used[1] > 0, "tuple usage must be recorded");
     let rendered = p.render();
     assert!(rendered.contains("budget:"), "render lacks budget section");
-}
-
-// ---------------------------------------------------------------------
-// Satellite: budget exhaustion under parallelism is deterministic.
-// ---------------------------------------------------------------------
-
-/// Run a seeded transitive closure with `threads` workers under
-/// `max_tuples`, returning the budget error (stringified, so `limit`
-/// and `used` both participate in the comparison).
-fn run_budgeted(threads: usize, program: &str, max_tuples: u64) -> String {
-    let s = Session::new();
-    s.set_threads(threads);
-    s.set_profiling(true);
-    s.set_budget(Budget {
-        max_tuples: Some(max_tuples),
-        ..Budget::default()
-    });
-    s.consult_str(program)
-        .unwrap_or_else(|e| panic!("consult failed at k={threads}: {e}"));
-    match s.query_all("path(X, Y)") {
-        Err(e @ EvalError::BudgetExceeded { .. }) => e.to_string(),
-        other => panic!("expected budget kill at k={threads}, got {other:?}"),
-    }
-}
-
-fn random_edges(rng: &mut TestRng, nodes: usize, edges: usize) -> String {
-    let mut s = String::new();
-    for _ in 0..edges {
-        let a = rng.gen_range(0, nodes);
-        let b = rng.gen_range(0, nodes);
-        let _ = writeln!(s, "edge({a}, {b}).");
-    }
-    s
-}
-
-#[test]
-fn budget_kill_is_deterministic_across_worker_counts() {
-    // Right-linear (an `edge` scan drives, `path`'s delta is hash
-    // probed) and left-linear (the delta scan drives): in both, facts
-    // must reach the coordinator's tuple meter in the serial order, so
-    // a tuple limit fires at the same count at k=1 and k=4.
-    for body in ["edge(X, Z), path(Z, Y)", "path(X, Z), edge(Z, Y)"] {
-        for seed in 1..=4u64 {
-            let mut rng = TestRng::new(seed);
-            let nodes = rng.gen_range(30, 50);
-            let edges = rng.gen_range(3 * nodes, 5 * nodes);
-            let program = format!(
-                "{}\
-                 module tc.\n\
-                 export path(ff).\n\
-                 path(X, Y) :- edge(X, Y).\n\
-                 path(X, Y) :- {body}.\n\
-                 end_module.\n",
-                random_edges(&mut rng, nodes, edges)
-            );
-            // A limit low enough to fire mid-fixpoint but high enough
-            // that k=4 has dispatched real worker chunks by then.
-            let serial = run_budgeted(1, &program, 200);
-            let parallel = run_budgeted(4, &program, 200);
-            assert_eq!(
-                parallel, serial,
-                "budget kill not deterministic across worker counts ({body}, seed {seed})"
-            );
-        }
-    }
-}
-
-#[test]
-fn worker_pool_survives_repeated_mid_dispatch_kills() {
-    let mut rng = TestRng::new(99);
-    let nodes = 40;
-    let program = format!(
-        "{}\
-         module tc.\n\
-         export path(ff).\n\
-         path(X, Y) :- edge(X, Y).\n\
-         path(X, Y) :- edge(X, Z), path(Z, Y).\n\
-         end_module.\n",
-        random_edges(&mut rng, nodes, 5 * nodes)
-    );
-    let s = Session::new();
-    s.set_threads(4);
-    s.set_profiling(true);
-    s.consult_str(&program).unwrap();
-
-    // Kill the same parallel fixpoint several times in a row: the pool
-    // must fully drain each time (a leaked worker would wedge or panic
-    // a later dispatch) and the aborted dispatch's profile must still
-    // fold worker busy time instead of dropping it.
-    let mut saw_parallel_kill = false;
-    for _ in 0..3 {
-        s.set_budget(Budget {
-            max_tuples: Some(600),
-            ..Budget::default()
-        });
-        match s.query_all("path(X, Y)") {
-            Err(EvalError::BudgetExceeded { .. }) => {}
-            other => panic!("expected budget kill, got {other:?}"),
-        }
-        let p = s.last_profile().expect("failed query still finalizes");
-        for scc in &p.sccs {
-            if scc.parallel.parallel_firings > 0 {
-                saw_parallel_kill = true;
-                assert!(
-                    scc.parallel.busy_ns > 0,
-                    "parallel dispatch recorded without folded busy time"
-                );
-            }
-        }
-    }
-    assert!(
-        saw_parallel_kill,
-        "budget never fired after a parallel dispatch — test vacuous"
-    );
-
-    // The pool is intact: the same session completes the full closure
-    // once the budget is lifted, still at k=4.
-    s.set_budget(Budget::unlimited());
-    let full = s.query_all("path(X, Y)").unwrap();
-    assert!(!full.is_empty());
-
-    // And a differential sanity check: k=1 on a fresh session agrees.
-    let s1 = Session::new();
-    s1.set_threads(1);
-    s1.consult_str(&program).unwrap();
-    let serial = s1.query_all("path(X, Y)").unwrap();
-    assert_eq!(full.len(), serial.len(), "answers diverge after kills");
 }

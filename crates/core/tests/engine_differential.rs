@@ -1,26 +1,25 @@
 //! The engine differential: over the shared 5-family × 20-seed program
-//! generators, the default engine at `k=1` and at `k=4`, the `@bsn`
-//! and `@psn` strategies of §3.2, and the `@lazy` and `@save_module`
-//! answer scans of §5.4 (the saved module queried twice), must answer
-//! exactly like the *reference evaluator* — the same program under
-//! `@naive. @rewrite none.`, which joins in source order over
-//! index/scan candidates with none of the optimised machinery (no hash
-//! tables, no planner, no worker pool, no maintained state).
+//! generators, the default engine, the `@bsn` and `@psn` strategies of
+//! §3.2, and the `@lazy` and `@save_module` answer scans of §5.4 (the
+//! saved module queried twice), must answer exactly like the *reference
+//! evaluator* — the same program under `@naive. @rewrite none.`, which
+//! joins in source order over index/scan candidates with none of the
+//! optimised machinery (no hash tables, no planner, no maintained
+//! state).
 //!
 //! Answer lists are compared sorted but *not* deduplicated, so
-//! multiplicity differences fail too. `k=1` vs `k=4` must match exactly
-//! on every family (the parallel merge replays the serial insertion
-//! order). Every other leg vs the reference is exact on the ground
-//! families; on `nonground` it is modulo subsumption, because the
-//! planner and hash buckets legitimately change derivation order and
-//! `SetSubsuming` relations keep an already-stored specific tuple when a
-//! more general one lands later — the stored representation of the same
-//! answer set depends on arrival order. On `sg`, whose parent edges are
+//! multiplicity differences fail too. Every leg vs the reference is
+//! exact on the ground families; on `nonground` it is modulo
+//! subsumption, because the planner and hash buckets legitimately
+//! change derivation order and `SetSubsuming` relations keep an
+//! already-stored specific tuple when a more general one lands later —
+//! the stored representation of the same answer set depends on arrival
+//! order. On `sg`, whose parent edges are
 //! acyclic, the `@pipelining` leg (§5.2) must produce the reference's
 //! answer set; top-down evaluation repeats answers, so it is compared
 //! deduplicated.
 //!
-//! On the default `k=1` session, seeded query patterns mixing constants,
+//! On the default session, seeded query patterns mixing constants,
 //! repeated named variables and `_` must bind every answer exactly as
 //! unifying the pattern with the answer tuple resolves it — the binding
 //! plan that reads ground answers off the tuple against the unifier.
@@ -66,12 +65,9 @@ enum Scope {
     Family(&'static str),
 }
 
-/// The one engaged figure that is not a registry counter.
-const PARALLEL_FIRINGS: &str = "parallel.parallel_firings";
-
 /// Counters (by `all_counters()` name) that must be nonzero on the
 /// default side.
-const ENGAGED: [(&str, Scope); 7] = [
+const ENGAGED: [(&str, Scope); 6] = [
     ("core.batched_rows", Scope::EveryFamily),
     // Non-ground candidates must take the unify fallback, or the ground
     // matcher's boundary goes untested.
@@ -80,7 +76,6 @@ const ENGAGED: [(&str, Scope); 7] = [
     ("core.joinhash_bloom_skips", Scope::Suite),
     ("core.plan_reordered", Scope::Suite),
     ("core.plan_replans", Scope::Suite),
-    (PARALLEL_FIRINGS, Scope::Suite),
 ];
 
 /// Counters that must stay zero on every default-side, `@lazy` and
@@ -90,9 +85,6 @@ const ENGAGED: [(&str, Scope); 7] = [
 const ZERO_ON_GROUND: [&str; 2] = ["term.unify_attempts", "core.fallback_rows"];
 
 fn counter(p: &EngineProfile, name: &str) -> u64 {
-    if name == PARALLEL_FIRINGS {
-        return p.sccs.iter().map(|s| s.parallel.parallel_firings).sum();
-    }
     let counters = p.counters();
     let found = counters.iter().find(|(k, _)| k == name);
     found.unwrap_or_else(|| panic!("no counter {name}")).1
@@ -100,9 +92,8 @@ fn counter(p: &EngineProfile, name: &str) -> u64 {
 
 /// Consult `program`, run `query`, and return the sorted answers (not
 /// deduplicated) with the session for profile inspection.
-fn run(threads: usize, program: &str, query: &str, label: &str) -> (Vec<String>, Session) {
+fn run(program: &str, query: &str, label: &str) -> (Vec<String>, Session) {
     let s = Session::new();
-    s.set_threads(threads);
     s.set_profiling(true);
     s.consult_str(program)
         .unwrap_or_else(|e| panic!("{label}: consult failed: {e}"));
@@ -121,8 +112,7 @@ fn answers(s: &Session, query: &str, label: &str) -> Vec<String> {
     out
 }
 
-/// The reference run must not have touched any optimised machinery —
-/// even with a worker pool configured.
+/// The reference run must not have touched any optimised machinery.
 fn reference_is_independent(s: &Session, label: &str) {
     assert_eq!(
         s.maintain_totals(),
@@ -135,13 +125,6 @@ fn reference_is_independent(s: &Session, label: &str) {
         if optimised.iter().any(|prefix| name.starts_with(prefix)) {
             assert_eq!(v, 0, "{label}: reference run counted {name}");
         }
-    }
-    for sec in &p.sccs {
-        assert_eq!(
-            (sec.parallel.parallel_firings, sec.parallel.serial_fallbacks),
-            (0, 0),
-            "{label}: reference run considered the worker pool"
-        );
     }
 }
 
@@ -271,9 +254,8 @@ fn bindings_match_the_unifier(s: &Session, case: &Case, seed: u64, label: &str) 
     (checked, nonground)
 }
 
-/// A family's default-side [`ENGAGED`] counters (`k=1` and `k=4` runs
-/// summed) and the join candidates the `@naive` reference and the
-/// `@bsn` leg pulled.
+/// A family's default-side [`ENGAGED`] counters and the join
+/// candidates the `@naive` reference and the `@bsn` leg pulled.
 #[derive(Default)]
 struct Totals {
     engaged: [u64; ENGAGED.len()],
@@ -321,38 +303,32 @@ fn run_family(&(name, gen, base): &Family) -> Totals {
         let label = format!("{name} seed {seed}");
         let program = case.program("");
 
-        let (reference, rs) = run(4, &case.program(REFERENCE), case.query, &label);
+        let (reference, rs) = run(&case.program(REFERENCE), case.query, &label);
         assert!(!reference.is_empty(), "{label}: query has answers");
         reference_is_independent(&rs, &label);
         totals.naive_probes += probes(&rs);
 
-        let (serial, s1) = run(1, &program, case.query, &label);
-        add_zero_on_ground(&mut totals, &s1);
+        let (default, s) = run(&program, case.query, &label);
+        add_zero_on_ground(&mut totals, &s);
         assert_matches(
             name,
-            &serial,
+            &default,
             &reference,
-            &format!("{label}: default (k=1) on:\n{program}\n"),
+            &format!("{label}: default on:\n{program}\n"),
         );
-        let (checked, nonground) = bindings_match_the_unifier(&s1, &case, seed, &label);
-        bound += checked;
-        bound_nonground += nonground;
-        let (parallel, s4) = run(4, &program, case.query, &label);
-        add_zero_on_ground(&mut totals, &s4);
-        assert_eq!(
-            parallel, serial,
-            "{label}: default k=4 answers differ from k=1 on:\n{program}"
-        );
-        for s in [s1, s4] {
-            if let Some(p) = s.last_profile() {
-                for (t, (c, _)) in totals.engaged.iter_mut().zip(ENGAGED) {
-                    *t += counter(&p, c);
-                }
+        // Read the default run's profile before the bindings check's
+        // queries replace it.
+        if let Some(p) = s.last_profile() {
+            for (t, (c, _)) in totals.engaged.iter_mut().zip(ENGAGED) {
+                *t += counter(&p, c);
             }
         }
+        let (checked, nonground) = bindings_match_the_unifier(&s, &case, seed, &label);
+        bound += checked;
+        bound_nonground += nonground;
         for strategy in STRATEGIES {
             let program = case.program(strategy);
-            let (answers, s) = run(1, &program, case.query, &label);
+            let (answers, s) = run(&program, case.query, &label);
             assert_matches(
                 name,
                 &answers,
@@ -366,7 +342,7 @@ fn run_family(&(name, gen, base): &Family) -> Totals {
         for scan in SCANS {
             let program = case.program(scan);
             let what = format!("{label}: {} on:\n{program}\n", scan.trim());
-            let (first, s) = run(1, &program, case.query, &label);
+            let (first, s) = run(&program, case.query, &label);
             add_zero_on_ground(&mut totals, &s);
             assert_matches(name, &first, &reference, &what);
             if scan == SAVE_MODULE {
@@ -378,7 +354,7 @@ fn run_family(&(name, gen, base): &Family) -> Totals {
         }
         if name == PIPELINING.0 {
             let program = case.program(PIPELINING.1);
-            let (mut answers, _) = run(1, &program, case.query, &label);
+            let (mut answers, _) = run(&program, case.query, &label);
             answers.dedup();
             let mut want = reference.clone();
             want.dedup();

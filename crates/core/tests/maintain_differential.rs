@@ -6,8 +6,8 @@
 //! while randomized insert/delete batches churn the base relations. An
 //! *oracle* session — the same program under `@maintain recompute`, the
 //! same mutation sequence replayed, evaluated from scratch — must
-//! produce exactly the same answers after every batch, serial and
-//! parallel. Non-vacuousness is asserted from the engine's maintenance
+//! produce exactly the same answers after every batch. Non-vacuousness
+//! is asserted from the engine's maintenance
 //! totals: both counting and DRed propagation must actually fire, or the
 //! suite is testing nothing.
 
@@ -106,9 +106,6 @@ fn sorted_answers(session: &Session, query: &str, label: &str) -> Vec<String> {
     out
 }
 
-/// Evaluation-config axis: serial and parallel.
-const THREADS: &[usize] = &[1, 4];
-
 const BATCHES: usize = 3;
 
 /// Run the maintained session (`program_for(kind)`) against the
@@ -120,12 +117,10 @@ fn differential(
     kind: &str,
     query: &str,
     preds: &[(&'static str, bool)],
-    threads: usize,
     rng: &mut TestRng,
     label: &str,
 ) -> coral_core::MaintainTotals {
     let m = Session::new();
-    m.set_threads(threads);
     m.consult_str(&program_for(kind))
         .unwrap_or_else(|e| panic!("consult failed ({label}): {e}"));
     // First query builds the maintained state.
@@ -143,7 +138,6 @@ fn differential(
         // Fresh-recompute oracle: `@maintain recompute`, the whole
         // mutation history replayed, evaluated from scratch.
         let o = Session::new();
-        o.set_threads(threads);
         o.consult_str(&oracle_program).unwrap();
         apply(&o, &history);
 
@@ -152,7 +146,7 @@ fn differential(
         assert_eq!(
             maintained, recomputed,
             "{label}: maintained answers diverge from recompute \
-             after batch {batch_no} (threads={threads})"
+             after batch {batch_no}"
         );
         assert_eq!(
             o.maintain_totals(),
@@ -176,23 +170,20 @@ fn dred_matches_recompute_oracle() {
         for seed in 0..families::SEEDS {
             let case = gen(base_seed + seed);
             let program_for = |kind: &str| case.program(&format!("@maintain {kind}.\n"));
-            for (ci, &threads) in THREADS.iter().enumerate() {
-                let mut rng = TestRng::new(0x5EED_0000 + base_seed * 1000 + seed * 7 + ci as u64);
-                let label = format!("{name} seed {seed}");
-                let t = differential(
-                    &program_for,
-                    "dred",
-                    case.query,
-                    base_preds(name),
-                    threads,
-                    &mut rng,
-                    &label,
-                );
-                family_propagated += t.propagated;
-                propagated += t.propagated;
-                overdeleted += t.overdeleted;
-                rederived += t.rederived;
-            }
+            let mut rng = TestRng::new(0x5EED_0000 + base_seed * 1000 + seed * 7);
+            let label = format!("{name} seed {seed}");
+            let t = differential(
+                &program_for,
+                "dred",
+                case.query,
+                base_preds(name),
+                &mut rng,
+                &label,
+            );
+            family_propagated += t.propagated;
+            propagated += t.propagated;
+            overdeleted += t.overdeleted;
+            rederived += t.rederived;
         }
         // The nonground family's derived tuples are non-ground, which
         // the builder refuses — it locks down the recompute fallback
@@ -254,21 +245,18 @@ fn counting_matches_recompute_oracle() {
     let mut count_updates = 0u64;
     for seed in 0..families::SEEDS {
         let (program, query) = counting_case(7000 + seed);
-        for (ci, &threads) in THREADS.iter().enumerate() {
-            let mut rng = TestRng::new(0xC0_0000 + seed * 13 + ci as u64);
-            let label = format!("counting seed {seed}");
-            let t = differential(
-                &|kind| program.replace("KIND", kind),
-                "counting",
-                query,
-                preds,
-                threads,
-                &mut rng,
-                &label,
-            );
-            propagated += t.propagated;
-            count_updates += t.count_updates;
-        }
+        let mut rng = TestRng::new(0xC0_0000 + seed * 13);
+        let label = format!("counting seed {seed}");
+        let t = differential(
+            &|kind| program.replace("KIND", kind),
+            "counting",
+            query,
+            preds,
+            &mut rng,
+            &label,
+        );
+        propagated += t.propagated;
+        count_updates += t.count_updates;
     }
     assert!(propagated > 0, "no counting propagation ever fired");
     assert!(
@@ -344,7 +332,6 @@ fn strata_family_matches_recompute_oracle() {
                 kind,
                 "seen(Y)",
                 base_preds("strata"),
-                THREADS[ci],
                 &mut rng,
                 &format!("strata {kind} seed {seed}"),
             );

@@ -34,13 +34,19 @@
 //!   it gets a `BudgetExceeded` error frame — or, mid-stream, a final
 //!   `Batch` carrying the answers produced so far plus an explicit
 //!   truncation marker — while the connection stays usable.
+//! * **Unopenable relations.** A stored relation that a connection
+//!   cannot open (unreadable schema, damaged files) is not replaced by
+//!   an in-memory stand-in: a consult that writes it is refused whole
+//!   with a `Rel` error naming it, so no write to it is acknowledged.
 
 use crate::error::{ErrorCode, NetError, NetResult};
 use crate::proto::{self, Request, Response, DEFAULT_MAX_FRAME};
 use crate::stats::{NetStats, NetStatsSnapshot};
 use coral_core::{Answers, Budget, CancelToken, EvalError, Session};
+use coral_lang::{Annotation, ProgramItem};
 use coral_rel::PersistentRelation;
 use coral_storage::{StorageClient, StorageServer};
+use coral_term::Symbol;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -71,9 +77,6 @@ pub struct ServerConfig {
     /// Wall-clock budget per engine-evaluating request (consult,
     /// query, next-answer); `None` means unlimited.
     pub request_timeout: Option<Duration>,
-    /// Evaluation threads per session (partitioned delta evaluation);
-    /// `None` defers to `CORAL_THREADS` (default 1 = serial).
-    pub threads: Option<usize>,
     /// Default resource budget installed in every session
     /// ([`Budget::unlimited`] by default). A query exhausting it gets
     /// a `BudgetExceeded` error frame, or a truncated final batch if
@@ -96,7 +99,6 @@ impl Default for ServerConfig {
             frames: 256,
             max_frame: DEFAULT_MAX_FRAME,
             request_timeout: None,
-            threads: None,
             budget: Budget::unlimited(),
             max_eval_in_flight: None,
             shed_backoff_ms: 50,
@@ -434,17 +436,21 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
 
     let session = Session::new();
-    if let Some(threads) = shared.config.threads {
-        session.set_threads(threads);
-    }
     session.set_budget(shared.config.budget);
+    let mut unopenable = Vec::new();
     if let Some(storage) = &shared.storage {
         session.attach_storage_client(Arc::clone(storage));
         // Register every on-disk relation so all sessions see the same
         // persistent database without per-client declarations.
         for name in PersistentRelation::list(storage) {
-            if let Ok(Some(arity)) = PersistentRelation::stored_arity(storage, &name) {
-                let _ = session.create_persistent(&name, arity);
+            let opened = match PersistentRelation::stored_arity(storage, &name) {
+                Ok(Some(arity)) => session.create_persistent(&name, arity).map(drop),
+                Ok(None) => Ok(()),
+                Err(e) => Err(EvalError::Rel(e)),
+            };
+            if let Err(e) = opened {
+                let msg = format!("persistent relation {name} cannot be opened: {e}");
+                unopenable.push((Symbol::intern(&name), msg));
             }
         }
     }
@@ -462,6 +468,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
         stream,
         session,
         open: None,
+        unopenable,
     };
     conn.run();
 }
@@ -473,6 +480,9 @@ struct Conn<'a> {
     /// The connection's open query, if any; answers are pulled from it
     /// batch by batch so pipelined evaluation stays lazy end to end.
     open: Option<Answers>,
+    /// Stored relations this connection could not open, with the error
+    /// to report for a consult that writes one.
+    unopenable: Vec<(Symbol, String)>,
 }
 
 enum ReadOutcome {
@@ -614,6 +624,31 @@ impl Conn<'_> {
         }
     }
 
+    /// The refusal for a consult that writes a relation this connection
+    /// could not open, if `src` has such a fact or annotation. Without
+    /// it the consult would write an in-memory relation of the same
+    /// name that never reaches storage. A consult that does not parse
+    /// passes, to fail with its parse error.
+    fn refuse_unopenable(&self, src: &str) -> Option<Response> {
+        if self.unopenable.is_empty() {
+            return None;
+        }
+        let program = coral_lang::parse_program(src).ok()?;
+        program.items.iter().find_map(|item| {
+            let pred = match item {
+                ProgramItem::Fact(f) => f.head.pred_ref(),
+                ProgramItem::Annotation(
+                    Annotation::MakeIndex { pred, .. }
+                    | Annotation::AggregateSelection { pred, .. }
+                    | Annotation::Multiset(pred),
+                ) => *pred,
+                _ => return None,
+            };
+            let (_, msg) = self.unopenable.iter().find(|(n, _)| *n == pred.name)?;
+            Some(net_error_response(ErrorCode::Rel, msg.clone()))
+        })
+    }
+
     /// Map an engine error to a response, counting governor kills.
     fn eval_error(&self, e: &EvalError) -> Response {
         if matches!(e, EvalError::BudgetExceeded { .. }) {
@@ -661,6 +696,9 @@ impl Conn<'_> {
                 #[cfg(test)]
                 if src == tests::PANIC_PROBE {
                     panic!("test-injected connection panic");
+                }
+                if let Some(refused) = self.refuse_unopenable(&src) {
+                    return (refused, false);
                 }
                 // Bracket the (potentially mutating) consult in a storage
                 // transaction. Concurrent sessions writing the same

@@ -7,7 +7,7 @@
 //! The storage faults come from `coral-sim`'s [`SimVfs`], threaded under
 //! the server with [`Server::start_with_storage`].
 
-use coral_net::{Client, NetError, Server, ServerConfig};
+use coral_net::{Client, ErrorCode, NetError, Server, ServerConfig};
 use coral_rel::{PersistentRelation, Relation};
 use coral_sim::SimVfs;
 use coral_storage::{StorageClient, StorageServer, Vfs};
@@ -161,6 +161,57 @@ fn checkpoint_fsync_failure_costs_one_request() {
     // The remote `:check` sees a healthy store.
     let report = client.check().unwrap();
     assert!(report.contains("no problems"), "{report}");
+    client.quit().unwrap();
+
+    let stats = server.shutdown();
+    assert_eq!(stats.connections_active, 0, "leaked slot: {stats}");
+}
+
+/// A stored relation whose schema record is unreadable must not be
+/// replaced by an in-memory stand-in: a fact written to it over the
+/// wire gets a `Rel` error that names it, never an acknowledgement.
+#[test]
+fn unopenable_relation_refuses_writes() {
+    let (_vfs, storage) = sim_storage(0xFA_19, 16);
+    {
+        let rel = PersistentRelation::open(&storage, "pbad", 2).unwrap();
+        rel.insert(Tuple::ground(vec![Term::int(1), Term::int(2)]))
+            .unwrap();
+        let schema = storage.heap("pbad.schema").unwrap();
+        let txn = storage.begin().unwrap();
+        schema.set_txn(Some(txn));
+        let (rid, _) = schema.scan().next().unwrap().unwrap();
+        schema.update(rid, b"garbage").unwrap();
+        storage.commit(txn).unwrap();
+        storage.checkpoint().unwrap();
+    }
+    assert!(PersistentRelation::stored_arity(&storage, "pbad").is_err());
+    let server = Server::start_with_storage(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+        Arc::clone(&storage),
+    )
+    .unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    match client.consult_str("pbad(3, 4).") {
+        Err(NetError::Remote { code, msg }) => {
+            assert_eq!(code, ErrorCode::Rel, "{msg}");
+            assert!(
+                msg.contains("pbad"),
+                "error does not name the relation: {msg}"
+            );
+        }
+        other => panic!("expected a remote error for pbad, got {other:?}"),
+    }
+    assert!(client.query_all("?- pbad(X, Y).").is_err(), "no stand-in");
+
+    // The connection keeps serving writes to other relations.
+    client.consult_str("pgood(1).").unwrap();
+    assert_eq!(client.query_all("?- pgood(X).").unwrap().len(), 1);
     client.quit().unwrap();
 
     let stats = server.shutdown();

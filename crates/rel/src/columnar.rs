@@ -7,10 +7,9 @@
 //! so columns stay one machine word wide.
 //!
 //! No engine path reads a batch any more: the semi-naive join reads
-//! every candidate as a stored tuple, and the parallel fixpoint hands
-//! its workers tuple chunks. `from_tuples` and the storage it fills
-//! stay only because the end-to-end benchmark replays it as a per-layer
-//! cost; they go once that replay is retired. A columnar layout pays
+//! every candidate as a stored tuple. `from_tuples` and the storage it
+//! fills stay only because the end-to-end benchmark replays it as a
+//! per-layer cost; they go once that replay is retired. A columnar layout pays
 //! off only when relations are stored column-major end to end, not as a
 //! copy of each delta.
 

@@ -285,16 +285,16 @@ struct AggGroup {
 }
 
 struct Inner {
-    /// Subsidiaries are `Arc`-shared with [`RelSnapshot`]s: mutation goes
-    /// through `Arc::make_mut`, so the open (refcount-1) subsidiary is
-    /// updated in place while any subsidiary a live snapshot still holds
-    /// is copied on write — snapshots are immutable and lock-free.
+    /// Subsidiaries are `Arc`-shared with open
+    /// [`HashRelation::scan_owned`] cursors: mutation goes through
+    /// `Arc::make_mut`, so the open (refcount-1) subsidiary is updated in
+    /// place while any subsidiary a live cursor still holds is copied on
+    /// write.
     subs: Vec<Arc<Subsidiary>>,
-    defs: Vec<Arc<IndexDef>>,
+    defs: Vec<IndexDef>,
     dup: DupSemantics,
-    /// Exact-duplicate map (Set modes only). `Arc`-shared with snapshots
-    /// for worker-side duplicate prefiltering; mutated via `make_mut`.
-    seen: Arc<HashMap<Tuple, Addr>>,
+    /// Exact-duplicate map (Set modes only).
+    seen: HashMap<Tuple, Addr>,
     /// Addresses of stored non-ground tuples, for subsumption checks and
     /// conservative lookups.
     nonground: Vec<Addr>,
@@ -327,7 +327,7 @@ impl HashRelation {
                 subs: vec![Arc::new(Subsidiary::default())],
                 defs: Vec::new(),
                 dup,
-                seen: Arc::new(HashMap::new()),
+                seen: HashMap::new(),
                 nonground: Vec::new(),
                 aggsels: Vec::new(),
                 agg_state: Vec::new(),
@@ -399,15 +399,16 @@ impl HashRelation {
             .sum()
     }
 
-    /// Scan the union of the subsidiaries in `[from, to)`.
-    pub fn scan_range(&self, from: Mark, to: Option<Mark>) -> TupleIter {
+    /// The live tuples of the subsidiaries in `[from, to)`, in insertion
+    /// order.
+    pub fn scan_range(&self, from: Mark, to: Option<Mark>) -> Vec<Tuple> {
         let inner = self.inner.borrow();
         let end = to.map(|m| m.0).unwrap_or(inner.subs.len());
         let mut out = Vec::new();
         for s in &inner.subs[from.0.min(inner.subs.len())..end.min(inner.subs.len())] {
             out.extend(s.tuples.iter().filter_map(|t| t.clone()));
         }
-        iter_from_vec(out)
+        out
     }
 
     /// Indexed candidate lookup restricted to the subsidiaries in
@@ -441,7 +442,7 @@ impl HashRelation {
         inner.live -= 1;
         inner.stats.on_delete(tuple.args());
         crate::meter::add_deleted(1);
-        Arc::make_mut(&mut inner.seen).remove(&tuple);
+        inner.seen.remove(&tuple);
         if !tuple.is_ground() {
             if let Some(i) = inner.nonground.iter().position(|a| *a == addr) {
                 inner.nonground.swap_remove(i);
@@ -461,26 +462,10 @@ impl HashRelation {
         Some(tuple)
     }
 
-    /// Freeze the current contents into an immutable, `Sync`
-    /// [`RelSnapshot`]: O(#subsidiaries) `Arc` clones, no tuple copying.
-    /// Subsequent inserts/deletes/index retrofits on the relation leave
-    /// the snapshot untouched (copy-on-write through `Arc::make_mut`).
-    pub fn snapshot(&self) -> RelSnapshot {
-        let inner = self.inner.borrow();
-        RelSnapshot {
-            arity: self.arity,
-            subs: inner.subs.clone(),
-            defs: inner.defs.clone(),
-            seen: Arc::clone(&inner.seen),
-            dup: inner.dup,
-        }
-    }
-
     /// An owned cursor over the current contents, in insertion order:
     /// O(#subsidiaries) `Arc` clones at open, tuples cloned one at a time
     /// as they are pulled, each subsidiary let go once it is behind the
-    /// cursor. Unlike a [`RelSnapshot`] it does not hold the duplicate
-    /// map, so a write while the cursor is open copies at most the
+    /// cursor. A write while the cursor is open copies at most the
     /// subsidiaries it touches; the cursor keeps seeing the contents as
     /// of open. Counts one `full_scans`.
     pub fn scan_owned(&self) -> impl Iterator<Item = Tuple> {
@@ -490,9 +475,9 @@ impl HashRelation {
             .flat_map(|s| (0..s.tuples.len()).filter_map(move |i| s.tuples[i].clone()))
     }
 
-    /// Whether an exact variant of `tuple` is stored right now (the live
-    /// twin of [`RelSnapshot::contains_exact`]; always `false` for
-    /// multiset relations, whose duplicate map is not maintained).
+    /// Whether an exact variant of `tuple` is stored right now (always
+    /// `false` for multiset relations, whose duplicate map is not
+    /// maintained).
     pub fn contains_exact(&self, tuple: &Tuple) -> bool {
         let inner = self.inner.borrow();
         inner.dup != DupSemantics::Multiset && inner.seen.contains_key(tuple)
@@ -519,14 +504,13 @@ impl HashRelation {
         !self.inner.borrow().aggsels.is_empty()
     }
 
-    /// The currently defined indices as respecifiable [`IndexSpec`]s
-    /// (used to replicate indexing onto per-worker delta chunks).
+    /// The currently defined indices as respecifiable [`IndexSpec`]s.
     pub fn index_specs(&self) -> Vec<IndexSpec> {
         self.inner
             .borrow()
             .defs
             .iter()
-            .map(|d| match &**d {
+            .map(|d| match d {
                 IndexDef::Args(cols) => IndexSpec::Args(cols.clone()),
                 IndexDef::Pattern {
                     pattern, key_vars, ..
@@ -539,15 +523,10 @@ impl HashRelation {
     }
 }
 
-/// Indexed candidate lookup over a slice of subsidiaries — the one code
-/// path shared by [`HashRelation`] (under its `RefCell` borrow) and
-/// [`RelSnapshot`] (lock-free), so index selection, the var-bucket
-/// enumeration and the `index_probes`/`full_scans` counters behave
-/// identically on both. Counters land in the calling thread's cells:
-/// exactly one probe or scan is counted per lookup, whether it runs on
-/// the live relation or on a frozen snapshot in a worker.
+/// Indexed candidate lookup over the subsidiaries `[start, end)`.
+/// Counts exactly one `index_probes` or `full_scans` per lookup.
 fn lookup_slice(
-    defs: &[Arc<IndexDef>],
+    defs: &[IndexDef],
     subs: &[Arc<Subsidiary>],
     pattern: &[Term],
     start: usize,
@@ -626,97 +605,6 @@ fn lookup_slice(
     out
 }
 
-/// An immutable, lock-free view of a [`HashRelation`] at one instant:
-/// the frozen subsidiary list (with per-subsidiary index data), the
-/// index definitions in effect, and the exact-duplicate map. `Send` and
-/// `Sync` — the parallel semi-naive evaluator hands clones to worker
-/// threads, which probe it without any locking while the coordinator's
-/// relation keeps evolving behind its `RefCell`.
-#[derive(Clone)]
-pub struct RelSnapshot {
-    arity: usize,
-    subs: Vec<Arc<Subsidiary>>,
-    defs: Vec<Arc<IndexDef>>,
-    seen: Arc<HashMap<Tuple, Addr>>,
-    dup: DupSemantics,
-}
-
-impl RelSnapshot {
-    /// Number of columns.
-    pub fn arity(&self) -> usize {
-        self.arity
-    }
-
-    /// The boundary after everything in the snapshot (same convention as
-    /// [`HashRelation::current_mark`]).
-    pub fn end_mark(&self) -> Mark {
-        let last = self.subs.last().unwrap();
-        if last.tuples.is_empty() {
-            Mark(self.subs.len() - 1)
-        } else {
-            Mark(self.subs.len())
-        }
-    }
-
-    fn clamp(&self, from: Mark, to: Option<Mark>) -> (usize, usize) {
-        let end = to
-            .map(|m| m.0)
-            .unwrap_or(self.subs.len())
-            .min(self.subs.len());
-        (from.0.min(end), end)
-    }
-
-    /// Live tuples inserted in `[from, to)`.
-    pub fn len_range(&self, from: Mark, to: Option<Mark>) -> usize {
-        let (start, end) = self.clamp(from, to);
-        self.subs[start..end].iter().map(|s| s.live).sum()
-    }
-
-    /// Eagerly scan the union of the subsidiaries in `[from, to)`, in
-    /// insertion order (the order the serial delta scan would produce).
-    pub fn scan_range(&self, from: Mark, to: Option<Mark>) -> Vec<Tuple> {
-        let (start, end) = self.clamp(from, to);
-        let mut out = Vec::new();
-        for s in &self.subs[start..end] {
-            out.extend(s.tuples.iter().filter_map(|t| t.clone()));
-        }
-        out
-    }
-
-    /// Indexed candidate lookup restricted to `[from, to)`; counts one
-    /// `index_probes` or `full_scans` on the calling thread, exactly as
-    /// the live relation's lookup does.
-    pub fn lookup_range(&self, pattern: &[Term], from: Mark, to: Option<Mark>) -> Vec<Tuple> {
-        let (start, end) = self.clamp(from, to);
-        lookup_slice(&self.defs, &self.subs, pattern, start, end)
-    }
-
-    /// Indexed candidate lookup over the whole snapshot.
-    pub fn lookup(&self, pattern: &[Term]) -> Vec<Tuple> {
-        self.lookup_range(pattern, Mark(0), None)
-    }
-
-    /// Whether an exact variant of `tuple` was already stored when the
-    /// snapshot was taken (always `false` for multiset relations, whose
-    /// duplicate map is not maintained). Workers use this to prefilter
-    /// rederivations of old facts before the serial merge.
-    pub fn contains_exact(&self, tuple: &Tuple) -> bool {
-        self.dup != DupSemantics::Multiset && self.seen.contains_key(tuple)
-    }
-
-    /// The snapshotted relation's duplicate semantics.
-    pub fn dup_semantics(&self) -> DupSemantics {
-        self.dup
-    }
-}
-
-// The whole point of the snapshot: workers on other threads may probe it
-// concurrently. (Tuples and terms are immutable and Arc-backed.)
-const _: () = {
-    const fn assert_sync<T: Send + Sync>() {}
-    assert_sync::<RelSnapshot>()
-};
-
 impl Relation for HashRelation {
     fn as_any(&self) -> &dyn std::any::Any {
         self
@@ -785,7 +673,7 @@ impl Relation for HashRelation {
         }
         // Append to the open subsidiary. `make_mut` mutates in place when
         // the subsidiary is unshared (the common case) and copies on
-        // write when a live snapshot still holds it.
+        // write when an open cursor still holds it.
         tuple.intern_ground();
         let inner = &mut *inner;
         let sub_idx = inner.subs.len() - 1;
@@ -811,7 +699,7 @@ impl Relation for HashRelation {
             }
         }
         if inner.dup != DupSemantics::Multiset {
-            Arc::make_mut(&mut inner.seen).insert(tuple.clone(), addr);
+            inner.seen.insert(tuple.clone(), addr);
         }
         if !tuple.is_ground() {
             inner.nonground.push(addr);
@@ -867,7 +755,7 @@ impl Relation for HashRelation {
     }
 
     fn scan(&self) -> TupleIter {
-        self.scan_range(Mark(0), None)
+        iter_from_vec(self.scan_range(Mark(0), None))
     }
 
     fn lookup(&self, pattern: &[Term]) -> TupleIter {
@@ -928,10 +816,8 @@ impl Relation for HashRelation {
         }
         // Retrofit the index onto existing subsidiaries ("indices can
         // also be created at a later time", §2). Copy-on-write: a
-        // subsidiary still held by a live snapshot is cloned rather than
-        // mutated, so the snapshot keeps seeing exactly the index set it
-        // was frozen with (its `defs` list matches its per-subsidiary
-        // index data by position).
+        // subsidiary still held by an open cursor is cloned rather than
+        // mutated.
         for s in &mut inner.subs {
             let mut data = IndexData::default();
             for (pos, t) in s.tuples.iter().enumerate() {
@@ -947,7 +833,7 @@ impl Relation for HashRelation {
             }
             Arc::make_mut(s).indexes.push(data);
         }
-        inner.defs.push(Arc::new(def));
+        inner.defs.push(def);
         Ok(())
     }
 
@@ -1009,15 +895,9 @@ mod tests {
         let m2 = r.mark();
         r.insert(t2(4, 4)).unwrap();
 
-        let old: Vec<Tuple> = r
-            .scan_range(Mark(0), Some(m1))
-            .map(|x| x.unwrap())
-            .collect();
-        assert_eq!(old, vec![t2(1, 1)]);
-        let delta: Vec<Tuple> = r.scan_range(m1, Some(m2)).map(|x| x.unwrap()).collect();
-        assert_eq!(delta, vec![t2(2, 2), t2(3, 3)]);
-        let newest: Vec<Tuple> = r.scan_range(m2, None).map(|x| x.unwrap()).collect();
-        assert_eq!(newest, vec![t2(4, 4)]);
+        assert_eq!(r.scan_range(Mark(0), Some(m1)), vec![t2(1, 1)]);
+        assert_eq!(r.scan_range(m1, Some(m2)), vec![t2(2, 2), t2(3, 3)]);
+        assert_eq!(r.scan_range(m2, None), vec![t2(4, 4)]);
         assert_eq!(r.len_range(m1, Some(m2)), 2);
         assert_eq!(r.len_range(Mark(0), None), 4);
     }
@@ -1346,55 +1226,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_frozen_against_inserts_deletes_and_retrofit() {
-        let r = HashRelation::new(2);
-        r.make_index(IndexSpec::Args(vec![0])).unwrap();
-        r.insert(t2(1, 10)).unwrap();
-        r.insert(t2(2, 20)).unwrap();
-        let m = r.mark();
-        r.insert(t2(1, 11)).unwrap();
-        let snap = r.snapshot();
-        // Mutate the live relation in every way after the freeze.
-        r.insert(t2(1, 12)).unwrap();
-        r.delete(&t2(1, 10)).unwrap();
-        r.make_index(IndexSpec::Args(vec![1])).unwrap();
-        // The snapshot still sees exactly the freeze-time contents.
-        assert_eq!(snap.len_range(Mark(0), None), 3);
-        let hits = snap.lookup(&[Term::int(1), Term::var(0)]);
-        assert_eq!(hits.len(), 2, "snapshot: (1,10) and (1,11), not (1,12)");
-        assert!(hits.contains(&t2(1, 10)), "deleted later, frozen here");
-        // Ranged reads respect marks.
-        assert_eq!(snap.scan_range(m, None), vec![t2(1, 11)]);
-        assert_eq!(
-            snap.lookup_range(&[Term::int(1), Term::var(0)], m, None),
-            vec![t2(1, 11)]
-        );
-        // The live relation reflects all mutations (and the retrofitted
-        // index covers pre-snapshot tuples).
-        assert_eq!(r.len(), 3);
-        let live: Vec<Tuple> = r
-            .lookup(&[Term::var(0), Term::int(11)])
-            .map(|x| x.unwrap())
-            .collect();
-        assert_eq!(live, vec![t2(1, 11)]);
-    }
-
-    #[test]
-    fn snapshot_contains_exact_prefilters_old_facts() {
-        let r = HashRelation::new(2);
-        r.insert(t2(1, 1)).unwrap();
-        let snap = r.snapshot();
-        assert!(snap.contains_exact(&t2(1, 1)));
-        assert!(!snap.contains_exact(&t2(2, 2)));
-        r.insert(t2(2, 2)).unwrap();
-        assert!(!snap.contains_exact(&t2(2, 2)), "frozen duplicate map");
-        // Multiset relations never prefilter.
-        let m = HashRelation::with_semantics(2, DupSemantics::Multiset);
-        m.insert(t2(1, 1)).unwrap();
-        assert!(!m.snapshot().contains_exact(&t2(1, 1)));
-    }
-
-    #[test]
     fn owned_scan_frozen_while_open_then_writes_in_place() {
         let r = HashRelation::new(2);
         r.insert(t2(1, 10)).unwrap();
@@ -1421,27 +1252,26 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_lookup_counts_one_probe() {
+    fn lookup_counts_one_probe() {
         let r = HashRelation::new(2);
         r.make_index(IndexSpec::Args(vec![0])).unwrap();
         r.insert(t2(1, 10)).unwrap();
-        let snap = r.snapshot();
         coral_profile::set_enabled(true);
         coral_profile::reset();
         let probes = || {
             let c = coral_profile::snapshot();
             (c.get(Counter::IndexProbes), c.get(Counter::FullScans))
         };
-        snap.lookup(&[Term::int(1), Term::var(0)]);
+        assert_eq!(r.lookup(&[Term::int(1), Term::var(0)]).count(), 1);
         assert_eq!(probes(), (1, 0));
-        snap.lookup(&[Term::var(0), Term::var(1)]);
+        assert_eq!(r.lookup(&[Term::var(0), Term::var(1)]).count(), 1);
         assert_eq!(probes(), (1, 1));
         coral_profile::set_enabled(false);
         coral_profile::reset();
     }
 
     #[test]
-    fn snapshot_index_specs_round_trip() {
+    fn index_specs_round_trip() {
         let r = HashRelation::new(2);
         r.make_index(IndexSpec::Args(vec![0])).unwrap();
         r.make_index(IndexSpec::Pattern {
@@ -1452,12 +1282,12 @@ mod tests {
         let specs = r.index_specs();
         assert_eq!(specs.len(), 2);
         // Respecifying them on a fresh relation is accepted and useful.
-        let chunk = HashRelation::with_semantics(2, DupSemantics::Multiset);
+        let copy = HashRelation::with_semantics(2, DupSemantics::Multiset);
         for spec in specs {
-            chunk.make_index(spec).unwrap();
+            copy.make_index(spec).unwrap();
         }
-        chunk.insert(t2(3, 4)).unwrap();
-        assert_eq!(chunk.lookup(&[Term::int(3), Term::var(0)]).count(), 1);
+        copy.insert(t2(3, 4)).unwrap();
+        assert_eq!(copy.lookup(&[Term::int(3), Term::var(0)]).count(), 1);
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //! *candidates* — the caller re-verifies every column with its usual
 //! bind-or-compare/unify machinery, so hash collisions are harmless and
 //! no term comparison logic is duplicated here. Tables are immutable
-//! after [`JoinHashTable::build`] and `Send + Sync`, so the parallel
-//! evaluator shares one build across workers behind an `Arc`.
+//! after [`JoinHashTable::build`].
 
 use crate::hash_rel::{combine, term_key_hash};
 use coral_term::{Term, Tuple};
@@ -171,12 +170,6 @@ impl JoinHashTable {
         }
     }
 }
-
-// Shared read-only across the parallel evaluator's workers.
-const _: () = {
-    const fn assert_sync<T: Send + Sync>() {}
-    assert_sync::<JoinHashTable>()
-};
 
 #[cfg(test)]
 mod tests {

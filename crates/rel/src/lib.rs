@@ -40,7 +40,7 @@ pub use columnar::{ColVal, ColumnarBatch};
 pub use counts::{CountChange, CountStore};
 pub use database::Database;
 pub use error::{RelError, RelResult};
-pub use hash_rel::{AggSelKind, AggregateSelection, HashRelation, Mark, RelSnapshot};
+pub use hash_rel::{AggSelKind, AggregateSelection, HashRelation, Mark};
 pub use joinhash::{JoinHashTable, Probe};
 pub use list_rel::ListRelation;
 pub use persistent::PersistentRelation;

@@ -7,12 +7,10 @@
 //! an O(1) thread-local read, never a scan.
 //!
 //! The counter is *thread-local*, not process-wide, and that is load
-//! bearing: a query evaluates entirely on one thread (parallel fixpoint
-//! workers emit into private buffers that the coordinator merges through
-//! the ordinary insert path), so the meter is exact per query and
-//! deterministic across worker counts, and concurrent server sessions on
-//! other worker threads never cross-charge each other. Unlike the
-//! `profile` counters it counts whether or not profiling is on.
+//! bearing: a query evaluates entirely on one thread, so the meter is
+//! exact per query, and concurrent server sessions on other worker
+//! threads never cross-charge each other. Unlike the `profile` counters
+//! it counts whether or not profiling is on.
 
 use std::cell::Cell;
 

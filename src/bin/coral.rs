@@ -12,7 +12,6 @@
 //! :explain <fact>               derivation tree for a ground fact
 //! :rewritten <pred>/<n> <form>  dump the optimizer's rewritten program
 //! :profile [on|off|json]        toggle profiling / show the last profile
-//! :threads [N]                  show/set evaluation threads
 //! :maintain                     incremental-maintenance totals
 //! :budget [spec|unlimited]      show/set the per-query resource budget
 //! :quit                         leave
@@ -62,103 +61,147 @@ fn main() {
     }
 }
 
+/// A subcommand's options, one usage line each: the option's name (its
+/// first word), its value placeholder and its help. Every option takes
+/// a value, as `--name value` or `--name=value`.
+const REPL_OPTS: &[&str] = &[
+    "--data-dir DIR         attach persistent storage under DIR",
+    "--frames N             buffer pool pages (default 256)",
+    "--deadline-ms MS       per-query wall-clock budget",
+    "--max-tuples N         per-query materialized-tuple budget",
+    "--max-term-bytes N     per-query term-arena budget",
+];
+
+const SERVE_OPTS: &[&str] = &[
+    "--addr A               listen address (default 127.0.0.1:7061)",
+    "--workers N            worker threads = max connections (default 4)",
+    "--data-dir DIR         persistent storage directory",
+    "--frames N             buffer pool pages (default 256)",
+    "--timeout-ms MS        per-request evaluation timeout",
+    "--max-frame BYTES      request size limit (default 16 MiB)",
+    "--deadline-ms MS       default per-query wall-clock budget",
+    "--max-tuples N         default per-query tuple budget",
+    "--max-term-bytes N     default per-query term-arena budget",
+    "--max-in-flight N      admission cap on concurrent evaluations",
+    "--shed-backoff-ms MS   retry-after hint when shedding (default 50)",
+];
+
+const CONNECT_OPTS: &[&str] = &["--addr A               server address (default 127.0.0.1:7061)"];
+
 fn print_usage() {
-    println!(
-        "usage:\n\
-         \x20 coral [options]            interactive session (or pipe a script)\n\
-         \x20     --data-dir DIR         attach persistent storage under DIR\n\
-         \x20     --frames N             buffer pool pages (default 256)\n\
-         \x20     --threads N            evaluation threads (default CORAL_THREADS or 1)\n\
-         \x20     --deadline-ms MS       per-query wall-clock budget\n\
-         \x20     --max-tuples N         per-query materialized-tuple budget\n\
-         \x20     --max-term-bytes N     per-query term-arena budget\n\
-         \x20 coral serve [options]      serve concurrent sessions over TCP\n\
-         \x20     --addr A               listen address (default 127.0.0.1:7061)\n\
-         \x20     --workers N            worker threads = max connections (default 4)\n\
-         \x20     --threads N            evaluation threads per session (default CORAL_THREADS or 1)\n\
-         \x20     --data-dir DIR         persistent storage directory\n\
-         \x20     --frames N             buffer pool pages (default 256)\n\
-         \x20     --timeout-ms MS        per-request evaluation timeout\n\
-         \x20     --max-frame BYTES      request size limit (default 16 MiB)\n\
-         \x20     --deadline-ms MS       default per-query wall-clock budget\n\
-         \x20     --max-tuples N         default per-query tuple budget\n\
-         \x20     --max-term-bytes N     default per-query term-arena budget\n\
-         \x20     --max-in-flight N      admission cap on concurrent evaluations\n\
-         \x20     --shed-backoff-ms MS   retry-after hint when shedding (default 50)\n\
-         \x20 coral connect [--addr A]   REPL against a running server"
-    );
+    let opts = |table: &[&str]| table.iter().for_each(|line| println!("      {line}"));
+    println!("usage:");
+    println!("  coral [options]            interactive session (or pipe a script)");
+    opts(REPL_OPTS);
+    println!("  coral serve [options]      serve concurrent sessions over TCP");
+    opts(SERVE_OPTS);
+    println!("  coral connect [options]    REPL against a running server");
+    opts(CONNECT_OPTS);
 }
 
-/// `--name value` or `--name=value`.
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    let prefix = format!("{name}=");
-    for (i, a) in args.iter().enumerate() {
-        if a == name {
-            return args.get(i + 1).cloned();
+/// The options given to one subcommand, checked against its table.
+struct Opts(Vec<(&'static str, String)>);
+
+impl Opts {
+    /// Parse `args` against `table`: an option not in it, an option
+    /// without its value, or a bare argument is an error.
+    fn parse(args: &[String], table: &[&'static str]) -> Result<Opts, String> {
+        let mut given = Vec::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let (name, inline) = match arg.split_once('=') {
+                Some((name, value)) => (name, Some(value.to_string())),
+                None => (arg.as_str(), None),
+            };
+            if !name.starts_with('-') {
+                return Err(format!("unexpected argument {arg}"));
+            }
+            let mut names = table.iter().filter_map(|line| line.split(' ').next());
+            let Some(known) = names.find(|n| *n == name) else {
+                return Err(format!("unknown option {name}"));
+            };
+            let value = inline
+                .or_else(|| args.next().cloned())
+                .ok_or_else(|| format!("option {name} needs a value"))?;
+            given.push((known, value));
         }
-        if let Some(v) = a.strip_prefix(&prefix) {
-            return Some(v.to_string());
+        Ok(Opts(given))
+    }
+
+    /// The first value given for `name`.
+    fn value(&self, name: &str) -> Option<&str> {
+        self.0
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| v.as_str())
+    }
+
+    fn parse_value<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        match self.value(name) {
+            None => Ok(None),
+            Some(v) => v
+                .parse()
+                .map(Some)
+                .map_err(|_| format!("bad value {v:?} for {name}")),
         }
     }
-    None
 }
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
-    match flag_value(args, name) {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("bad value {v:?} for {name}")),
-    }
+/// Parse a subcommand's options, or report why not (exit status 2).
+fn opts_or_exit(args: &[String], table: &[&'static str]) -> Result<Opts, i32> {
+    Opts::parse(args, table).map_err(|e| {
+        eprintln!("error: {e}; try `coral --help`");
+        2
+    })
 }
 
 /// Apply `--deadline-ms`, `--max-tuples` and `--max-term-bytes` on top
 /// of `base` (itself already seeded from `CORAL_BUDGET_*`).
 fn budget_from_flags(
-    args: &[String],
+    opts: &Opts,
     base: coral::core::Budget,
 ) -> Result<coral::core::Budget, String> {
     let mut b = base;
-    if let Some(ms) = parse_flag::<u64>(args, "--deadline-ms")? {
+    if let Some(ms) = opts.parse_value::<u64>("--deadline-ms")? {
         b.deadline_ms = Some(ms);
     }
-    if let Some(n) = parse_flag::<u64>(args, "--max-tuples")? {
+    if let Some(n) = opts.parse_value::<u64>("--max-tuples")? {
         b.max_tuples = Some(n);
     }
-    if let Some(n) = parse_flag::<u64>(args, "--max-term-bytes")? {
+    if let Some(n) = opts.parse_value::<u64>("--max-term-bytes")? {
         b.max_term_bytes = Some(n);
     }
     Ok(b)
 }
 
 fn serve_main(args: &[String]) -> i32 {
-    let addr = flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:7061".into());
+    let opts = match opts_or_exit(args, SERVE_OPTS) {
+        Ok(o) => o,
+        Err(code) => return code,
+    };
+    let addr = opts.value("--addr").unwrap_or("127.0.0.1:7061").to_string();
     let mut config = ServerConfig::default();
     let parsed = (|| -> Result<(), String> {
-        if let Some(w) = parse_flag(args, "--workers")? {
+        if let Some(w) = opts.parse_value("--workers")? {
             config.workers = w;
         }
-        if let Some(f) = parse_flag(args, "--frames")? {
+        if let Some(f) = opts.parse_value("--frames")? {
             config.frames = f;
         }
-        if let Some(m) = parse_flag(args, "--max-frame")? {
+        if let Some(m) = opts.parse_value("--max-frame")? {
             config.max_frame = m;
         }
-        if let Some(ms) = parse_flag::<u64>(args, "--timeout-ms")? {
+        if let Some(ms) = opts.parse_value::<u64>("--timeout-ms")? {
             config.request_timeout = Some(std::time::Duration::from_millis(ms));
         }
-        if let Some(t) = parse_flag::<usize>(args, "--threads")? {
-            config.threads = Some(t);
-        }
-        config.budget = budget_from_flags(args, coral::core::Budget::from_env(config.budget))?;
-        if let Some(n) = parse_flag::<usize>(args, "--max-in-flight")? {
+        config.budget = budget_from_flags(&opts, coral::core::Budget::from_env(config.budget))?;
+        if let Some(n) = opts.parse_value::<usize>("--max-in-flight")? {
             config.max_eval_in_flight = Some(n);
         }
-        if let Some(ms) = parse_flag::<u32>(args, "--shed-backoff-ms")? {
+        if let Some(ms) = opts.parse_value::<u32>("--shed-backoff-ms")? {
             config.shed_backoff_ms = ms;
         }
-        config.data_dir = flag_value(args, "--data-dir").map(std::path::PathBuf::from);
+        config.data_dir = opts.value("--data-dir").map(std::path::PathBuf::from);
         Ok(())
     })();
     if let Err(e) = parsed {
@@ -191,7 +234,11 @@ fn serve_main(args: &[String]) -> i32 {
 }
 
 fn connect_main(args: &[String]) -> i32 {
-    let addr = flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:7061".into());
+    let opts = match opts_or_exit(args, CONNECT_OPTS) {
+        Ok(o) => o,
+        Err(code) => return code,
+    };
+    let addr = opts.value("--addr").unwrap_or("127.0.0.1:7061").to_string();
     let mut client = match Client::connect(addr.as_str()) {
         Ok(c) => c,
         Err(e) => {
@@ -342,35 +389,31 @@ fn print_query_results(query_results: Vec<Vec<coral::Answer>>) {
 }
 
 fn repl_main(args: &[String]) -> i32 {
+    let opts = match opts_or_exit(args, REPL_OPTS) {
+        Ok(o) => o,
+        Err(code) => return code,
+    };
     let session = Session::new();
     if std::env::var_os("CORAL_PROFILE").is_some_and(|v| v != "0" && !v.is_empty()) {
         session.set_profiling(true);
     }
-    match parse_flag(args, "--threads") {
-        Ok(Some(t)) => session.set_threads(t),
-        Ok(None) => {} // session already honors CORAL_THREADS
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    }
     // The session's budget is already seeded from CORAL_BUDGET_*; the
     // flags override individual resources on top of that.
-    match budget_from_flags(args, session.budget()) {
+    match budget_from_flags(&opts, session.budget()) {
         Ok(b) => session.set_budget(b),
         Err(e) => {
             eprintln!("error: {e}");
             return 2;
         }
     }
-    let frames = match parse_flag(args, "--frames") {
+    let frames = match opts.parse_value("--frames") {
         Ok(f) => f.unwrap_or(256),
         Err(e) => {
             eprintln!("error: {e}");
             return 2;
         }
     };
-    if let Some(dir) = flag_value(args, "--data-dir") {
+    if let Some(dir) = opts.value("--data-dir") {
         // Attach storage and register every on-disk relation, so the
         // REPL sees the same persistent database `coral serve` would.
         let dir = std::path::PathBuf::from(dir);
@@ -463,7 +506,6 @@ fn meta_command(session: &Session, cmd: &str) -> bool {
                  :explain <fact>                derivation tree for a ground fact\n\
                  :rewritten <pred>/<n> <form>   dump the rewritten program\n\
                  :profile [on|off|json]         toggle profiling / last profile\n\
-                 :threads [N]                   show/set evaluation threads\n\
                  :stats                         base-relation statistics the planner sees\n\
                  :maintain                      incremental-maintenance totals\n\
                  :analyze                       refresh base-relation statistics\n\
@@ -532,16 +574,6 @@ fn meta_command(session: &Session, cmd: &str) -> bool {
                     println!("budget: {}", b.render());
                 }
                 Err(e) => eprintln!("usage: :budget [resource=limit ...|unlimited] — {e}"),
-            },
-        },
-        ":threads" => match rest {
-            "" => println!("threads: {}", session.threads()),
-            n => match n.parse::<usize>() {
-                Ok(t) => {
-                    session.set_threads(t);
-                    println!("threads: {}", session.threads());
-                }
-                Err(_) => eprintln!("usage: :threads [N] (got {n:?})"),
             },
         },
         ":stats" => {

@@ -442,3 +442,17 @@ fn a_hard_exit_loses_only_a_suffix_of_untransacted_writes() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// An option the REPL does not define is rejected before anything runs,
+/// instead of being silently ignored.
+#[test]
+fn unknown_option_exits_2() {
+    let out = Command::new(env!("CARGO_BIN_EXE_coral"))
+        .arg("--no-such-flag")
+        .stdin(Stdio::null())
+        .output()
+        .expect("spawn coral binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown option --no-such-flag"), "{stderr}");
+}
