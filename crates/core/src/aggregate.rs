@@ -18,8 +18,7 @@ use crate::error::{EvalError, EvalResult};
 use crate::join::{eval_rule, JoinCtx};
 use coral_lang::AggFn;
 use coral_term::bindenv::EnvSet;
-use coral_term::{BigInt, Term, Tuple};
-use std::collections::{HashMap, HashSet};
+use coral_term::{BigInt, FastMap, FastSet, Term, Tuple};
 
 struct Acc {
     f: AggFn,
@@ -115,8 +114,8 @@ pub fn eval_agg_rule(
 ) -> EvalResult<()> {
     let agg = rule.agg.as_ref().expect("aggregate rule");
     // group key -> (accumulators, seen (key, values) dedup set)
-    let mut groups: HashMap<Tuple, Vec<Acc>> = HashMap::new();
-    let mut seen: HashSet<(Tuple, Tuple)> = HashSet::new();
+    let mut groups: FastMap<Tuple, Vec<Acc>> = FastMap::default();
+    let mut seen: FastSet<(Tuple, Tuple)> = FastSet::default();
 
     eval_rule(
         ctx,
@@ -237,7 +236,7 @@ mod tests {
             rel,
         };
         let locals = LocalRels::new();
-        let ranges = Ranges::new();
+        let ranges = Ranges::default();
         let ctx = JoinCtx {
             locals: &locals,
             external: &resolver,

@@ -159,7 +159,7 @@ impl Explainer<'_> {
             let guards = body.len();
             body.extend(crule.body.iter().cloned());
             let probe = CompiledRule::synthesized(crule, crule.nvars + fact.nvars(), body);
-            let ranges = Ranges::new();
+            let ranges = Ranges::default();
             let ctx = JoinCtx {
                 locals: self.state.locals(),
                 external: self.engine,
@@ -229,7 +229,7 @@ impl Explainer<'_> {
         }
         drop(envs);
         // Re-join the body gathering contributors.
-        let ranges = Ranges::new();
+        let ranges = Ranges::default();
         let ctx = JoinCtx {
             locals: self.state.locals(),
             external: self.engine,

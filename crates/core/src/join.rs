@@ -26,15 +26,14 @@ use coral_profile::Counter;
 use coral_rel::joinhash::{JoinHashTable, Probe};
 use coral_rel::{HashRelation, Mark, Relation, TupleIter};
 use coral_term::bindenv::{EnvId, EnvSet, FrameMark, TrailMark};
-use coral_term::{unify, Term, Tuple};
+use coral_term::{unify, FastMap, Term, Tuple};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// The relations local to one module evaluation.
 #[derive(Default)]
 pub struct LocalRels {
-    map: HashMap<PredRef, Rc<HashRelation>>,
+    map: FastMap<PredRef, Rc<HashRelation>>,
 }
 
 impl LocalRels {
@@ -120,7 +119,7 @@ pub trait ExternalResolver {
 /// Per-predicate delta boundaries for the current iteration:
 /// `(prev, cur)` — delta is `[prev, cur)`, "old" is `[0, prev)`, and the
 /// iteration-consistent full view is `[0, cur)`.
-pub type Ranges = HashMap<PredRef, (Mark, Mark)>;
+pub type Ranges = FastMap<PredRef, (Mark, Mark)>;
 
 /// Key of one transient hash-join table: predicate, bound-column set,
 /// and the mark range it was built over. Relation growth moves the
@@ -144,7 +143,7 @@ struct TableKey {
 /// mid-fixpoint replanner.
 #[derive(Default)]
 pub struct HashJoinState {
-    cache: RefCell<HashMap<TableKey, Rc<JoinHashTable>>>,
+    cache: RefCell<FastMap<TableKey, Rc<JoinHashTable>>>,
     /// Observed probe-side (delta) rows for the version currently being
     /// evaluated; what the cost gate weighs builds against.
     outer_rows: Cell<f64>,
@@ -378,8 +377,8 @@ fn hash_probe_slot(
         return None;
     }
     let table = ctx.hash_table(lit, local, recursive, pos, version, &key_cols)?;
-    let key: Vec<&Term> = key_cols.iter().map(|&c| &pattern[c]).collect();
-    let bucket = match table.probe(JoinHashTable::key_hash(&key)) {
+    let key = key_cols.iter().map(|&c| &pattern[c]);
+    let bucket = match table.probe(JoinHashTable::key_hash(key)) {
         Probe::Skip => {
             coral_profile::bump(Counter::JoinhashProbes, 1);
             coral_profile::bump(Counter::JoinhashBloomSkips, 1);
@@ -757,7 +756,7 @@ mod tests {
 
     /// External resolver over a plain map of relations.
     pub struct MapResolver {
-        pub rels: HashMap<PredRef, Rc<HashRelation>>,
+        pub rels: std::collections::HashMap<PredRef, Rc<HashRelation>>,
     }
 
     impl ExternalResolver for MapResolver {
@@ -813,7 +812,7 @@ mod tests {
 
     fn run(rule: &CompiledRule, resolver: &MapResolver) -> Vec<String> {
         let locals = LocalRels::new();
-        let ranges = Ranges::new();
+        let ranges = Ranges::default();
         let ctx = JoinCtx {
             locals: &locals,
             external: resolver,
@@ -896,7 +895,7 @@ mod tests {
             rels: [(p, r)].into(),
         };
         let locals = LocalRels::new();
-        let ranges = Ranges::new();
+        let ranges = Ranges::default();
         let ctx = JoinCtx {
             locals: &locals,
             external: &resolver,
@@ -958,7 +957,7 @@ mod tests {
         let m2 = rel.mark();
         let mut locals = LocalRels::new();
         locals.insert(pred, Rc::clone(&rel));
-        let mut ranges = Ranges::new();
+        let mut ranges = Ranges::default();
         ranges.insert(pred, (m1, m2));
         let resolver = MapResolver { rels: [].into() };
         let ctx = JoinCtx {
@@ -1131,7 +1130,7 @@ mod tests {
         let m2 = rel.mark();
         let mut locals = LocalRels::new();
         locals.insert(pred, Rc::clone(&rel));
-        let mut ranges = Ranges::new();
+        let mut ranges = Ranges::default();
         ranges.insert(pred, (m1, m2));
         let resolver = MapResolver { rels: [].into() };
         let rule = CompiledRule {

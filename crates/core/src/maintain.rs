@@ -48,7 +48,7 @@ use coral_lang::{Adornment, FixpointKind, Literal, MaintainKind, PredRef, Rewrit
 use coral_profile::Counter;
 use coral_rel::{CountChange, CountStore, HashRelation, IndexSpec, Relation};
 use coral_term::bindenv::EnvSet;
-use coral_term::{unifies_with, Term, Tuple, VarId};
+use coral_term::{unifies_with, FastMap, FastSet, Term, Tuple, VarId};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
@@ -104,7 +104,7 @@ impl Delta {
 }
 
 /// Per-predicate deltas accumulated while a propagation walks the SCCs.
-type Changes = HashMap<PredRef, Delta>;
+type Changes = FastMap<PredRef, Delta>;
 
 /// How a sentinel predicate resolves during transformed-rule evaluation.
 #[derive(Clone)]
@@ -119,7 +119,7 @@ enum View {
     /// from its current contents: `current ∖ ins ∪ del`.
     Old {
         orig: PredRef,
-        ins: Rc<HashSet<Tuple>>,
+        ins: Rc<FastSet<Tuple>>,
         del: Rc<Vec<Tuple>>,
     },
     /// The current contents of `orig` (a module-local relation or an
@@ -127,7 +127,7 @@ enum View {
     Cur { orig: PredRef },
 }
 
-type Views = HashMap<PredRef, View>;
+type Views = FastMap<PredRef, View>;
 
 /// The sentinel predicate for `(tag, pred)`. The `~` prefix cannot be
 /// parsed as a user predicate name, so sentinels never collide with
@@ -424,7 +424,7 @@ fn ensure_propagation_indexes(engine: &Engine, state: &FixpointState, cm: &Compi
 /// Build the sentinel views for the accumulated `changes` plus current
 /// views for every module-local predicate.
 fn make_views(cm: &CompiledModule, changes: &Changes) -> Views {
-    let mut views = Views::new();
+    let mut views = Views::default();
     for p in &cm.local_preds {
         views.insert(sent("cur", *p), View::Cur { orig: *p });
     }
@@ -529,7 +529,7 @@ fn eval_variant(
         state,
         views,
     };
-    let ranges = Ranges::new();
+    let ranges = Ranges::default();
     let ctx = JoinCtx {
         locals: state.locals(),
         external: &resolver,
@@ -753,15 +753,15 @@ impl MaintainedState {
             engine.apply_external_indexes(mdef, &cm);
         }
         let mut counts: HashMap<PredRef, CountStore> = HashMap::new();
-        let empty = Changes::new();
+        let empty = Changes::default();
         let views = make_views(&cm, &empty);
         for (si, scc) in cm.sccs.iter().enumerate() {
             if strategies[si] != SccStrategy::Counting {
                 continue;
             }
-            let mut acc: HashMap<PredRef, HashMap<Tuple, u64>> = HashMap::new();
+            let mut acc: FastMap<PredRef, FastMap<Tuple, u64>> = FastMap::default();
             for p in &scc.preds {
-                acc.insert(*p, HashMap::new());
+                acc.insert(*p, FastMap::default());
             }
             for rule in &scc.rules {
                 let h = rule.head.pred_ref();
@@ -857,7 +857,7 @@ impl MaintainedState {
         tuple: &Tuple,
         is_insert: bool,
     ) -> EvalResult<bool> {
-        let mut changes = Changes::new();
+        let mut changes = Changes::default();
         let (ins, del) = if is_insert {
             (vec![tuple.clone()], Vec::new())
         } else {
@@ -906,9 +906,9 @@ fn counting_scc(
 ) -> EvalResult<Option<Changes>> {
     let views = make_views(cm, changes);
     let changed: HashSet<PredRef> = changes.keys().copied().collect();
-    let mut acc: HashMap<PredRef, HashMap<Tuple, i64>> = HashMap::new();
+    let mut acc: FastMap<PredRef, FastMap<Tuple, i64>> = FastMap::default();
     for p in &scc.preds {
-        acc.insert(*p, HashMap::new());
+        acc.insert(*p, FastMap::default());
     }
     let mut tainted = false;
     for rule in &scc.rules {
@@ -928,7 +928,7 @@ fn counting_scc(
     if tainted {
         return Ok(None);
     }
-    let mut out = Changes::new();
+    let mut out = Changes::default();
     for (p, m) in acc {
         let store = counts.entry(p).or_default();
         let rel = state.locals().require(p);
@@ -992,7 +992,7 @@ fn delta_closure(
     let mut delta_preds = upstream.clone();
     let mut views = base_views.clone();
     loop {
-        let mut next: HashMap<PredRef, Vec<Tuple>> = HashMap::new();
+        let mut next: FastMap<PredRef, Vec<Tuple>> = FastMap::default();
         for rule in &scc.rules {
             let h = rule.head.pred_ref();
             for v in delta_variants(rule, &delta_preds, upstream, phase, effects) {
@@ -1020,7 +1020,7 @@ fn delta_closure(
 }
 
 /// The SCC's relations as sets (the debug oracle's before/after).
-fn scc_contents(state: &FixpointState, scc: &CompiledScc) -> HashMap<PredRef, HashSet<Tuple>> {
+fn scc_contents(state: &FixpointState, scc: &CompiledScc) -> FastMap<PredRef, FastSet<Tuple>> {
     let scan = |p: &PredRef| state.locals().require(*p).scan().flatten().collect();
     scc.preds.iter().map(|p| (*p, scan(p))).collect()
 }
@@ -1057,8 +1057,8 @@ fn dred_scc(
     // "cur" views *are* the old contents; upstream changed predicates
     // read their adjusted old views.
     let cone_limit = DRED_MIN_CONE.max(stored / 2);
-    let mut overdel: HashMap<PredRef, HashSet<Tuple>> =
-        scc.preds.iter().map(|p| (*p, HashSet::new())).collect();
+    let mut overdel: FastMap<PredRef, FastSet<Tuple>> =
+        scc.preds.iter().map(|p| (*p, FastSet::default())).collect();
     let mut n_overdel = 0usize;
     delta_closure(
         engine,
@@ -1161,7 +1161,7 @@ fn dred_scc(
     // database (over-derivation is harmless under set semantics). A
     // tuple the relation already holds is no change; one that phase 2
     // left deleted and this phase brings back cancels out of the delta.
-    let mut inserted: HashMap<PredRef, Vec<Tuple>> = HashMap::new();
+    let mut inserted: FastMap<PredRef, Vec<Tuple>> = FastMap::default();
     delta_closure(
         engine,
         state,
@@ -1189,7 +1189,7 @@ fn dred_scc(
     }
 
     // Net presence transitions of this SCC feed the downstream SCCs.
-    let mut out = Changes::new();
+    let mut out = Changes::default();
     for (p, rem) in remaining {
         let d = Delta::new(
             inserted.remove(&p).unwrap_or_default(),
@@ -1203,7 +1203,7 @@ fn dred_scc(
         let after = scc_contents(state, scc);
         for p in &scc.preds {
             let d = out.get(p).cloned().unwrap_or_default();
-            let set = |v: &[Tuple]| v.iter().cloned().collect::<HashSet<Tuple>>();
+            let set = |v: &[Tuple]| v.iter().cloned().collect::<FastSet<Tuple>>();
             assert_eq!(set(&d.ins), &after[p] - &before[p], "{p}: recorded ins");
             assert_eq!(set(&d.del), &before[p] - &after[p], "{p}: recorded del");
             assert_eq!(

@@ -34,7 +34,7 @@ use coral_lang::{FixpointKind, PredRef};
 use coral_profile::Counter;
 use coral_rel::{AggregateSelection, DupSemantics, HashRelation, IndexSpec, Mark, Relation};
 use coral_term::bindenv::EnvSet;
-use coral_term::Tuple;
+use coral_term::{FastMap, FastSet, Tuple};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
@@ -91,9 +91,9 @@ pub struct FixpointState {
     locals: LocalRels,
     strategy: Strategy,
     /// Per (SCC, predicate) delta boundaries, persistent across runs.
-    marks: HashMap<(usize, PredRef), (Mark, Mark)>,
+    marks: FastMap<(usize, PredRef), (Mark, Mark)>,
     /// Non-recursive rule versions already evaluated, per SCC.
-    none_done: HashSet<(usize, usize)>,
+    none_done: FastSet<(usize, usize)>,
     /// Aggregate rules already evaluated, per SCC.
     agg_done: Vec<bool>,
     /// Naive strategy: SCCs whose last iteration derived nothing.
@@ -109,7 +109,7 @@ pub struct FixpointState {
     /// index): a reordered copy of the rule plus the remapped delta
     /// version, installed by [`FixpointState::maybe_replan`] when the
     /// observed delta cardinalities make a different join order cheaper.
-    overrides: HashMap<(usize, usize, usize), Rc<PlannedVersion>>,
+    overrides: FastMap<(usize, usize, usize), Rc<PlannedVersion>>,
     envs: EnvSet,
 }
 
@@ -170,14 +170,14 @@ impl FixpointState {
             cm,
             locals,
             strategy: Strategy::Bsn,
-            marks: HashMap::new(),
-            none_done: HashSet::new(),
+            marks: FastMap::default(),
+            none_done: FastSet::default(),
             agg_done,
             naive_done,
             stats: FixpointStats::default(),
             profile_id: crate::profile::new_state_id(),
             hj: HashJoinState::new(),
-            overrides: HashMap::new(),
+            overrides: FastMap::default(),
             envs: EnvSet::new(),
         })
     }
@@ -282,7 +282,7 @@ impl FixpointState {
     }
 
     fn ranges_snapshot(&self, scc_idx: usize, scc: &CompiledScc) -> Ranges {
-        let mut ranges = Ranges::new();
+        let mut ranges = Ranges::default();
         for pred in self.range_preds(scc) {
             if let Some(&(prev, cur)) = self.marks.get(&(scc_idx, pred)) {
                 ranges.insert(pred, (prev, cur));
@@ -654,7 +654,7 @@ impl FixpointState {
         if scc.agg_rules.is_empty() {
             return Ok(());
         }
-        let ranges = Ranges::new();
+        let ranges = Ranges::default();
         for rule in &scc.agg_rules {
             self.stats.rule_firings += 1;
             let head_rel = Rc::clone(self.locals.require(rule.head.pred_ref()));

@@ -14,8 +14,7 @@
 //! silently wrong relation.
 
 use crate::encoding::{decode_tuple_wire, encode_tuple_wire};
-use coral_term::Tuple;
-use std::collections::HashMap;
+use coral_term::{FastMap, Tuple};
 
 /// What a count adjustment did to the tuple's presence.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -35,7 +34,7 @@ pub enum CountChange {
 /// Derivation counts for one maintained predicate.
 #[derive(Clone, Default, Debug)]
 pub struct CountStore {
-    counts: HashMap<Tuple, u64>,
+    counts: FastMap<Tuple, u64>,
 }
 
 impl CountStore {
@@ -132,7 +131,8 @@ impl CountStore {
     pub fn decode(bytes: &[u8]) -> Option<CountStore> {
         let entries = u32::from_be_bytes(bytes.get(0..4)?.try_into().ok()?) as usize;
         let mut at = 4usize;
-        let mut counts = HashMap::with_capacity(entries.min(bytes.len() / 12));
+        let mut counts =
+            FastMap::with_capacity_and_hasher(entries.min(bytes.len() / 12), Default::default());
         for _ in 0..entries {
             let len = u32::from_be_bytes(bytes.get(at..at + 4)?.try_into().ok()?) as usize;
             at += 4;

@@ -10,9 +10,8 @@
 use crate::error::{RelError, RelResult};
 use crate::hash_rel::HashRelation;
 use crate::relation::Relation;
-use coral_term::Symbol;
+use coral_term::{FastMap, Symbol};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// A predicate identity: name and arity (`edge/2`).
@@ -21,7 +20,7 @@ pub type PredId = (Symbol, usize);
 /// The catalog of named relations.
 #[derive(Default)]
 pub struct Database {
-    rels: RefCell<HashMap<PredId, Rc<dyn Relation>>>,
+    rels: RefCell<FastMap<PredId, Rc<dyn Relation>>>,
 }
 
 impl Database {

@@ -31,11 +31,10 @@ use crate::relation::{iter_from_vec, DupSemantics, IndexSpec, Relation, TupleIte
 use coral_profile::Counter;
 use coral_term::bindenv::EnvSet;
 use coral_term::term::VarId;
-use coral_term::{unifies_with, unify, Term, Tuple};
+use coral_term::{unifies_with, unify, FastHasher, FastMap, FastState, Term, Tuple};
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
 /// A position in the mark sequence: the boundary *before* subsidiary
@@ -76,52 +75,50 @@ struct Addr {
     pos: u32,
 }
 
-// ---------------------------------------------------------------------
-// Fast hashing (FxHash-style multiply-rotate), per the perf guide: the
-// default SipHash is needlessly slow for in-memory index keys.
-// ---------------------------------------------------------------------
-
-const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl Hasher for FxHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u8(b);
-        }
-    }
-    fn write_u8(&mut self, b: u8) {
-        self.0 = (self.0.rotate_left(5) ^ b as u64).wrapping_mul(SEED);
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(SEED);
-    }
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-}
-
+/// Hash of one ground key component.
 pub(crate) fn term_key_hash(t: &Term) -> u64 {
-    let mut h = FxHasher::default();
-    t.hash(&mut h);
-    h.finish()
+    FastState::default().hash_one(t)
 }
 
 /// The bucket component for terms containing variables — the paper's
 /// special `var` hash value.
 const VAR_COMPONENT: u64 = 0x76_61_72_5f_76_61_72_21; // "var_var!"
 
-pub(crate) fn combine(components: &[u64]) -> u64 {
-    let mut h = FxHasher::default();
-    for &c in components {
-        h.write_u64(c);
+/// Bucket key of a component sequence, folded as the components arrive
+/// so no per-key vector is built.
+#[derive(Default)]
+pub(crate) struct KeyHasher {
+    h: FastHasher,
+    has_var: bool,
+}
+
+impl KeyHasher {
+    /// Fold in the component for `t`: its hash if ground, else the
+    /// `var` component.
+    pub(crate) fn push_term(&mut self, t: &Term) {
+        if t.is_ground() {
+            self.push(term_key_hash(t));
+        } else {
+            self.push(VAR_COMPONENT);
+        }
     }
-    h.finish()
+
+    pub(crate) fn push(&mut self, component: u64) {
+        self.has_var |= component == VAR_COMPONENT;
+        self.h.write_u64(component);
+    }
+
+    pub(crate) fn finish(&self) -> u64 {
+        self.h.finish()
+    }
+}
+
+pub(crate) fn combine(components: &[u64]) -> u64 {
+    let mut k = KeyHasher::default();
+    for &c in components {
+        k.push(c);
+    }
+    k.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -159,22 +156,17 @@ impl IndexDef {
 }
 
 impl IndexDef {
-    /// The key components for a stored tuple, or `None` if the tuple is
-    /// unreachable through this index (pattern indices only).
-    fn components_for_tuple(&self, tuple: &Tuple) -> Option<Vec<u64>> {
+    /// The bucket key of a stored tuple and whether it used the `var`
+    /// component, or `None` if the tuple is unreachable through this
+    /// index (pattern indices only).
+    fn key_for_tuple(&self, tuple: &Tuple) -> Option<(u64, bool)> {
+        let mut key = KeyHasher::default();
         match self {
-            IndexDef::Args(cols) => Some(
-                cols.iter()
-                    .map(|&c| {
-                        let t = &tuple.args()[c];
-                        if t.is_ground() {
-                            term_key_hash(t)
-                        } else {
-                            VAR_COMPONENT
-                        }
-                    })
-                    .collect(),
-            ),
+            IndexDef::Args(cols) => {
+                for &c in cols {
+                    key.push_term(&tuple.args()[c]);
+                }
+            }
             IndexDef::Pattern {
                 pattern,
                 key_vars,
@@ -191,21 +183,12 @@ impl IndexDef {
                         return None;
                     }
                 }
-                Some(
-                    key_vars
-                        .iter()
-                        .map(|kv| {
-                            let resolved = envs.resolve(&Term::Var(*kv), ep);
-                            if resolved.is_ground() {
-                                term_key_hash(&resolved)
-                            } else {
-                                VAR_COMPONENT
-                            }
-                        })
-                        .collect(),
-                )
+                for kv in key_vars {
+                    key.push_term(&envs.resolve(&Term::Var(*kv), ep));
+                }
             }
         }
+        Some((key.finish(), key.has_var))
     }
 
     /// The ground key components for a *query* pattern, if this index is
@@ -266,7 +249,7 @@ impl IndexDef {
 
 #[derive(Default, Clone)]
 struct IndexData {
-    buckets: HashMap<u64, Vec<u32>>,
+    buckets: FastMap<u64, Vec<u32>>,
     /// Whether any stored key used the `var` component (enables the
     /// combination enumeration on lookup).
     has_var_keys: bool,
@@ -294,12 +277,12 @@ struct Inner {
     defs: Vec<IndexDef>,
     dup: DupSemantics,
     /// Exact-duplicate map (Set modes only).
-    seen: HashMap<Tuple, Addr>,
+    seen: FastMap<Tuple, Addr>,
     /// Addresses of stored non-ground tuples, for subsumption checks and
     /// conservative lookups.
     nonground: Vec<Addr>,
     aggsels: Vec<AggregateSelection>,
-    agg_state: Vec<HashMap<Tuple, AggGroup>>,
+    agg_state: Vec<FastMap<Tuple, AggGroup>>,
     live: usize,
     /// Planner statistics, maintained incrementally by `insert` /
     /// `delete_addr` (see coral-stats).
@@ -327,7 +310,7 @@ impl HashRelation {
                 subs: vec![Arc::new(Subsidiary::default())],
                 defs: Vec::new(),
                 dup,
-                seen: HashMap::new(),
+                seen: FastMap::default(),
                 nonground: Vec::new(),
                 aggsels: Vec::new(),
                 agg_state: Vec::new(),
@@ -355,7 +338,7 @@ impl HashRelation {
             }
         }
         inner.aggsels.push(sel);
-        inner.agg_state.push(HashMap::new());
+        inner.agg_state.push(FastMap::default());
         Ok(())
     }
 
@@ -687,13 +670,9 @@ impl Relation for HashRelation {
             let defs = &inner.defs;
             let open = Arc::make_mut(&mut inner.subs[sub_idx]);
             for (i, def) in defs.iter().enumerate() {
-                if let Some(components) = def.components_for_tuple(&tuple) {
-                    let has_var = components.contains(&VAR_COMPONENT);
+                if let Some((key, has_var)) = def.key_for_tuple(&tuple) {
                     let data = &mut open.indexes[i];
-                    data.buckets
-                        .entry(combine(&components))
-                        .or_default()
-                        .push(pos);
+                    data.buckets.entry(key).or_default().push(pos);
                     data.has_var_keys |= has_var;
                 }
             }
@@ -821,14 +800,9 @@ impl Relation for HashRelation {
         for s in &mut inner.subs {
             let mut data = IndexData::default();
             for (pos, t) in s.tuples.iter().enumerate() {
-                if let Some(t) = t {
-                    if let Some(components) = def.components_for_tuple(t) {
-                        data.has_var_keys |= components.contains(&VAR_COMPONENT);
-                        data.buckets
-                            .entry(combine(&components))
-                            .or_default()
-                            .push(pos as u32);
-                    }
+                if let Some((key, has_var)) = t.as_ref().and_then(|t| def.key_for_tuple(t)) {
+                    data.has_var_keys |= has_var;
+                    data.buckets.entry(key).or_default().push(pos as u32);
                 }
             }
             Arc::make_mut(s).indexes.push(data);

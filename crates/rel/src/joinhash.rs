@@ -19,9 +19,8 @@
 //! no term comparison logic is duplicated here. Tables are immutable
 //! after [`JoinHashTable::build`].
 
-use crate::hash_rel::{combine, term_key_hash};
-use coral_term::{Term, Tuple};
-use std::collections::HashMap;
+use crate::hash_rel::KeyHasher;
+use coral_term::{FastMap, Term, Tuple};
 
 /// One cache line's worth of Bloom bits per block keeps the probe to a
 /// single memory access: block choice from the high hash bits, two bit
@@ -79,7 +78,7 @@ pub struct JoinHashTable {
     /// Rows whose key columns are all ground, in insertion order.
     rows: Vec<Tuple>,
     /// key hash → ids into `rows`, ids ascending per bucket.
-    buckets: HashMap<u64, Vec<u32>>,
+    buckets: FastMap<u64, Vec<u32>>,
     /// Rows with a variable somewhere in a key column: unreachable by
     /// hash, so every probe must also enumerate these.
     side: Vec<Tuple>,
@@ -95,28 +94,17 @@ impl JoinHashTable {
         let mut table = JoinHashTable {
             key_cols,
             rows: Vec::with_capacity(lo),
-            buckets: HashMap::with_capacity(lo),
+            buckets: FastMap::with_capacity_and_hasher(lo, Default::default()),
             side: Vec::new(),
             bloom: BlockedBloom::with_capacity(lo),
         };
-        let mut components = Vec::with_capacity(table.key_cols.len());
         for t in rows_iter {
-            components.clear();
             let args = t.args();
-            let ground = table.key_cols.iter().all(|&c| {
-                let a = &args[c];
-                if a.is_ground() {
-                    components.push(term_key_hash(a));
-                    true
-                } else {
-                    false
-                }
-            });
-            if !ground {
+            if !table.key_cols.iter().all(|&c| args[c].is_ground()) {
                 table.side.push(t);
                 continue;
             }
-            let h = combine(&components);
+            let h = JoinHashTable::key_hash(table.key_cols.iter().map(|&c| &args[c]));
             let id = table.rows.len() as u32;
             table.rows.push(t);
             table.buckets.entry(h).or_default().push(id);
@@ -154,9 +142,12 @@ impl JoinHashTable {
     /// Hash of a ground probe key (`key[i]` is the term bound to
     /// `key_cols[i]`). The caller guarantees every term is ground —
     /// this matches the hashing applied to stored rows at build time.
-    pub fn key_hash(key: &[&Term]) -> u64 {
-        let components: Vec<u64> = key.iter().map(|t| term_key_hash(t)).collect();
-        combine(&components)
+    pub fn key_hash<'a>(key: impl IntoIterator<Item = &'a Term>) -> u64 {
+        let mut h = KeyHasher::default();
+        for t in key {
+            h.push_term(t);
+        }
+        h.finish()
     }
 
     /// Probe with a precomputed [`JoinHashTable::key_hash`].
@@ -182,7 +173,7 @@ mod tests {
     }
 
     fn probe_ids(table: &JoinHashTable, key: &[&Term]) -> Vec<u32> {
-        match table.probe(JoinHashTable::key_hash(key)) {
+        match table.probe(JoinHashTable::key_hash(key.iter().copied())) {
             Probe::Skip => Vec::new(),
             Probe::Rows(ids) => ids.to_vec(),
         }
@@ -216,7 +207,7 @@ mod tests {
         let t = JoinHashTable::build(vec![0], rows);
         let mut skips = 0;
         for probe in 1000..2000 {
-            let h = JoinHashTable::key_hash(&[&Term::Int(probe)]);
+            let h = JoinHashTable::key_hash([&Term::Int(probe)]);
             match t.probe(h) {
                 Probe::Skip => skips += 1,
                 Probe::Rows(ids) => {
@@ -229,7 +220,7 @@ mod tests {
         assert!(skips > 0, "Bloom filter never skipped a miss");
         // Present keys are never skipped (no false negatives).
         for present in 0..64 {
-            let h = JoinHashTable::key_hash(&[&Term::Int(present)]);
+            let h = JoinHashTable::key_hash([&Term::Int(present)]);
             assert!(
                 !probe_ids(&t, &[&Term::Int(present)]).is_empty(),
                 "false negative for {present} ({h:#x})"
@@ -294,7 +285,7 @@ mod tests {
         for seed in [3u64, 17, 4242] {
             let mut s = seed;
             let mut rows = Vec::new();
-            let mut model: HashMap<(i64, i64), Vec<Tuple>> = HashMap::new();
+            let mut model: std::collections::BTreeMap<(i64, i64), Vec<Tuple>> = Default::default();
             for _ in 0..500 {
                 // Two key columns over tiny domains + one payload.
                 let k0 = (lcg(&mut s) % 7) as i64;

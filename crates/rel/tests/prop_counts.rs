@@ -15,8 +15,7 @@
 
 use coral_rel::{CountChange, CountStore};
 use coral_term::testutil::TestRng;
-use coral_term::{Term, Tuple};
-use std::collections::HashMap;
+use coral_term::{FastMap, Term, Tuple};
 
 fn random_tuple(rng: &mut TestRng, domain: usize) -> Tuple {
     Tuple::ground(vec![
@@ -25,8 +24,8 @@ fn random_tuple(rng: &mut TestRng, domain: usize) -> Tuple {
     ])
 }
 
-fn model_equal(store: &CountStore, model: &HashMap<Tuple, u64>, ctx: &str) {
-    let live: HashMap<Tuple, u64> = model
+fn model_equal(store: &CountStore, model: &FastMap<Tuple, u64>, ctx: &str) {
+    let live: FastMap<Tuple, u64> = model
         .iter()
         .filter(|(_, n)| **n > 0)
         .map(|(t, n)| (t.clone(), *n))
@@ -49,7 +48,7 @@ fn model_equal(store: &CountStore, model: &HashMap<Tuple, u64>, ctx: &str) {
 fn run_valid_interleaving(seed: u64, domain: usize, ops: usize) {
     let mut rng = TestRng::new(seed);
     let mut store = CountStore::new();
-    let mut model: HashMap<Tuple, u64> = HashMap::new();
+    let mut model: FastMap<Tuple, u64> = FastMap::default();
     for step in 0..ops {
         let t = random_tuple(&mut rng, domain);
         let have = model.get(&t).copied().unwrap_or(0);
@@ -103,7 +102,7 @@ fn overdecrement_always_underflows_and_saturates() {
     for seed in 0..20u64 {
         let mut rng = TestRng::new(0xBAD + seed);
         let mut store = CountStore::new();
-        let mut model: HashMap<Tuple, u64> = HashMap::new();
+        let mut model: FastMap<Tuple, u64> = FastMap::default();
         for step in 0..200 {
             let t = random_tuple(&mut rng, 5);
             let have = model.get(&t).copied().unwrap_or(0);

@@ -13,9 +13,9 @@
 //! representation) lives on a per-type constructor registered in the
 //! global [`registry`], mirroring CORAL's single registration command.
 
+use crate::fasthash::FastMap;
 use crate::term::Term;
 use std::any::Any;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -42,9 +42,9 @@ pub trait AdtValue: Send + Sync + fmt::Debug {
 /// `construct` method, given a printed representation).
 pub type AdtConstructor = Arc<dyn Fn(&[Term]) -> Result<Arc<dyn AdtValue>, String> + Send + Sync>;
 
-fn constructors() -> &'static RwLock<HashMap<&'static str, AdtConstructor>> {
-    static REG: OnceLock<RwLock<HashMap<&'static str, AdtConstructor>>> = OnceLock::new();
-    REG.get_or_init(|| RwLock::new(HashMap::new()))
+fn constructors() -> &'static RwLock<FastMap<&'static str, AdtConstructor>> {
+    static REG: OnceLock<RwLock<FastMap<&'static str, AdtConstructor>>> = OnceLock::new();
+    REG.get_or_init(|| RwLock::new(FastMap::default()))
 }
 
 /// The global ADT registry: register constructors, construct values.
@@ -74,7 +74,7 @@ pub mod registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::hash::{Hash, Hasher};
+    use std::hash::BuildHasher;
 
     /// A toy 2-D point ADT, as a user of §7.1 would define.
     #[derive(Debug, PartialEq)]
@@ -94,9 +94,7 @@ mod tests {
                 .is_some_and(|p| p == self)
         }
         fn hash_value(&self) -> u64 {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            (self.x, self.y).hash(&mut h);
-            h.finish()
+            crate::fasthash::FastState::default().hash_one((self.x, self.y))
         }
         fn print(&self) -> String {
             format!("point({}, {})", self.x, self.y)

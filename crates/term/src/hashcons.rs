@@ -12,19 +12,21 @@
 //! * `NONGROUND` — contains a variable; never interned;
 //! * `GROUND_NOID` — known ground, identifier not yet assigned (the
 //!   *lazy* part: ids are only assigned when a term is first inserted
-//!   into a relation or compared against another identified term);
+//!   into a relation as an argument, or interned explicitly);
 //! * `id + TAG_BASE` — interned with identifier `id`.
 //!
 //! Identifiers are drawn from a process-wide table keyed by the term's
 //! structure, with child terms identified first — so structurally equal
 //! ground terms always receive the same id, regardless of where they were
-//! built. Terms containing ADT values are ground but not interned (their
+//! built. Relations intern functor-term arguments only
+//! ([`crate::Tuple::intern_ground`]): an atom's id would be stored
+//! nowhere, and atoms already compare in O(1) or by value. Terms containing ADT values are ground but not interned (their
 //! equality is behind a virtual interface), and fall back to structural
 //! comparison.
 
+use crate::fasthash::FastMap;
 use crate::term::{App, Term};
 use coral_profile::Counter;
-use std::collections::HashMap;
 use std::sync::atomic::Ordering::{Acquire, Release};
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -48,7 +50,7 @@ enum HcKey {
 }
 
 struct HcTable {
-    map: HashMap<HcKey, HcId>,
+    map: FastMap<HcKey, HcId>,
     next: u64,
 }
 
@@ -56,7 +58,7 @@ fn table() -> &'static RwLock<HcTable> {
     static T: OnceLock<RwLock<HcTable>> = OnceLock::new();
     T.get_or_init(|| {
         RwLock::new(HcTable {
-            map: HashMap::new(),
+            map: FastMap::default(),
             next: 0,
         })
     })
@@ -88,7 +90,8 @@ pub(crate) fn app_is_ground(app: &Arc<App>) -> bool {
 }
 
 /// The cached identifier of a functor node, if one has been assigned.
-pub(crate) fn cached_id(app: &Arc<App>) -> Option<HcId> {
+/// Never interns.
+pub fn cached_id(app: &Arc<App>) -> Option<HcId> {
     let v = app.hc.load(Acquire);
     if v >= TAG_BASE {
         Some(HcId(v - TAG_BASE))

@@ -13,6 +13,9 @@
 //! * **Hash-consing** (§3.1): lazy assignment of unique identifiers to
 //!   ground functor terms so that two ground terms unify iff their
 //!   identifiers are equal ([`hashcons`]).
+//! * **Hashing**: one seeded multiplicative hasher for every
+//!   engine-internal hash map ([`fasthash`]); a [`tuple::Tuple`] carries
+//!   its hash from construction.
 //! * **Binding environments** (§3.1, §5.3): structure-shared variable
 //!   bindings with a trail for backtracking ([`bindenv::EnvSet`]).
 //! * **Unification** (§3.1): full structural unification over
@@ -27,6 +30,7 @@
 pub mod adt;
 pub mod bignum;
 pub mod bindenv;
+pub mod fasthash;
 pub mod hashcons;
 pub mod meter;
 pub mod symbol;
@@ -38,6 +42,7 @@ pub mod unify;
 pub use adt::AdtValue;
 pub use bignum::BigInt;
 pub use bindenv::{EnvId, EnvSet, TrailMark};
+pub use fasthash::{FastHasher, FastMap, FastSet, FastState};
 pub use hashcons::HcId;
 pub use symbol::Symbol;
 pub use term::{OrderedF64, Term, VarId};

@@ -4,6 +4,10 @@
 //! without scanning any table: the hashcons layer charges this monotone
 //! byte counter whenever it allocates a new interned entry, and the
 //! governor diffs the counter against a baseline captured at query start.
+//! Entries exist for ground functor terms (and the constants under
+//! them) only: a relation insert never interns a top-level atom, so the
+//! meter counts functor-term growth and a fixpoint over plain constants
+//! charges it nothing.
 //! Unlike the `profile` counters these count whether or not profiling
 //! is on — they are a single relaxed atomic add on the interning *miss*
 //! path only (hits never touch them), so the hot path is unaffected.

@@ -6,7 +6,7 @@
 //! [`Symbol`] id thereafter; equality and hashing of symbols are O(1)
 //! integer operations.
 
-use std::collections::HashMap;
+use crate::fasthash::FastMap;
 use std::fmt;
 use std::sync::{OnceLock, RwLock};
 
@@ -19,7 +19,7 @@ use std::sync::{OnceLock, RwLock};
 pub struct Symbol(u32);
 
 struct Table {
-    by_name: HashMap<Box<str>, Symbol>,
+    by_name: FastMap<Box<str>, Symbol>,
     names: Vec<Box<str>>,
 }
 
@@ -27,7 +27,7 @@ fn table() -> &'static RwLock<Table> {
     static TABLE: OnceLock<RwLock<Table>> = OnceLock::new();
     TABLE.get_or_init(|| {
         RwLock::new(Table {
-            by_name: HashMap::new(),
+            by_name: FastMap::default(),
             names: Vec::new(),
         })
     })

@@ -8,67 +8,57 @@
 //! check, so hash-based duplicate elimination works uniformly for ground
 //! and non-ground facts.
 
+use crate::fasthash::FastHasher;
 use crate::term::{Term, VarId};
 use crate::unify;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A stored fact: an argument list with compactly numbered variables.
-#[derive(Clone, PartialEq, Eq, Hash)]
+///
+/// The hash of the arguments is computed once, at construction, and
+/// kept in the four bytes after `nvars` that would otherwise be padding:
+/// every map a tuple is later a key of — duplicate checks, aggregate
+/// groups, maintenance sets — hashes those four bytes instead of walking
+/// the terms again, and equality rejects most unequal tuples on them.
+#[derive(Clone)]
 pub struct Tuple {
     args: Arc<[Term]>,
     nvars: u32,
+    hash: u32,
 }
 
 impl Tuple {
     /// Build a tuple, renumbering variables to first-occurrence order.
     pub fn new(args: Vec<Term>) -> Tuple {
-        let needs_renumber = {
-            let mut seen: Vec<VarId> = Vec::new();
-            let mut canonical = true;
-            for a in &args {
-                a.collect_vars(&mut seen);
-            }
-            for (i, v) in seen.iter().enumerate() {
-                if v.0 != i as u32 {
-                    canonical = false;
-                    break;
-                }
-            }
-            if canonical {
-                None
-            } else {
-                Some(seen)
-            }
-        };
-        match needs_renumber {
-            None => {
-                let mut seen = Vec::new();
-                for a in &args {
-                    a.collect_vars(&mut seen);
-                }
-                Tuple {
-                    args: args.into(),
-                    nvars: seen.len() as u32,
-                }
-            }
-            Some(order) => {
-                let remap = |v: VarId| VarId(order.iter().position(|x| *x == v).unwrap() as u32);
-                let args: Vec<Term> = args.iter().map(|t| t.map_vars(&remap)).collect();
-                Tuple {
-                    args: args.into(),
-                    nvars: order.len() as u32,
-                }
-            }
+        let mut order: Vec<VarId> = Vec::new();
+        for a in &args {
+            a.collect_vars(&mut order);
         }
+        let canonical = order.iter().enumerate().all(|(i, v)| v.0 == i as u32);
+        let nvars = order.len() as u32;
+        if canonical {
+            return Tuple::from_parts(args.into(), nvars);
+        }
+        let remap = |v: VarId| VarId(order.iter().position(|x| *x == v).unwrap() as u32);
+        let args: Vec<Term> = args.iter().map(|t| t.map_vars(&remap)).collect();
+        Tuple::from_parts(args.into(), nvars)
     }
 
     /// Build a ground tuple without the renumbering scan.
     pub fn ground(args: Vec<Term>) -> Tuple {
         debug_assert!(args.iter().all(|t| t.is_ground()));
+        Tuple::from_parts(args.into(), 0)
+    }
+
+    fn from_parts(args: Arc<[Term]>, nvars: u32) -> Tuple {
+        let mut h = FastHasher::default();
+        args.hash(&mut h);
         Tuple {
-            args: args.into(),
-            nvars: 0,
+            args,
+            nvars,
+            hash: h.finish() as u32,
         }
     }
 
@@ -92,11 +82,16 @@ impl Tuple {
         self.nvars == 0
     }
 
-    /// Intern all ground argument terms (lazy hash-consing trigger; called
-    /// by relations on insert so later unifications take the id path).
+    /// Intern the ground functor-term arguments (lazy hash-consing
+    /// trigger; called by relations on insert so later unifications take
+    /// the id path). Atoms — integers, doubles, strings, bignums — are
+    /// skipped: their equality is already O(1) or a value comparison, and
+    /// nothing would ever read an id assigned to them.
     pub fn intern_ground(&self) {
         for t in self.args.iter() {
-            crate::hashcons::intern(t);
+            if matches!(t, Term::App(_)) {
+                crate::hashcons::intern(t);
+            }
         }
     }
 
@@ -109,6 +104,20 @@ impl Tuple {
     /// Project to the argument positions in `cols`.
     pub fn project(&self, cols: &[usize]) -> Tuple {
         Tuple::new(cols.iter().map(|&c| self.args[c].clone()).collect())
+    }
+}
+
+impl PartialEq for Tuple {
+    fn eq(&self, other: &Tuple) -> bool {
+        self.hash == other.hash && (Arc::ptr_eq(&self.args, &other.args) || self.args == other.args)
+    }
+}
+
+impl Eq for Tuple {}
+
+impl Hash for Tuple {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u32(self.hash);
     }
 }
 

@@ -1,13 +1,14 @@
 //! Property tests for the term layer over seeded [`TestRng`] inputs:
 //! bignum algebra, unification symmetry and trail restore, hash-consing
-//! ids agreeing with structural equality, and the relation/answer
-//! pattern test agreeing with the unifier.
+//! ids agreeing with structural equality, hashes agreeing with equality,
+//! and the relation/answer pattern test agreeing with the unifier.
 
 use coral_term::bignum::BigInt;
 use coral_term::bindenv::EnvSet;
 use coral_term::term::Term;
 use coral_term::testutil::TestRng;
-use coral_term::{hashcons, match_args, unifies_with, unify, unify_all, Tuple};
+use coral_term::{hashcons, match_args, unifies_with, unify, unify_all, FastState, Tuple};
+use std::hash::BuildHasher;
 
 const CASES: u64 = 256;
 
@@ -121,6 +122,136 @@ fn hashcons_ids_agree_with_equality() {
         let (ia, ib) = (hashcons::intern(&a).unwrap(), hashcons::intern(&b).unwrap());
         assert_eq!(ia == ib, a == b, "{a} vs {b}");
     }
+}
+
+/// A term of depth ≤ `depth` whose constants include the values hashing
+/// must treat with care: `+0.0`/`-0.0`, NaNs of either sign, and bignums.
+fn hash_term(rng: &mut TestRng, depth: u32, vars: bool) -> Term {
+    if depth > 0 && rng.gen_bool(0.4) {
+        let name = ["f", "g"][rng.gen_range(0, 2)];
+        let args = (0..rng.gen_range(0, 3))
+            .map(|_| hash_term(rng, depth - 1, vars))
+            .collect();
+        return Term::apps(name, args);
+    }
+    match rng.gen_range(0, if vars { 5 } else { 4 }) {
+        0 => Term::int(rng.gen_range(0, 4) as i64 - 2),
+        1 => Term::str(["a", "b"][rng.gen_range(0, 2)]),
+        2 => Term::double([0.0, -0.0, f64::NAN, -f64::NAN, 1.5][rng.gen_range(0, 5)]),
+        3 => {
+            Term::big(&BigInt::from_i64(1i64 << 62) * &BigInt::from_i64(rng.gen_range(1, 3) as i64))
+        }
+        _ => Term::var(rng.gen_range(0, 3) as u32),
+    }
+}
+
+fn term_hash(t: &Term) -> u64 {
+    FastState::default().hash_one(t)
+}
+
+fn tuple_hash(t: &Tuple) -> u64 {
+    FastState::default().hash_one(t)
+}
+
+#[test]
+fn tuples_stay_three_words() {
+    // The cached hash lives in what was padding after `nvars`, and the
+    // `Arc` niche keeps `Option<Tuple>` (a tombstoned slot) free.
+    assert_eq!(std::mem::size_of::<Tuple>(), 24);
+    assert_eq!(std::mem::size_of::<Option<Tuple>>(), 24);
+}
+
+#[test]
+fn hashes_agree_with_equality() {
+    let mut rng = TestRng::new(6);
+    let mut equal_pairs = 0;
+    for case in 0..4 * CASES {
+        // Half the pairs rebuild `a` from the same stream: equal terms
+        // in separate allocations, of which only `a` gets interned.
+        let twin = rng.clone();
+        let a: Vec<Term> = (0..2).map(|_| hash_term(&mut rng, 3, false)).collect();
+        let b: Vec<Term> = if rng.gen_bool(0.5) {
+            let mut t = twin.clone();
+            (0..2).map(|_| hash_term(&mut t, 3, false)).collect()
+        } else {
+            (0..2).map(|_| hash_term(&mut rng, 3, false)).collect()
+        };
+        for t in &a {
+            hashcons::intern(t);
+        }
+        for (x, y) in a.iter().zip(&b) {
+            if x == y {
+                assert_eq!(term_hash(x), term_hash(y), "case {case}: {x} vs {y}");
+            }
+        }
+        let (ta, tb) = (Tuple::new(a), Tuple::new(b));
+        if ta == tb {
+            equal_pairs += 1;
+            assert_eq!(
+                tuple_hash(&ta),
+                tuple_hash(&tb),
+                "case {case}: {ta} vs {tb}"
+            );
+        }
+    }
+    assert!(equal_pairs >= CASES, "only {equal_pairs} equal pairs drawn");
+}
+
+#[test]
+fn signed_zeros_and_nans_hash_alike() {
+    let zero = Tuple::ground(vec![Term::double(0.0)]);
+    let neg_zero = Tuple::ground(vec![Term::double(-0.0)]);
+    assert_eq!(zero, neg_zero);
+    assert_eq!(tuple_hash(&zero), tuple_hash(&neg_zero));
+    let nan = Tuple::ground(vec![Term::double(f64::NAN)]);
+    let neg_nan = Tuple::ground(vec![Term::double(-f64::NAN)]);
+    assert_eq!(nan, neg_nan);
+    assert_eq!(tuple_hash(&nan), tuple_hash(&neg_nan));
+}
+
+#[test]
+fn renumbered_variants_hash_alike() {
+    let mut rng = TestRng::new(7);
+    for case in 0..CASES {
+        let args: Vec<Term> = (0..3).map(|_| hash_term(&mut rng, 2, true)).collect();
+        let shift = rng.gen_range(1, 40) as u32;
+        let shifted: Vec<Term> = args.iter().map(|t| t.shift_vars(shift)).collect();
+        let (a, b) = (Tuple::new(args), Tuple::new(shifted));
+        assert_eq!(a, b, "case {case}");
+        assert_eq!(tuple_hash(&a), tuple_hash(&b), "case {case}: {a}");
+    }
+}
+
+/// Set in the child process of [`hash_seed_varies_per_process`], which
+/// then prints its hash of a fixed tuple instead of spawning.
+const PRINT_HASH_ENV: &str = "PROP_TERM_PRINT_TUPLE_HASH";
+
+#[test]
+fn hash_seed_varies_per_process() {
+    let fixed = Tuple::ground(vec![Term::int(1), Term::str("edge"), Term::int(2)]);
+    if std::env::var_os(PRINT_HASH_ENV).is_some() {
+        println!("tuple-hash={}", tuple_hash(&fixed));
+        return;
+    }
+    let child_hash = || {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "hash_seed_varies_per_process", "--nocapture"])
+            .env(PRINT_HASH_ENV, "1")
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(out.status.success(), "{stdout}");
+        stdout
+            .lines()
+            .find_map(|l| l.strip_prefix("tuple-hash="))
+            .unwrap_or_else(|| panic!("no hash printed: {stdout}"))
+            .parse::<u64>()
+            .unwrap()
+    };
+    // Within this process the hash is stable; across processes the seed
+    // differs, so a client cannot precompute colliding keys.
+    assert_eq!(tuple_hash(&fixed), tuple_hash(&fixed.clone()));
+    assert_ne!(child_hash(), child_hash());
 }
 
 /// `t` with every variable `v` replaced by `vals[v]`.

@@ -45,7 +45,44 @@
 use coral::lang::{Adornment, PredRef};
 use coral::net::{Client, Server, ServerConfig};
 use coral::Session;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, Write};
+use std::sync::OnceLock;
+
+/// Set by the first failed write to stdout. Every later write is
+/// skipped, and the input loops stop at their next line: a reader that
+/// went away (`coral < script | head -1`) ends the session quietly.
+static STDOUT_FAILED: OnceLock<ErrorKind> = OnceLock::new();
+
+/// The one path from this program to stdout: `out!` and `outln!`.
+fn emit(args: std::fmt::Arguments<'_>) {
+    if STDOUT_FAILED.get().is_some() {
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() != ErrorKind::BrokenPipe {
+            eprintln!("error: cannot write to stdout: {e}");
+        }
+        STDOUT_FAILED.get_or_init(|| e.kind());
+    }
+}
+
+/// The exit status once stdout has failed: 0 for a closed pipe (the
+/// reader had what it wanted), 1 for any other write error.
+fn stdout_failed() -> Option<i32> {
+    STDOUT_FAILED
+        .get()
+        .map(|&kind| i32::from(kind != ErrorKind::BrokenPipe))
+}
+
+/// `print!` through `emit`.
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+/// `println!` through `emit`.
+macro_rules! outln {
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -89,13 +126,13 @@ const SERVE_OPTS: &[&str] = &[
 const CONNECT_OPTS: &[&str] = &["--addr A               server address (default 127.0.0.1:7061)"];
 
 fn print_usage() {
-    let opts = |table: &[&str]| table.iter().for_each(|line| println!("      {line}"));
-    println!("usage:");
-    println!("  coral [options]            interactive session (or pipe a script)");
+    let opts = |table: &[&str]| table.iter().for_each(|line| outln!("      {line}"));
+    outln!("usage:");
+    outln!("  coral [options]            interactive session (or pipe a script)");
     opts(REPL_OPTS);
-    println!("  coral serve [options]      serve concurrent sessions over TCP");
+    outln!("  coral serve [options]      serve concurrent sessions over TCP");
     opts(SERVE_OPTS);
-    println!("  coral connect [options]    REPL against a running server");
+    outln!("  coral connect [options]    REPL against a running server");
     opts(CONNECT_OPTS);
 }
 
@@ -215,8 +252,8 @@ fn serve_main(args: &[String]) -> i32 {
             return 1;
         }
     };
-    println!("coral server listening on {}", server.addr());
-    println!("press Enter to stop");
+    outln!("coral server listening on {}", server.addr());
+    outln!("press Enter to stop");
     let mut line = String::new();
     match std::io::stdin().read_line(&mut line) {
         // Stdin is closed (e.g. the server was backgrounded with no
@@ -227,7 +264,7 @@ fn serve_main(args: &[String]) -> i32 {
         },
         _ => {
             let stats = server.shutdown();
-            println!("server stopped; {stats}");
+            outln!("server stopped; {stats}");
             0
         }
     }
@@ -250,14 +287,17 @@ fn connect_main(args: &[String]) -> i32 {
     let mut stdout = std::io::stdout();
     let interactive = atty_stdin();
     if interactive {
-        println!("connected to coral server at {addr}.");
-        println!("Type :help for meta commands; clauses end with '.'");
+        outln!("connected to coral server at {addr}.");
+        outln!("Type :help for meta commands; clauses end with '.'");
     }
     let mut buffer = String::new();
     let mut prompt = "coral> ";
     loop {
+        if stdout_failed().is_some() {
+            break;
+        }
         if interactive {
-            print!("{prompt}");
+            out!("{prompt}");
             let _ = stdout.flush();
         }
         let mut line = String::new();
@@ -302,10 +342,11 @@ fn connect_main(args: &[String]) -> i32 {
                     let mut failed = false;
                     for answer in answers {
                         match answer {
-                            Ok(a) => {
-                                println!("{a}");
+                            Ok(a) if stdout_failed().is_none() => {
+                                outln!("{a}");
                                 n += 1;
                             }
+                            Ok(_) => break,
                             Err(e) => {
                                 eprintln!("error: {e}");
                                 failed = true;
@@ -314,7 +355,7 @@ fn connect_main(args: &[String]) -> i32 {
                         }
                     }
                     if n == 0 && !failed {
-                        println!("no");
+                        outln!("no");
                     }
                 }
                 Err(e) => eprintln!("error: {e}"),
@@ -327,7 +368,7 @@ fn connect_main(args: &[String]) -> i32 {
         }
     }
     let _ = client.quit();
-    0
+    stdout_failed().unwrap_or(0)
 }
 
 /// Handle a `:` meta command against a remote session; returns `false`
@@ -339,7 +380,7 @@ fn remote_meta(client: &mut Client, cmd: &str) -> bool {
     match head {
         ":quit" | ":q" | ":exit" => return false,
         ":help" | ":h" => {
-            println!(
+            outln!(
                 ":profile [on|off|json]         toggle remote profiling / last profile\n\
                  :checkpoint                    checkpoint the server's storage\n\
                  :check                         integrity-check the server's storage\n\
@@ -349,26 +390,26 @@ fn remote_meta(client: &mut Client, cmd: &str) -> bool {
         }
         ":profile" | ".profile" => match rest {
             "on" | "off" => match client.set_profiling(rest == "on") {
-                Ok(()) => println!("profiling {rest}"),
+                Ok(()) => outln!("profiling {rest}"),
                 Err(e) => eprintln!("error: {e}"),
             },
             "json" | "" => match client.profile_json() {
-                Ok(Some(j)) => println!("{j}"),
-                Ok(None) => println!("no profile collected (try `:profile on` then a query)"),
+                Ok(Some(j)) => outln!("{j}"),
+                Ok(None) => outln!("no profile collected (try `:profile on` then a query)"),
                 Err(e) => eprintln!("error: {e}"),
             },
             other => eprintln!("usage: :profile [on|off|json] (got {other:?})"),
         },
         ":checkpoint" => match client.checkpoint() {
-            Ok(()) => println!("checkpointed"),
+            Ok(()) => outln!("checkpointed"),
             Err(e) => eprintln!("error: {e}"),
         },
         ":check" => match client.check() {
-            Ok(report) => print!("{report}"),
+            Ok(report) => out!("{report}"),
             Err(e) => eprintln!("error: {e}"),
         },
         ":ping" => match client.ping() {
-            Ok(()) => println!("pong"),
+            Ok(()) => outln!("pong"),
             Err(e) => eprintln!("error: {e}"),
         },
         other => eprintln!("unknown command {other}; try :help"),
@@ -379,10 +420,10 @@ fn remote_meta(client: &mut Client, cmd: &str) -> bool {
 fn print_query_results(query_results: Vec<Vec<coral::Answer>>) {
     for answers in query_results {
         if answers.is_empty() {
-            println!("no");
+            outln!("no");
         } else {
             for a in answers {
-                println!("{a}");
+                outln!("{a}");
             }
         }
     }
@@ -436,14 +477,17 @@ fn repl_main(args: &[String]) -> i32 {
     let mut stdout = std::io::stdout();
     let interactive = atty_stdin();
     if interactive {
-        println!("CORAL deductive database (Rust reproduction of SIGMOD '93).");
-        println!("Type :help for meta commands; clauses end with '.'");
+        outln!("CORAL deductive database (Rust reproduction of SIGMOD '93).");
+        outln!("Type :help for meta commands; clauses end with '.'");
     }
     let mut buffer = String::new();
     let mut prompt = "coral> ";
     loop {
+        if stdout_failed().is_some() {
+            break;
+        }
         if interactive {
-            print!("{prompt}");
+            out!("{prompt}");
             let _ = stdout.flush();
         }
         let mut line = String::new();
@@ -477,7 +521,7 @@ fn repl_main(args: &[String]) -> i32 {
             Err(e) => eprintln!("error: {e}"),
         }
     }
-    0
+    stdout_failed().unwrap_or(0)
 }
 
 /// A chunk is complete when it ends with a clause terminator and any
@@ -500,7 +544,7 @@ fn meta_command(session: &Session, cmd: &str) -> bool {
     match head {
         ":quit" | ":q" | ":exit" => return false,
         ":help" | ":h" => {
-            println!(
+            outln!(
                 ":consult <file>                consult a program/data file\n\
                  :list                          base relations and modules\n\
                  :explain <fact>                derivation tree for a ground fact\n\
@@ -527,51 +571,55 @@ fn meta_command(session: &Session, cmd: &str) -> bool {
                 return true;
             };
             match session.create_persistent(name, arity) {
-                Ok(_) => println!("{name}/{arity} is persistent"),
+                Ok(_) => outln!("{name}/{arity} is persistent"),
                 Err(e) => eprintln!("error: {e}"),
             }
         }
         ":checkpoint" => match session.checkpoint() {
-            Ok(()) => println!("checkpointed"),
+            Ok(()) => outln!("checkpointed"),
             Err(e) => eprintln!("error: {e}"),
         },
         ":check" => match session.check_storage() {
-            Ok(report) => print!("{report}"),
+            Ok(report) => out!("{report}"),
             Err(e) => eprintln!("error: {e}"),
         },
         ":profile" | ".profile" => match rest {
             "on" => {
                 session.set_profiling(true);
-                println!("profiling on");
+                outln!("profiling on");
             }
             "off" => {
                 session.set_profiling(false);
-                println!("profiling off");
+                outln!("profiling off");
             }
             "json" => match session.last_profile() {
-                Some(p) => println!("{}", p.to_json()),
-                None => println!("no profile collected (try `:profile on` then a query)"),
+                Some(p) => outln!("{}", p.to_json()),
+                None => outln!("no profile collected (try `:profile on` then a query)"),
             },
             "" => match session.last_profile() {
-                Some(p) => print!("{}", p.render()),
-                None => println!("no profile collected (try `:profile on` then a query)"),
+                Some(p) => out!("{}", p.render()),
+                None => outln!("no profile collected (try `:profile on` then a query)"),
             },
             other => eprintln!("usage: :profile [on|off|json] (got {other:?})"),
         },
         ":budget" => match rest {
             "" => {
-                println!("budget: {}", session.budget().render());
+                outln!("budget: {}", session.budget().render());
                 let u = session.budget_usage();
-                println!(
+                outln!(
                     "last query: {} ms, {} tuples, {} term bytes, \
                      {} iterations, depth {}",
-                    u.elapsed_ms, u.tuples, u.term_bytes, u.iterations, u.max_depth
+                    u.elapsed_ms,
+                    u.tuples,
+                    u.term_bytes,
+                    u.iterations,
+                    u.max_depth
                 );
             }
             spec => match coral::core::Budget::parse(spec) {
                 Ok(b) => {
                     session.set_budget(b);
-                    println!("budget: {}", b.render());
+                    outln!("budget: {}", b.render());
                 }
                 Err(e) => eprintln!("usage: :budget [resource=limit ...|unlimited] — {e}"),
             },
@@ -587,43 +635,47 @@ fn meta_command(session: &Session, cmd: &str) -> bool {
                 match stats {
                     Some(st) => {
                         let distinct: Vec<u64> = (0..st.arity()).map(|c| st.distinct(c)).collect();
-                        println!(
+                        outln!(
                             "{name}/{arity}: {} rows, distinct per column {distinct:?}",
                             st.cardinality()
                         );
                     }
-                    None => println!("{name}/{arity}: no statistics"),
+                    None => outln!("{name}/{arity}: no statistics"),
                 }
             }
         }
         ":maintain" => {
             let t = session.maintain_totals();
-            println!(
+            outln!(
                 "incremental maintenance: {} propagations, {} count updates, \
                  {} overdeleted, {} rederived, {} rebuilds",
-                t.propagated, t.count_updates, t.overdeleted, t.rederived, t.rebuilds
+                t.propagated,
+                t.count_updates,
+                t.overdeleted,
+                t.rederived,
+                t.rebuilds
             );
         }
         ":analyze" => match session.analyze() {
-            Ok(n) => println!("analyzed {n} relation{}", if n == 1 { "" } else { "s" }),
+            Ok(n) => outln!("analyzed {n} relation{}", if n == 1 { "" } else { "s" }),
             Err(e) => eprintln!("error: {e}"),
         },
         ":consult" => match session.consult_file(std::path::Path::new(rest)) {
             Ok(results) => {
-                println!("consulted {rest} ({} embedded queries)", results.len())
+                outln!("consulted {rest} ({} embedded queries)", results.len())
             }
             Err(e) => eprintln!("error: {e}"),
         },
         ":list" => {
             for (name, arity) in session.engine().db().list() {
                 if let Some(rel) = session.engine().db().get(name, arity) {
-                    println!("{name}/{arity}: {}", rel.describe());
+                    outln!("{name}/{arity}: {}", rel.describe());
                 }
             }
         }
         ":explain" => match session.explain_fact(rest) {
-            Ok(Some(d)) => print!("{}", d.render()),
-            Ok(None) => println!("{rest} is not derivable"),
+            Ok(Some(d)) => out!("{}", d.render()),
+            Ok(None) => outln!("{rest} is not derivable"),
             Err(e) => eprintln!("error: {e}"),
         },
         ":rewritten" => {
@@ -644,7 +696,7 @@ fn meta_command(session: &Session, cmd: &str) -> bool {
                 return true;
             };
             match session.engine().explain(PredRef::new(name, arity), &adorn) {
-                Ok(text) => print!("{text}"),
+                Ok(text) => out!("{text}"),
                 Err(e) => eprintln!("error: {e}"),
             }
         }

@@ -456,3 +456,38 @@ fn unknown_option_exits_2() {
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("unknown option --no-such-flag"), "{stderr}");
 }
+
+/// A reader that stops early (`coral < script | head -1`) closes the
+/// pipe under the REPL: it must end quietly with status 0 instead of
+/// panicking on the next answer it prints.
+#[test]
+fn closed_stdout_ends_the_session_quietly() {
+    use std::io::{BufRead, BufReader};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_coral"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn coral binary");
+    // Far more answers than a pipe buffers, so the REPL is still
+    // printing when the reader goes away.
+    let mut script = facts(0..20_000);
+    script.push_str("?- e(X, Y).\n");
+    let mut stdin = child.stdin.take().unwrap();
+    let writer = std::thread::spawn(move || {
+        // The REPL may stop reading once stdout is gone; a failed write
+        // here is expected then.
+        let _ = stdin.write_all(script.as_bytes());
+    });
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with("X = "), "{first}");
+    // The reader is dropped here: the pipe is closed.
+    writer.join().unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+}
